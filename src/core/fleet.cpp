@@ -1,9 +1,9 @@
 #include "core/fleet.h"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -50,11 +50,6 @@ int verdict_rank(Verdict v) {
   return 0;
 }
 
-std::size_t resolve_threads(std::size_t threads) {
-  if (threads == 0) return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return threads;
-}
-
 /// Human-readable message of a captured exception, for attributed statuses.
 std::string describe(const std::exception_ptr& e) {
   try {
@@ -64,6 +59,20 @@ std::string describe(const std::exception_ptr& e) {
   } catch (...) {
     return "unknown exception";
   }
+}
+
+// Health transitions. Caller thread only; monotonic, keeping the first cause.
+void quarantine(RegionState& st, util::Status status, std::exception_ptr error) {
+  if (st.health == RegionHealth::kQuarantined) return;
+  st.health = RegionHealth::kQuarantined;
+  st.status = std::move(status);
+  st.error = std::move(error);
+}
+
+void degrade(RegionState& st, util::Status status) {
+  if (st.health != RegionHealth::kHealthy) return;
+  st.health = RegionHealth::kDegraded;
+  st.status = std::move(status);
 }
 
 }  // namespace
@@ -128,35 +137,60 @@ std::string to_string(const FleetReport& r) {
   return os.str();
 }
 
-/// Per-region ingest queue. The shard's pipeline is only ever advanced by
-/// the single drain task in flight for it (`draining` guards task spawning),
-/// which is the single-writer invariant the parallel path relies on.
-/// producer_buf belongs to the (single) producer thread and is handed off
-/// under the lock once per FleetConfig::batch_records, so the per-record
-/// cost of add_record is one push_back. Workers never touch health_
-/// directly: a failure is parked in `error`/`dropped` under the lock and the
-/// producer folds it into the region's health record at the next flush or
-/// drain -- keeping every health transition on the caller thread, hence
-/// deterministic at any thread count.
+/// Per-region shard; every region has one, at any thread count. Each
+/// pipeline call that can throw goes through run(), which parks the
+/// exception and the dropped record count here under the lock; the
+/// producer folds them into the region's health record (absorb), so every
+/// health transition happens on the caller thread and is deterministic at
+/// any thread count. With one worker the producer calls run() itself and
+/// the queue stays empty. With more, the producer buffers records in
+/// producer_buf, hands whole batches and windows to `queue` -- one FIFO, so
+/// they apply in the caller's order -- and only the single drain task in
+/// flight (`draining`) advances the pipeline: the single-writer invariant.
 struct FleetMonitor::Shard {
-  Shard(std::string region_name, DetectionPipeline& p)
-      : name(std::move(region_name)), pipeline(&p) {}
+  Shard(std::string region_name, DetectionPipeline& p, RegionState& s)
+      : name(std::move(region_name)), pipeline(&p), state(&s) {}
 
-  std::string name;
-  std::vector<SensorRecord> producer_buf;  // producer-thread-only
+  /// Records an item stands for: a batch's size, a window's sensor count.
+  static std::size_t weight(const QueueItem& item) {
+    const auto* recs = std::get_if<std::vector<SensorRecord>>(&item);
+    return recs != nullptr ? recs->size() : std::get<ObservationSet>(item).sensor_count();
+  }
+
+  /// Make one pipeline call (`what` names it in the status message). A
+  /// throw is parked with `weight` records counted as dropped -- the
+  /// poisoned pipeline's exact progress is unknowable, so accounting is
+  /// call-granular. Returns whether the call succeeded.
+  template <typename Call>
+  bool run(const char* what, std::size_t weight, Call&& call) {
+    try {
+      call();
+      return true;
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      error = std::current_exception();
+      failed_call = what;
+      dropped += weight;
+      return false;
+    }
+  }
+
+  // Set at creation, or producer-thread-only.
+  const std::string name;
+  DetectionPipeline* const pipeline;
+  RegionState* const state;                // the region's entry in health_
+  std::uint64_t ckpt_anchor = 0;           // records_ingested at the last checkpoint
+  std::vector<SensorRecord> producer_buf;  // threads > 1: records not yet handed off
+
+  // Guarded by mu.
   std::mutex mu;
-  std::condition_variable cv;  // queue shrank, drain finished, or error set
-  // Queue of whole producer batches: handoff moves one vector instead of
-  // copying records element-wise, and the drain side replays each batch
-  // through the pipeline's fused add_records span entry. queue_records
-  // tracks the record total for backpressure.
-  std::deque<std::vector<SensorRecord>> queue;
-  std::size_t queue_records = 0;
-  std::deque<ObservationSet> window_queue;  // add_window feed (coarse; uncapped)
-  bool draining = false;       // a pool task owns this shard's pipeline
-  std::exception_ptr error;    // first pipeline exception, folded into health
-  std::size_t dropped = 0;     // records discarded behind a failure
-  DetectionPipeline* pipeline;
+  std::condition_variable cv;     // queue shrank or drain task finished
+  std::deque<QueueItem> queue;    // batches move in whole; drained FIFO
+  std::size_t queue_records = 0;  // summed weight of `queue`, for backpressure
+  bool draining = false;          // a pool task owns this shard's pipeline
+  std::exception_ptr error;       // first pipeline failure, folded into health
+  const char* failed_call = nullptr;
+  std::size_t dropped = 0;        // records discarded by or behind the failure
 };
 
 /// The checkpoint committer: a single dedicated thread that runs the
@@ -255,8 +289,8 @@ FleetMonitor::FleetMonitor(FleetConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument(
         "FleetMonitor: malformed ratios must satisfy 0 <= degraded <= quarantine <= 1");
   }
-  cfg_.threads = resolve_threads(cfg_.threads);
-  if (cfg_.threads > 1) pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
+  pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
+  cfg_.threads = pool_->size();  // 0 resolved to the quota-aware default
   if (!cfg_.checkpoint_dir.empty()) {
     store_ = std::make_unique<CheckpointStore>(cfg_.checkpoint_dir);
     committer_ = std::make_unique<Committer>(*this);
@@ -279,17 +313,12 @@ FleetMonitor::FleetMonitor(FleetConfig cfg) : cfg_(cfg) {
                                   util::Histogram::exponential_bounds(64, 2.0, 10));
 }
 
-namespace {
-FleetConfig serial_fleet_config(double state_match_tol) {
-  FleetConfig c;
-  c.state_match_tol = state_match_tol;
-  c.threads = 1;
-  return c;
-}
-}  // namespace
-
 FleetMonitor::FleetMonitor(double state_match_tol)
-    : FleetMonitor(serial_fleet_config(state_match_tol)) {}
+    : FleetMonitor([state_match_tol] {
+        FleetConfig c;
+        c.state_match_tol = state_match_tol;
+        return c;
+      }()) {}
 
 // Out of line so ~unique_ptr<Shard>/~unique_ptr<Committer> see the complete
 // types. Members destroy in reverse declaration order: committer_ first
@@ -298,23 +327,22 @@ FleetMonitor::FleetMonitor(double state_match_tol)
 // tasks and joins the workers while regions_/shards_ are still alive).
 FleetMonitor::~FleetMonitor() = default;
 
-void FleetMonitor::register_shard(const std::string& name, DetectionPipeline& pipeline) {
-  shards_.emplace(name, std::make_unique<Shard>(name, pipeline));
+void FleetMonitor::register_region(const std::string& name, DetectionPipeline& pipeline) {
+  RegionState& st = health_.emplace(name, RegionState{}).first->second;
+  shards_.emplace(name, std::make_unique<Shard>(name, pipeline, st));
 }
 
 void FleetMonitor::add_region(const std::string& name, PipelineConfig cfg) {
   const auto [it, inserted] = regions_.try_emplace(name, std::move(cfg));
   if (!inserted) throw std::invalid_argument("FleetMonitor: duplicate region " + name);
-  health_.emplace(name, RegionState{});
-  if (pool_) register_shard(name, it->second);
+  register_region(name, it->second);
 }
 
 void FleetMonitor::add_region(const std::string& name, PipelineConfig cfg,
                               std::istream& checkpoint) {
   const auto [it, inserted] = regions_.try_emplace(name, std::move(cfg), checkpoint);
   if (!inserted) throw std::invalid_argument("FleetMonitor: duplicate region " + name);
-  health_.emplace(name, RegionState{});
-  if (pool_) register_shard(name, it->second);
+  register_region(name, it->second);
 }
 
 util::Result<std::uint64_t> FleetMonitor::add_region_resumed(const std::string& name,
@@ -351,66 +379,67 @@ util::Result<std::uint64_t> FleetMonitor::add_region_resumed(const std::string& 
     return util::Status(util::StatusCode::kDataLoss,
                         "region " + name + ": checkpoint restore failed: " + e.what());
   }
-  RegionState& st = state_of(name);
+  Shard& sh = shard_of(name);
+  RegionState& st = *sh.state;
   st.health = meta.health;
   st.status = meta.status;
   st.records_ingested = meta.records_applied;
   st.records_dropped = meta.records_dropped;
   st.malformed = meta.malformed;
   st.comment_lines = meta.comment_lines;
-  ckpt_anchor_[name] = meta.records_applied;
+  sh.ckpt_anchor = meta.records_applied;
   return std::uint64_t{meta.records_applied};
 }
 
+FleetMonitor::Shard& FleetMonitor::shard_of(const std::string& name) const {
+  const auto it = shards_.find(name);
+  if (it == shards_.end()) throw std::invalid_argument("FleetMonitor: unknown region " + name);
+  return *it->second;
+}
+
 RegionState& FleetMonitor::state_of(const std::string& name) const {
-  const auto it = health_.find(name);
-  if (it == health_.end()) throw std::invalid_argument("FleetMonitor: unknown region " + name);
-  return it->second;
+  return *shard_of(name).state;
 }
 
 const RegionState& FleetMonitor::region_health(const std::string& name) const {
   return state_of(name);
 }
 
-void FleetMonitor::quarantine(const std::string& name, util::Status status,
-                              std::exception_ptr error) const {
-  RegionState& st = state_of(name);
-  if (st.health == RegionHealth::kQuarantined) return;  // keep the first cause
-  st.health = RegionHealth::kQuarantined;
-  st.status = std::move(status);
-  st.error = std::move(error);
-}
-
-void FleetMonitor::degrade(const std::string& name, util::Status status) const {
-  RegionState& st = state_of(name);
-  if (st.health != RegionHealth::kHealthy) return;  // monotonic, keep first cause
-  st.health = RegionHealth::kDegraded;
-  st.status = std::move(status);
-}
-
-void FleetMonitor::absorb_shard_faults() const {
-  for (const auto& [name, shard] : shards_) {
-    Shard& sh = *shard;
-    std::exception_ptr err;
-    std::size_t dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      err = sh.error;
-      dropped = sh.dropped;
-      sh.dropped = 0;
-    }
-    RegionState& st = state_of(name);
-    if (dropped > 0) {
-      st.records_dropped += dropped;
-      m_dropped_->add(dropped);
-    }
-    if (err && st.health != RegionHealth::kQuarantined) {
-      quarantine(name,
-                 util::Status(util::StatusCode::kInternal,
-                              "region " + name + ": pipeline failed: " + describe(err)),
-                 err);
-    }
+void FleetMonitor::absorb(Shard& sh) const {
+  std::exception_ptr err;
+  const char* what = nullptr;
+  std::size_t dropped = 0;
+  {
+    std::lock_guard<std::mutex> lock(sh.mu);
+    err = sh.error;
+    what = sh.failed_call;
+    dropped = std::exchange(sh.dropped, 0);
   }
+  RegionState& st = *sh.state;
+  if (dropped > 0) {
+    // Counted as ingested when handed to the shard; they never got applied.
+    st.records_ingested -= dropped;
+    st.records_dropped += dropped;
+    m_dropped_->add(dropped);
+  }
+  if (err && st.health != RegionHealth::kQuarantined) {
+    quarantine(st,
+               util::Status(util::StatusCode::kInternal, "region " + sh.name + ": " + what +
+                                                             " failed: " + describe(err)),
+               err);
+  }
+}
+
+FleetMonitor::Shard* FleetMonitor::admit(const std::string& region, std::size_t weight) {
+  Shard& sh = shard_of(region);  // throws on unknown region
+  RegionState& st = *sh.state;
+  if (st.health == RegionHealth::kQuarantined) {
+    st.records_dropped += weight;
+    m_dropped_->add(weight);
+    return nullptr;
+  }
+  st.records_ingested += weight;
+  return &sh;
 }
 
 void FleetMonitor::add_record(const std::string& region, const SensorRecord& rec) {
@@ -419,139 +448,73 @@ void FleetMonitor::add_record(const std::string& region, const SensorRecord& rec
 
 void FleetMonitor::add_records(const std::string& region, std::span<const SensorRecord> recs) {
   if (recs.empty()) return;
-  RegionState& st = state_of(region);  // throws on unknown region
-  if (st.health == RegionHealth::kQuarantined) {
-    st.records_dropped += recs.size();
-    m_dropped_->add(recs.size());
-    return;
+  Shard* sh = admit(region, recs.size());
+  if (sh == nullptr) return;
+  if (cfg_.threads == 1) {
+    // One fused span pass through the windower, in place: no copy, no queue.
+    if (!sh->run("pipeline", recs.size(), [&] { sh->pipeline->add_records(recs); })) absorb(*sh);
+  } else {
+    sh->producer_buf.insert(sh->producer_buf.end(), recs.begin(), recs.end());
+    if (sh->producer_buf.size() >= cfg_.batch_records) flush_shard(*sh);
   }
-  if (!pool_) {
-    auto& pipeline = regions_.find(region)->second;
-    try {
-      // One fused span pass through the pipeline's windower -- no
-      // per-record dispatch. Accounting is span-granular: a pipeline
-      // exception quarantines the region and counts the whole span as
-      // dropped (the poisoned pipeline's exact progress is unknowable and
-      // the region stops voting either way).
-      pipeline.add_records(recs);
-      st.records_ingested += recs.size();
-    } catch (...) {
-      const auto err = std::current_exception();
-      st.records_dropped += recs.size();
-      m_dropped_->add(recs.size());
-      quarantine(region,
-                 util::Status(util::StatusCode::kInternal,
-                              "region " + region + ": pipeline failed: " + describe(err)),
-                 err);
-    }
-    maybe_checkpoint(region, st);
-    return;
-  }
-  Shard& sh = *shards_.find(region)->second;
-  sh.producer_buf.insert(sh.producer_buf.end(), recs.begin(), recs.end());
-  st.records_ingested += recs.size();
-  if (sh.producer_buf.size() >= cfg_.batch_records) flush_shard(sh);
-  maybe_checkpoint(region, st);
+  maybe_checkpoint(*sh);
 }
 
 void FleetMonitor::add_window(const std::string& region, const ObservationSet& window) {
-  RegionState& st = state_of(region);  // throws on unknown region
   const std::size_t weight = window.sensor_count();
-  if (st.health == RegionHealth::kQuarantined) {
-    st.records_dropped += weight;
-    m_dropped_->add(weight);
-    return;
-  }
+  Shard* sh = admit(region, weight);
+  if (sh == nullptr) return;
   m_windows_->inc();
-  if (!pool_) {
-    auto& pipeline = regions_.find(region)->second;
-    try {
-      pipeline.process_window(window);
-      st.records_ingested += weight;
-    } catch (...) {
-      const auto err = std::current_exception();
-      st.records_dropped += weight;
-      m_dropped_->add(weight);
-      quarantine(region,
-                 util::Status(util::StatusCode::kInternal,
-                              "region " + region + ": pipeline failed: " + describe(err)),
-                 err);
-    }
-    maybe_checkpoint(region, st);
-    return;
+  if (cfg_.threads == 1) {
+    if (!sh->run("pipeline", weight, [&] { sh->pipeline->process_window(window); })) absorb(*sh);
+  } else {
+    flush_shard(*sh);  // buffered records go ahead of the window
+    enqueue(*sh, window);
   }
-  Shard& sh = *shards_.find(region)->second;
-  // Hand off buffered records first so they sit ahead of this window in the
-  // drain order (windows are coarse enough that the extra handoff is noise).
-  if (!sh.producer_buf.empty()) flush_shard(sh);
-  bool start_drain = false;
-  bool failed = false;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (sh.error) {
-      sh.dropped += weight;
-      failed = true;
-    } else {
-      sh.window_queue.push_back(window);
-      if (!sh.draining) {
-        sh.draining = true;
-        start_drain = true;
-      }
-    }
-  }
-  if (!failed) st.records_ingested += weight;
-  if (start_drain) {
-    pool_->post([this, &sh] { drain_shard(sh); });
-  }
-  if (failed) absorb_shard_faults();
-  maybe_checkpoint(region, st);
+  maybe_checkpoint(*sh);
 }
 
-void FleetMonitor::maybe_checkpoint(const std::string& region, RegionState& st) {
+void FleetMonitor::maybe_checkpoint(Shard& sh) {
   if (!store_ || cfg_.checkpoint_every_records == 0) return;
-  if (st.health == RegionHealth::kQuarantined) return;
-  if (st.records_ingested - ckpt_anchor_[region] < cfg_.checkpoint_every_records) return;
-  commit_region_checkpoint(region, st);
+  if (sh.state->health == RegionHealth::kQuarantined) return;
+  if (sh.state->records_ingested - sh.ckpt_anchor < cfg_.checkpoint_every_records) return;
+  commit_region_checkpoint(sh);
 }
 
-void FleetMonitor::commit_region_checkpoint(const std::string& region, RegionState& st) {
+void FleetMonitor::commit_region_checkpoint(Shard& sh) {
   SENTINEL_FAULT_POINT(util::fault::kCheckpointBegin);
   // Quiesce this region's shard first: the pipeline must be at a record
   // boundary and untouched by workers while it serializes (the single-writer
   // invariant), and a resumed run replays from exactly records_ingested.
-  if (pool_) {
-    Shard& sh = *shards_.find(region)->second;
-    flush_shard(sh);
-    wait_shard(sh);
-    absorb_shard_faults();
-  }
+  quiesce(sh);
+  const RegionState& st = *sh.state;
   if (st.health == RegionHealth::kQuarantined) return;  // suspect state: never persisted
   Committer::Pending p;
-  p.region = region;
+  p.region = sh.name;
   p.meta.records_applied = st.records_ingested;
   p.meta.health = st.health;
   p.meta.status = st.status;
   p.meta.records_dropped = st.records_dropped;
   p.meta.malformed = st.malformed;
   p.meta.comment_lines = st.comment_lines;
-  const DetectionPipeline& rp = regions_.find(region)->second;
-  if (rp.screens() != nullptr) p.meta.escalated_sensors = rp.screen_stats().escalated;
+  if (sh.pipeline->screens() != nullptr) {
+    p.meta.escalated_sensors = sh.pipeline->screen_stats().escalated;
+  }
   // Snapshot here, on the producer thread, while the region is quiescent:
   // the committer only ever sees immutable bytes, never the live pipeline.
   std::ostringstream os;
-  regions_.find(region)->second.save_checkpoint(os, serialize::Format::kBinary,
-                                                CheckpointScope::kResumable);
+  sh.pipeline->save_checkpoint(os, serialize::Format::kBinary, CheckpointScope::kResumable);
   p.bytes = os.str();
   // Anchor advances at snapshot time, not commit time: the interval clock
   // restarts even if this commit later fails on disk (the next cadence
   // simply takes a fresh snapshot; the previous epoch still stands).
-  ckpt_anchor_[region] = st.records_ingested;
+  sh.ckpt_anchor = st.records_ingested;
   committer_->enqueue(std::move(p));
 }
 
 void FleetMonitor::checkpoint_now() {
   if (!store_) return;
-  for (auto& [name, st] : health_) commit_region_checkpoint(name, st);
+  for (auto& [name, sh] : shards_) commit_region_checkpoint(*sh);
   committer_->drain();  // on return the store names these snapshots
 }
 
@@ -580,7 +543,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
       skipped = reader.skip_records(skip_records);
     } catch (...) {
       const auto err = std::current_exception();
-      quarantine(region,
+      quarantine(st,
                  util::Status(util::StatusCode::kDataLoss,
                               "region " + region + ": reader failed: " + describe(err)),
                  err);
@@ -588,7 +551,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
     skip_malformed = reader.malformed();
     skip_comments = reader.comment_lines();
     if (skipped < skip_records && st.health != RegionHealth::kQuarantined) {
-      quarantine(region,
+      quarantine(st,
                  util::Status(util::StatusCode::kDataLoss,
                               "region " + region + ": trace shorter than its checkpoint: " +
                                   "resume skip wanted " + std::to_string(skip_records) +
@@ -603,7 +566,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
       n = reader.read_batch(batch, batch_records);
     } catch (...) {
       const auto err = std::current_exception();
-      quarantine(region,
+      quarantine(st,
                  util::Status(util::StatusCode::kDataLoss,
                               "region " + region + ": reader failed: " + describe(err)),
                  err);
@@ -633,7 +596,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
     if (mal > 0 && lines >= cfg_.health.min_lines_for_rate) {
       const double ratio = static_cast<double>(mal) / static_cast<double>(lines);
       if (ratio >= cfg_.health.quarantine_malformed_ratio) {
-        quarantine(region,
+        quarantine(st,
                    util::Status(util::StatusCode::kDataLoss,
                                 "region " + region + ": malformed-line rate too high: " +
                                     to_string(reader.malformed()) + " in " +
@@ -642,7 +605,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
         break;
       }
       if (ratio >= cfg_.health.degraded_malformed_ratio) {
-        degrade(region,
+        degrade(st,
                 util::Status(util::StatusCode::kDataLoss,
                              "region " + region + ": elevated malformed-line rate: " +
                                  to_string(reader.malformed()) + " in " +
@@ -656,7 +619,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
   // covers an unknown prefix, so it stops voting.
   const util::Status rs = reader.status();
   if (!rs.is_ok() && st.health != RegionHealth::kQuarantined) {
-    quarantine(region, util::Status(rs.code(), "region " + region + ": " + rs.message()),
+    quarantine(st, util::Status(rs.code(), "region " + region + ": " + rs.message()),
                nullptr);
   }
   st.malformed = before;
@@ -671,154 +634,141 @@ FleetMonitor::IngestSummary FleetMonitor::ingest_file(const std::string& region,
                                                       const std::string& path,
                                                       std::size_t expected_dims,
                                                       std::size_t skip_records) {
-  state_of(region);  // unknown region is caller misuse: throw before touching the file
+  RegionState& st = state_of(region);  // unknown region: throw before touching the file
   std::unique_ptr<TraceReader> reader;
   try {
     reader = open_trace_reader(path, expected_dims);
   } catch (...) {
     const auto err = std::current_exception();
-    quarantine(region,
+    quarantine(st,
                util::Status(util::StatusCode::kInvalidArgument,
                             "region " + region + ": cannot open trace: " + describe(err)),
                err);
     IngestSummary sum;
-    sum.status = state_of(region).status;
+    sum.status = st.status;
     return sum;
   }
   return ingest(region, *reader, 0, skip_records);
 }
 
-/// Hand the producer buffer to the shard queue and make sure a drain task
-/// is (or will be) running. Called by the producer thread only. A parked
-/// worker error makes this a drop-and-fold instead of a handoff.
 void FleetMonitor::flush_shard(Shard& sh) const {
   if (sh.producer_buf.empty()) return;
-  const std::size_t nbuf = sh.producer_buf.size();
+  // Whole-batch handoff: one vector move, no per-record copies. The drain
+  // side applies the batch as a single fused span.
+  enqueue(sh, std::move(sh.producer_buf));
+  sh.producer_buf.clear();
+}
+
+void FleetMonitor::enqueue(Shard& sh, QueueItem item) const {
+  const std::size_t weight = Shard::weight(item);
   bool start_drain = false;
   bool failed = false;
   {
     std::unique_lock<std::mutex> lock(sh.mu);
-    if (!sh.error) {
-      // Backpressure: block while the region's queue is at capacity
-      // (records, not batches). A full queue is a documented-healthy state
-      // (the producer simply outran the pipeline), counted -- and the block
-      // attributed to this region by duration -- so operators can size
-      // max_queue_records and a service front end can bill the stall to the
-      // tenant that caused it.
-      if (sh.queue_records >= cfg_.max_queue_records) {
-        m_backpressure_->inc();
-        RegionState& st = state_of(sh.name);
-        ++st.backpressure_waits;
-        const auto t0 = std::chrono::steady_clock::now();
-        sh.cv.wait(lock, [&] { return sh.queue_records < cfg_.max_queue_records || sh.error; });
-        const auto blocked = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-        st.backpressure_block_ns += blocked;
-        m_backpressure_ns_->add(blocked);
-      } else {
-        sh.cv.wait(lock, [&] { return sh.queue_records < cfg_.max_queue_records || sh.error; });
-      }
+    // Backpressure: block while the region's queue is at capacity (in
+    // records). A full queue is a documented-healthy state (the producer
+    // simply outran the pipeline), counted -- and the block attributed to
+    // this region by duration -- so operators can size max_queue_records
+    // and a service front end can bill the stall to the tenant that caused
+    // it.
+    if (!sh.error && sh.queue_records >= cfg_.max_queue_records) {
+      m_backpressure_->inc();
+      ++sh.state->backpressure_waits;
+      const auto t0 = std::chrono::steady_clock::now();
+      sh.cv.wait(lock, [&] { return sh.queue_records < cfg_.max_queue_records || sh.error; });
+      const auto blocked = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      sh.state->backpressure_block_ns += blocked;
+      m_backpressure_ns_->add(blocked);
     }
     if (sh.error) {
-      sh.dropped += nbuf;
+      sh.dropped += weight;
       failed = true;
     } else {
-      // Whole-batch handoff: one vector move, no per-record copies. The
-      // drain side applies the batch as a single fused span.
-      sh.queue.push_back(std::move(sh.producer_buf));
-      sh.queue_records += nbuf;
+      sh.queue.push_back(std::move(item));
+      sh.queue_records += weight;
       m_queue_depth_->record(sh.queue_records);
-      if (!sh.draining) {
-        sh.draining = true;
-        start_drain = true;
-      }
+      start_drain = !std::exchange(sh.draining, true);
     }
   }
   m_handoffs_->inc();
-  if (!failed) m_enqueued_->add(nbuf);
-  sh.producer_buf.clear();
-  if (start_drain) {
-    pool_->post([this, &sh] { drain_shard(sh); });
-  }
-  if (failed) absorb_shard_faults();
+  if (!failed) m_enqueued_->add(weight);
+  if (start_drain) pool_->post([this, &sh] { drain_shard(sh); });
+  if (failed) absorb(sh);
 }
 
 void FleetMonitor::drain_shard(Shard& sh) const {
   for (;;) {
-    std::deque<std::vector<SensorRecord>> batches;
-    std::deque<ObservationSet> wbatch;
+    std::deque<QueueItem> items;
     std::size_t taken = 0;
     {
       std::lock_guard<std::mutex> lock(sh.mu);
-      if (sh.queue.empty() && sh.window_queue.empty()) {
+      if (sh.queue.empty()) {
         sh.draining = false;
         sh.cv.notify_all();
         return;
       }
-      batches.swap(sh.queue);
-      taken = sh.queue_records;
-      sh.queue_records = 0;
-      wbatch.swap(sh.window_queue);
+      items.swap(sh.queue);
+      taken = std::exchange(sh.queue_records, 0);
     }
     sh.cv.notify_all();  // queue emptied; unblock backpressured producers
-    std::size_t applied = 0;
-    std::size_t wapplied = 0;
-    try {
-      // Each handed-off batch replays as one fused span -- FIFO order, so
-      // the record sequence (hence the report) is identical to the serial
-      // path's.
-      for (const auto& batch : batches) {
-        sh.pipeline->add_records(batch);
-        applied += batch.size();
-      }
-      for (const auto& w : wbatch) {
-        sh.pipeline->process_window(w);
-        ++wapplied;
-      }
-      m_drained_->add(taken);
-      m_drain_batches_->inc();
-      SENTINEL_FAULT_POINT(util::fault::kDrainBatch);
-    } catch (...) {
-      // Park the failure for the producer to fold into the region's health;
-      // everything from the poison batch on is discarded (the pipeline's
-      // state after a throw is unknown, so applying more would be worse).
-      // Accounting is span-granular: the failing batch counts as dropped in
-      // full. Unapplied windows count at their record weight, matching
-      // ingest.
+    // FIFO, so the pipeline sees record batches and windows in the caller's
+    // order -- the same sequence, hence the same report, as one worker.
+    for (auto it = items.begin(); it != items.end(); ++it) {
+      const QueueItem& item = *it;
+      const bool ok = sh.run("pipeline", Shard::weight(item), [&] {
+        if (const auto* recs = std::get_if<std::vector<SensorRecord>>(&item)) {
+          sh.pipeline->add_records(*recs);
+        } else {
+          sh.pipeline->process_window(std::get<ObservationSet>(item));
+        }
+      });
+      if (ok) continue;
+      // Everything behind the failure is discarded: the pipeline's state
+      // after a throw is unknown, so applying more would be worse.
       std::lock_guard<std::mutex> lock(sh.mu);
-      sh.error = std::current_exception();
-      sh.dropped += (taken - applied) + sh.queue_records;
-      for (std::size_t i = wapplied; i < wbatch.size(); ++i) {
-        sh.dropped += wbatch[i].sensor_count();
-      }
-      for (const auto& w : sh.window_queue) sh.dropped += w.sensor_count();
+      for (++it; it != items.end(); ++it) sh.dropped += Shard::weight(*it);
+      sh.dropped += std::exchange(sh.queue_records, 0);
       sh.queue.clear();
-      sh.queue_records = 0;
-      sh.window_queue.clear();
       sh.draining = false;
       sh.cv.notify_all();
       return;
     }
+    m_drained_->add(taken);
+    m_drain_batches_->inc();
+    SENTINEL_FAULT_POINT(util::fault::kDrainBatch);
   }
 }
 
-void FleetMonitor::wait_shard(Shard& sh) const {
-  std::unique_lock<std::mutex> lock(sh.mu);
-  sh.cv.wait(lock, [&] {
-    return sh.error || (!sh.draining && sh.queue.empty() && sh.window_queue.empty());
-  });
+void FleetMonitor::quiesce(Shard& sh) const {
+  flush_shard(sh);
+  {
+    // A failed drain task clears the queue before it stops, so this also
+    // waits until everything the failure discarded is counted in `dropped`.
+    std::unique_lock<std::mutex> lock(sh.mu);
+    sh.cv.wait(lock, [&] { return !sh.draining && sh.queue.empty(); });
+  }
+  absorb(sh);
 }
 
 void FleetMonitor::drain() const {
   // Quiesce every shard, then fold worker faults into the health records.
   // Even when one region is poisoned, the caller must be able to inspect
   // the healthy regions after drain() returns -- no worker still running,
-  // no exception escaping.
-  for (const auto& [name, shard] : shards_) flush_shard(*shard);
-  for (const auto& [name, shard] : shards_) wait_shard(*shard);
-  absorb_shard_faults();
+  // no exception escaping. Flushing every shard first lets them drain in
+  // parallel.
+  for (const auto& [name, sh] : shards_) flush_shard(*sh);
+  for (const auto& [name, sh] : shards_) quiesce(*sh);
+}
+
+void FleetMonitor::flag_if_silent(const std::string& name, RegionState& st) const {
+  if (cfg_.health.flag_silent_regions && st.health == RegionHealth::kHealthy &&
+      st.records_ingested == 0) {
+    degrade(st, util::Status(util::StatusCode::kUnavailable,
+                             "region " + name + ": no records ingested"));
+  }
 }
 
 void FleetMonitor::finish() {
@@ -826,55 +776,19 @@ void FleetMonitor::finish() {
   // Flush partial windows for live regions only; a quarantined pipeline's
   // state is suspect and is left untouched so healthy-region results match
   // a fleet that never contained it.
-  const auto live = [this](const std::string& name) {
-    return state_of(name).health != RegionHealth::kQuarantined;
-  };
-  if (!pool_ || regions_.size() <= 1) {
-    for (auto& [name, pipeline] : regions_) {
-      if (!live(name)) continue;
-      try {
-        pipeline.finish();
-      } catch (...) {
-        const auto err = std::current_exception();
-        quarantine(name,
-                   util::Status(util::StatusCode::kInternal,
-                                "region " + name + ": finish failed: " + describe(err)),
-                   err);
-      }
-    }
-  } else {
-    std::vector<std::pair<const std::string*, std::future<std::exception_ptr>>> jobs;
-    jobs.reserve(regions_.size());
-    for (auto& [name, pipeline] : regions_) {
-      if (!live(name)) continue;
-      jobs.emplace_back(&name, pool_->submit([&pipeline]() -> std::exception_ptr {
-        try {
-          pipeline.finish();
-        } catch (...) {
-          return std::current_exception();
-        }
-        return nullptr;
-      }));
-    }
-    // Join everything first, then apply outcomes in region-name order so
-    // the resulting health transitions are deterministic.
-    for (auto& [name, job] : jobs) job.wait();
-    for (auto& [name, job] : jobs) {
-      if (const auto err = job.get()) {
-        quarantine(*name,
-                   util::Status(util::StatusCode::kInternal,
-                                "region " + *name + ": finish failed: " + describe(err)),
-                   err);
-      }
-    }
+  std::vector<std::future<bool>> jobs;
+  for (const auto& [name, shard] : shards_) {
+    if (shard->state->health == RegionHealth::kQuarantined) continue;
+    jobs.push_back(pool_->submit([&sh = *shard] {
+      return sh.run("finish", 0, [&] { sh.pipeline->finish(); });
+    }));
   }
-  if (cfg_.health.flag_silent_regions) {
-    for (auto& [name, st] : health_) {
-      if (st.health == RegionHealth::kHealthy && st.records_ingested == 0) {
-        degrade(name, util::Status(util::StatusCode::kUnavailable,
-                                   "region " + name + ": no records ingested"));
-      }
-    }
+  for (auto& job : jobs) job.wait();
+  // Fold outcomes in region-name order so the health transitions are
+  // deterministic.
+  for (const auto& [name, sh] : shards_) {
+    absorb(*sh);
+    flag_if_silent(name, *sh->state);
   }
 }
 
@@ -890,51 +804,28 @@ FleetMonitor::FleetSnapshot FleetMonitor::report_snapshot() {
 }
 
 void FleetMonitor::finish_region(const std::string& name) {
-  RegionState& st = state_of(name);  // throws on unknown region
-  if (pool_) {
-    Shard& sh = *shards_.find(name)->second;
-    flush_shard(sh);
-    wait_shard(sh);
-    absorb_shard_faults();
+  Shard& sh = shard_of(name);  // throws on unknown region
+  quiesce(sh);
+  if (sh.state->health != RegionHealth::kQuarantined &&
+      !sh.run("finish", 0, [&] { sh.pipeline->finish(); })) {
+    absorb(sh);
   }
-  if (st.health != RegionHealth::kQuarantined) {
-    try {
-      regions_.find(name)->second.finish();
-    } catch (...) {
-      const auto err = std::current_exception();
-      quarantine(name,
-                 util::Status(util::StatusCode::kInternal,
-                              "region " + name + ": finish failed: " + describe(err)),
-                 err);
-    }
-  }
-  if (cfg_.health.flag_silent_regions && st.health == RegionHealth::kHealthy &&
-      st.records_ingested == 0) {
-    degrade(name, util::Status(util::StatusCode::kUnavailable,
-                               "region " + name + ": no records ingested"));
-  }
+  flag_if_silent(name, *sh.state);
 }
 
 std::size_t FleetMonitor::queue_depth(const std::string& region) const {
-  state_of(region);  // throws on unknown region
-  const auto it = shards_.find(region);
-  if (it == shards_.end()) return 0;  // serial fleet: records apply inline
-  Shard& sh = *it->second;
+  Shard& sh = shard_of(region);  // throws on unknown region
   const std::size_t buffered = sh.producer_buf.size();  // producer-thread-only
   std::lock_guard<std::mutex> lock(sh.mu);
   return sh.queue_records + buffered;
 }
 
 DetectionPipeline& FleetMonitor::region(const std::string& name) {
-  const auto it = regions_.find(name);
-  if (it == regions_.end()) throw std::invalid_argument("FleetMonitor: unknown region " + name);
-  return it->second;
+  return *shard_of(name).pipeline;
 }
 
 const DetectionPipeline& FleetMonitor::region(const std::string& name) const {
-  const auto it = regions_.find(name);
-  if (it == regions_.end()) throw std::invalid_argument("FleetMonitor: unknown region " + name);
-  return it->second;
+  return *shard_of(name).pipeline;
 }
 
 std::vector<std::string> FleetMonitor::region_names() const {
@@ -958,34 +849,27 @@ FleetReport FleetMonitor::diagnose() const {
     }
   }
 
-  // Per-region diagnoses, and cached pruned models. Each job reads one
-  // quiescent pipeline through const accessors only, so jobs are
-  // independent; results are assembled in region-name order, making the
-  // report identical to the serial path's.
+  // Per-region diagnoses, and cached pruned models, one pool job per
+  // region. Each job reads one quiescent pipeline through const accessors
+  // only, so jobs are independent; results are assembled in region-name
+  // order, making the report identical at any thread count.
+  struct RegionDiag {
+    DiagnosisReport report;
+    hmm::MarkovChain model;
+  };
+  std::vector<std::future<RegionDiag>> diags;
+  diags.reserve(live.size());
+  for (const auto& [name, pipeline] : live) {
+    diags.push_back(pool_->submit([pipeline] {
+      return RegionDiag{pipeline->diagnose(), pipeline->correct_model()};
+    }));
+  }
+  for (auto& job : diags) job.wait();
   std::map<std::string, hmm::MarkovChain> models;
-  if (pool_ && live.size() > 1) {
-    struct RegionDiag {
-      DiagnosisReport report;
-      hmm::MarkovChain model;
-    };
-    std::vector<std::pair<const std::string*, std::future<RegionDiag>>> jobs;
-    jobs.reserve(live.size());
-    for (const auto& [name, pipeline] : live) {
-      jobs.emplace_back(name, pool_->submit([pipeline] {
-        return RegionDiag{pipeline->diagnose(), pipeline->correct_model()};
-      }));
-    }
-    for (auto& [name, job] : jobs) job.wait();
-    for (auto& [name, job] : jobs) {
-      RegionDiag rd = job.get();
-      fleet.regions.emplace(*name, std::move(rd.report));
-      models.emplace(*name, std::move(rd.model));
-    }
-  } else {
-    for (const auto& [name, pipeline] : live) {
-      fleet.regions.emplace(*name, pipeline->diagnose());
-      models.emplace(*name, pipeline->correct_model());
-    }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    RegionDiag rd = diags[i].get();
+    fleet.regions.emplace(*live[i].first, std::move(rd.report));
+    models.emplace(*live[i].first, std::move(rd.model));
   }
   // Screen-tier stats of screening regions (cheap counter copies; the
   // pipelines are quiescent after drain()).
@@ -1021,22 +905,16 @@ FleetReport FleetMonitor::diagnose() const {
       }
       return others > 0 && 2 * disagreements > others;
     };
-    if (pool_) {
-      std::vector<std::pair<const std::string*, std::future<bool>>> jobs;
-      jobs.reserve(live.size());
-      for (const auto& [name, pipeline] : live) {
-        jobs.emplace_back(name, pool_->submit([&is_outlier, name, pipeline] {
-          return is_outlier(*name, *pipeline);
-        }));
-      }
-      for (auto& [name, job] : jobs) job.wait();
-      for (auto& [name, job] : jobs) {
-        if (job.get()) fleet.structural_outliers.push_back(*name);
-      }
-    } else {
-      for (const auto& [name, pipeline] : live) {
-        if (is_outlier(*name, *pipeline)) fleet.structural_outliers.push_back(*name);
-      }
+    std::vector<std::future<bool>> votes;
+    votes.reserve(live.size());
+    for (const auto& [name, pipeline] : live) {
+      votes.push_back(pool_->submit([&is_outlier, name, pipeline] {
+        return is_outlier(*name, *pipeline);
+      }));
+    }
+    for (auto& job : votes) job.wait();
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (votes[i].get()) fleet.structural_outliers.push_back(*live[i].first);
     }
   }
   return fleet;

@@ -9,13 +9,17 @@
 // (a region-level mitigation of the paper's majority assumption).
 //
 // Regions are independent until the cross-region structural vote, so the
-// fleet parallelizes across them (FleetConfig::threads): ingestion shards
-// records into per-region bounded queues drained by pool workers, and
-// finish()/diagnose() fan per-region jobs out over the same pool. Each
-// region's pipeline is only ever touched by one thread at a time (the
-// single-writer invariant; see docs/CONCURRENCY.md), so the parallel
-// FleetReport is bit-identical to the serial one. threads = 1 bypasses the
-// pool entirely and preserves the original serial behavior exactly.
+// fleet parallelizes across them (FleetConfig::threads), on one code path
+// at every thread count: each region owns a shard, every pipeline call that
+// can throw runs through it, and finish()/diagnose() fan per-region jobs
+// out over the fleet's pool. Only the ingest handoff depends on the thread
+// count. With one worker the pool runs its tasks inline and a record span
+// or window is applied in place on the caller thread; with more, records
+// are batched into the region's bounded FIFO and drained by a pool worker.
+// Each region's pipeline is only ever touched by one thread at a time (the
+// single-writer invariant; see docs/CONCURRENCY.md) and sees its input in
+// the caller's order, so the FleetReport is bit-identical at any thread
+// count.
 //
 // Fault isolation: one region's bad feed must not take the fleet down. Each
 // region carries a health state (Healthy -> Degraded -> Quarantined,
@@ -35,6 +39,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -87,19 +92,23 @@ struct RegionState {
   /// null for threshold-driven transitions. Message is attributed with the
   /// region name; rethrowable for callers that want the original type.
   std::exception_ptr error;
-  std::size_t records_ingested = 0;  // accepted by add_record/ingest
-  std::size_t records_dropped = 0;   // dropped: quarantined region, or queued
-                                     // behind a failed worker batch
+  /// Record accounting; a window counts at its sensor count. A record is
+  /// ingested when handed to the region and moves to dropped if a pipeline
+  /// failure discards it before it is applied, so once drained, ingested +
+  /// dropped equals the records offered, at any thread count.
+  std::size_t records_ingested = 0;  // accepted and not dropped
+  std::size_t records_dropped = 0;   // offered to a quarantined region, or
+                                     // in (or queued behind) a failed call
   /// Malformed-line causes accumulated from this region's readers.
   MalformedCounts malformed;
   std::size_t comment_lines = 0;
-  /// Backpressure attribution (sharded fleets only; always 0 serial): how
-  /// many producer flushes found this region's queue at capacity, and the
-  /// total wall-clock the producer spent blocked in those waits. Purely
-  /// observational -- timing-dependent, so never rendered into reports --
-  /// but it is what lets an admission controller (src/service) or an
-  /// operator reading --metrics-json tell *which* tenant is saturating its
-  /// shard and by how much.
+  /// Backpressure attribution (always 0 with one worker, which applies
+  /// input in place and never queues): how many producer handoffs found
+  /// this region's queue at capacity, and the total wall-clock the producer
+  /// spent blocked in those waits. Purely observational -- timing-dependent,
+  /// so never rendered into reports -- but it is what lets an admission
+  /// controller (src/service) or an operator reading --metrics-json tell
+  /// *which* tenant is saturating its shard and by how much.
   std::uint64_t backpressure_waits = 0;
   std::uint64_t backpressure_block_ns = 0;
 };
@@ -142,23 +151,28 @@ struct FleetConfig {
   /// Attribute distance within which two regions' model states count as the
   /// same physical state during the cross-region structural check.
   double state_match_tol = 6.0;
-  /// Worker threads for ingestion and diagnosis. 1 = fully serial (the
-  /// original code path, no pool, no queues); 0 = hardware concurrency;
-  /// N > 1 = a pool of N workers shared by all regions. Any value produces
-  /// bit-identical FleetReports -- threads only changes wall-clock.
+  /// Pool workers for ingestion and diagnosis, shared by all regions; 0 =
+  /// util::default_concurrency() (hardware threads capped by the CPU
+  /// quota). With 1 the pool runs its tasks inline on the caller thread and
+  /// every record span or window is applied in place; with N > 1 records
+  /// are handed off in batches to per-region queues drained by the workers.
+  /// Any value produces bit-identical FleetReports -- threads only changes
+  /// wall-clock.
   std::size_t threads = 1;
-  /// Per-region ingest queue bound (records). add_record blocks once a
-  /// region's queue is this deep -- backpressure instead of unbounded memory
-  /// when producers outrun the pipelines. Deeper queues cost memory
-  /// (~100 B/record) but reduce producer stalls on oversubscribed machines.
+  /// Per-region ingest queue bound (records; threads > 1). add_record and
+  /// add_window block once a region's queue is this deep -- backpressure
+  /// instead of unbounded memory when producers outrun the pipelines.
+  /// Deeper queues cost memory (~100 B/record) but reduce producer stalls
+  /// on oversubscribed machines.
   /// Backpressure is a documented-healthy state: the wait is counted
   /// (fleet.backpressure_waits), not a health transition.
   std::size_t max_queue_records = 16384;
-  /// Producer-side batch: add_record appends to an unlocked per-region
-  /// buffer and only takes the shard lock every `batch_records` records.
-  /// Per-record pipeline cost is tiny (real work happens once per closed
-  /// window), so unbatched handoff would spend more on locking and worker
-  /// wakeups than on detection. 1 = hand off every record immediately.
+  /// Producer-side batch (threads > 1): add_record appends to an unlocked
+  /// per-region buffer and only takes the shard lock every `batch_records`
+  /// records. Per-record pipeline cost is tiny (real work happens once per
+  /// closed window), so unbatched handoff would spend more on locking and
+  /// worker wakeups than on detection. 1 = hand off every record
+  /// immediately.
   std::size_t batch_records = 256;
   /// Health-transition thresholds (see RegionHealthConfig).
   RegionHealthConfig health;
@@ -181,7 +195,8 @@ class FleetMonitor {
  public:
   explicit FleetMonitor(FleetConfig cfg);
 
-  /// Serial monitor (threads = 1); tol as in FleetConfig::state_match_tol.
+  /// Default-config monitor (one worker); tol as in
+  /// FleetConfig::state_match_tol.
   explicit FleetMonitor(double state_match_tol = 6.0);
 
   ~FleetMonitor();
@@ -229,12 +244,11 @@ class FleetMonitor {
   /// windower entirely; the window is processed as-is, so its per_sensor map
   /// (or rep arrays) must already hold one representative per sensor.
   /// Windows count toward records_ingested / backpressure / checkpoint
-  /// cadence at weight per_sensor.size(). Within a region, windows are
-  /// applied in arrival order; interleaving add_record and add_window on the
-  /// same region without a drain() between the phases leaves their relative
-  /// order unspecified. Quarantine/error semantics match add_record.
-  /// Serial fleets process the window in place (no copy); sharded fleets
-  /// copy it into the region's queue.
+  /// cadence at weight per_sensor.size(). Within a region, record spans and
+  /// windows are applied in the order the caller hands them over, at any
+  /// thread count. Quarantine/error semantics match add_record. One worker
+  /// processes the window in place (no copy); more copy it into the
+  /// region's queue.
   void add_window(const std::string& region, const ObservationSet& window);
 
   /// What ingest()/ingest_file() report back: how much arrived and the
@@ -244,8 +258,8 @@ class FleetMonitor {
     std::size_t records = 0;  // records accepted into the region
     util::Status status;      // region status after this ingest
     /// Producer block time attributable to *this* ingest call: how long the
-    /// caller sat in backpressure waits while feeding these records (0 for
-    /// serial fleets, where records apply inline).
+    /// caller sat in backpressure waits while feeding these records (0 with
+    /// one worker, which applies records in place).
     std::uint64_t backpressure_block_ns = 0;
   };
 
@@ -270,15 +284,16 @@ class FleetMonitor {
   IngestSummary ingest_file(const std::string& region, const std::string& path,
                             std::size_t expected_dims = 0, std::size_t skip_records = 0);
 
-  /// Block until every queued record has been applied to its pipeline.
-  /// A worker failure quarantines its region (error captured in the health
-  /// record) rather than rethrowing. No-op in serial mode.
+  /// Block until every record and window handed to the fleet has been
+  /// applied to its pipeline (already true with one worker, which applies
+  /// input in place), and fold pipeline failures into the health records:
+  /// a failure quarantines its region (error captured) rather than
+  /// rethrowing.
   void drain() const;
 
-  /// Flush all regions' partial windows (parallel across regions when a
-  /// pool is configured). Implies drain(). A finish()-time pipeline
-  /// exception quarantines its region; silent regions are flagged per
-  /// RegionHealthConfig::flag_silent_regions.
+  /// Flush all regions' partial windows, one pool job per region. Implies
+  /// drain(). A finish()-time pipeline exception quarantines its region;
+  /// silent regions are flagged per RegionHealthConfig::flag_silent_regions.
   void finish();
 
   /// Direct pipeline access. With threads > 1, call drain() first unless
@@ -302,8 +317,8 @@ class FleetMonitor {
 
   /// Combined fleet diagnosis. Drains first, then runs per-region
   /// diagnose()/correct_model() and the structural cross-check on the pool,
-  /// quarantined regions excluded throughout. Deterministic: identical to
-  /// the serial result, and healthy regions' entries are identical to a
+  /// quarantined regions excluded throughout. Deterministic: identical at
+  /// any thread count, and healthy regions' entries are identical to a
   /// fleet that never contained the quarantined ones.
   FleetReport diagnose() const;
 
@@ -333,9 +348,9 @@ class FleetMonitor {
   /// pipeline exception quarantines the region, as in finish().
   void finish_region(const std::string& name);
 
-  /// Records currently queued (committed to the shard queue plus the
-  /// producer-side buffer) for `region`; 0 for serial fleets, where records
-  /// apply inline. Producer-thread only, like the ingestion API: this is
+  /// Records currently queued for `region` (its shard queue plus the
+  /// producer-side buffer); always 0 with one worker, which applies input
+  /// in place. Producer-thread only, like the ingestion API: this is
   /// the admission-control probe -- a service front end rejects a tenant's
   /// frame (instead of blocking inside ingest) when the shard is already at
   /// FleetConfig::max_queue_records. Throws on unknown region.
@@ -344,43 +359,48 @@ class FleetMonitor {
   const FleetConfig& config() const { return cfg_; }
 
  private:
-  struct Shard;      // per-region ingest queue (defined in fleet.cpp)
+  struct Shard;      // per-region ingest shard (defined in fleet.cpp)
   struct Committer;  // checkpoint fsync/rename thread (defined in fleet.cpp)
+  /// One unit of a shard's queue: a producer batch of records, or a window.
+  using QueueItem = std::variant<std::vector<SensorRecord>, ObservationSet>;
 
-  void register_shard(const std::string& name, DetectionPipeline& pipeline);
+  void register_region(const std::string& name, DetectionPipeline& pipeline);
+  Shard& shard_of(const std::string& name) const;  // throws on unknown region
+  RegionState& state_of(const std::string& name) const;
+  /// Account `weight` records offered to `region`: dropped when it is
+  /// quarantined (returns null), else counted as ingested.
+  Shard* admit(const std::string& region, std::size_t weight);
+  /// threads > 1 handoff: hand the producer buffer / `item` to the shard's
+  /// FIFO (blocking while it is full) and make sure a drain task is running.
+  /// Behind a parked failure the input is dropped instead.
   void flush_shard(Shard& shard) const;
+  void enqueue(Shard& shard, QueueItem item) const;
   void drain_shard(Shard& shard) const;
-  /// Block until `shard` is quiescent (queue empty, no drain task running)
-  /// or its worker parked an error.
-  void wait_shard(Shard& shard) const;
-  /// Commit `region`'s checkpoint when the interval since its last commit
+  /// Hand off `shard`'s buffer, wait until no drain task runs and its queue
+  /// is empty, then absorb().
+  void quiesce(Shard& shard) const;
+  /// Fold the shard's parked failure and dropped count into its health
+  /// record (caller thread only).
+  void absorb(Shard& shard) const;
+  /// Degrade a region that saw no records, per flag_silent_regions.
+  void flag_if_silent(const std::string& name, RegionState& st) const;
+  /// Commit the region's checkpoint when the interval since its last commit
   /// reached checkpoint_every_records.
-  void maybe_checkpoint(const std::string& region, RegionState& st);
-  /// Quiesce `region`'s shard, snapshot its checkpoint bytes on this (the
+  void maybe_checkpoint(Shard& shard);
+  /// Quiesce the region's shard, snapshot its checkpoint bytes on this (the
   /// caller) thread, and hand them to the committer thread, which runs the
   /// store's fsync/rename commit protocol off the ingest path.
-  void commit_region_checkpoint(const std::string& region, RegionState& st);
-  /// Fold a captured shard/worker error into the region's health record
-  /// (caller thread only).
-  void quarantine(const std::string& name, util::Status status,
-                  std::exception_ptr error) const;
-  void degrade(const std::string& name, util::Status status) const;
-  /// Pull sh.error/sh.dropped into health_ for every shard (caller thread).
-  void absorb_shard_faults() const;
-  RegionState& state_of(const std::string& name) const;
+  void commit_region_checkpoint(Shard& shard);
 
   FleetConfig cfg_;
   std::map<std::string, DetectionPipeline> regions_;
-  std::map<std::string, std::unique_ptr<Shard>> shards_;  // empty in serial mode
-  std::unique_ptr<util::ThreadPool> pool_;                // null in serial mode
-  std::unique_ptr<CheckpointStore> store_;                // null without checkpoint_dir
+  std::map<std::string, std::unique_ptr<Shard>> shards_;  // one per region
+  std::unique_ptr<util::ThreadPool> pool_;
+  std::unique_ptr<CheckpointStore> store_;  // null without checkpoint_dir
   /// Single dedicated thread owning every store commit; declared after
   /// store_ so its destructor drains the queue and joins while the store is
   /// still alive. Null without checkpoint_dir.
   std::unique_ptr<Committer> committer_;
-  /// records_ingested at each region's last committed checkpoint -- the
-  /// interval baseline for maybe_checkpoint. Caller thread only.
-  std::map<std::string, std::uint64_t> ckpt_anchor_;
   /// report_snapshot() sequence number. Caller thread only.
   std::uint64_t snapshot_epoch_ = 0;
 

@@ -376,18 +376,22 @@ void Server::handle_report(int fd, const Frame& f, const std::string& region) {
       if (final) fleet_.finish();
       text = core::to_string(final ? fleet_.diagnose() : fleet_.report_snapshot().report);
     } else {
-      if (final) fleet_.finish_region(region);
-      const core::FleetReport report =
-          final ? fleet_.diagnose() : fleet_.report_snapshot().report;
-      const auto it = report.regions.find(region);
-      if (it == report.regions.end()) {
+      // Diagnose this region alone: its entry in a fleet diagnosis is the
+      // same bytes, without every other tenant's diagnosis and the
+      // O(regions^2) structural vote.
+      if (final) {
+        fleet_.finish_region(region);
+      } else {
+        fleet_.drain();
+      }
+      const core::RegionState& st = fleet_.region_health(region);
+      if (st.health == core::RegionHealth::kQuarantined) {
         // Quarantined regions carry no diagnosis; surface the health status
         // instead of an empty report.
-        write_ack(fd, fleet_.region_health(region).status.code(), 0,
-                  fleet_.region_health(region).status.message());
+        write_ack(fd, st.status.code(), 0, st.status.message());
         return;
       }
-      text = core::to_string(it->second);
+      text = core::to_string(fleet_.region(region).diagnose());
     }
   }
   write_frame(fd, FrameType::kText, text);

@@ -204,8 +204,9 @@ TEST(CrashRecovery, ByteIdenticalAfterEveryFaultPoint) {
       fc.mode = fault::Mode::kRunLength;
       fc.point = point;
       const int code = run_child_with_fault(w, dir, threads, fc);
-      // Every point is reachable except fleet.drain.batch in serial mode
-      // (no worker threads), where the child finishes clean instead.
+      // Every point is reachable except fleet.drain.batch at threads=1
+      // (input applies in place, no drain task), where the child finishes
+      // clean instead.
       ASSERT_TRUE(code == fault::kPlugPulledExit || code == 0) << "child exit " << code;
       EXPECT_EQ(recover_and_report(w, dir, threads),
                 threads == 1 ? w.baseline1 : w.baseline4);

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/fleet.h"
@@ -187,6 +190,116 @@ TEST(FleetParallel, WorkerExceptionQuarantinesRegionWithAttribution) {
   EXPECT_EQ(report.regions.count("ok"), 1u);
   ASSERT_EQ(report.health.count("bad"), 1u);
   EXPECT_EQ(report.health.at("bad").health, RegionHealth::kQuarantined);
+}
+
+/// The poisoned fleet of WorkerExceptionQuarantinesRegionWithAttribution:
+/// 3-dim records into a 2-dim region next to a healthy one, offered
+/// record by record, then finished and diagnosed.
+constexpr std::size_t kPoisonSteps = 5000;
+constexpr std::size_t kPoisonOffered = kPoisonSteps * 6;  // records per region
+
+FleetReport run_poisoned_fleet(std::size_t threads, std::size_t batch_records) {
+  FleetConfig fc;
+  fc.threads = threads;
+  fc.batch_records = batch_records;
+  FleetMonitor fleet(fc);
+  fleet.add_region("ok", region_config());
+  fleet.add_region("bad", region_config());
+  for (std::size_t i = 0; i < kPoisonSteps; ++i) {
+    const double t = 60.0 * static_cast<double>(i);
+    for (SensorId s = 0; s < 6; ++s) {
+      fleet.add_record("bad", {s, t, {1.0, 2.0, 3.0}});
+      fleet.add_record("ok", {s, t, {10.0, 60.0}});
+    }
+  }
+  fleet.finish();
+  return fleet.diagnose();
+}
+
+TEST(FleetParallel, QuarantineAccountingIsThreadCountInvariant) {
+  // Handing off every record on its own pins the failing call to the same
+  // record at any thread count, so the whole report -- the health section
+  // with its ingested/dropped split included -- must match threads=1.
+  const std::string want = to_string(run_poisoned_fleet(1, 1));
+  ASSERT_NE(want.find("[region bad] quarantined"), std::string::npos) << want;
+  for (int run = 0; run < 10; ++run) {
+    EXPECT_EQ(to_string(run_poisoned_fleet(4, 1)), want) << "threads=4 run " << run;
+  }
+  // At the default batch size the failing batch is dropped whole, so the
+  // split may move with the thread count, but every offered record is
+  // counted exactly once: ingested (applied) or dropped.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const FleetReport report = run_poisoned_fleet(threads, FleetConfig{}.batch_records);
+    ASSERT_EQ(report.health.size(), 2u);
+    for (const auto& [name, st] : report.health) {
+      EXPECT_EQ(st.records_ingested + st.records_dropped, kPoisonOffered)
+          << name << " threads=" << threads;
+    }
+    EXPECT_EQ(report.health.at("ok").records_dropped, 0u);
+    EXPECT_GT(report.health.at("bad").records_dropped, 0u);
+  }
+}
+
+/// Hand-built window `index` (1-based hours) over the trace records inside
+/// it: each sensor's mean, shifted by `offset` on the first attribute, and
+/// the mean of those as the window mean.
+ObservationSet window_from(const std::vector<SensorRecord>& trace, std::size_t index,
+                           double offset) {
+  ObservationSet w;
+  w.window_index = index;
+  w.window_start = kSecondsPerHour * static_cast<double>(index - 1);
+  w.window_end = w.window_start + kSecondsPerHour;
+  std::map<SensorId, double> counts;
+  for (const auto& rec : trace) {
+    if (rec.time < w.window_start || rec.time >= w.window_end) continue;
+    AttrVec& sum = w.per_sensor[rec.sensor];
+    sum.resize(rec.attrs.size(), 0.0);
+    for (std::size_t a = 0; a < sum.size(); ++a) sum[a] += rec.attrs[a];
+    counts[rec.sensor] += 1.0;
+  }
+  w.cached_mean.assign(2, 0.0);
+  for (auto& [id, p] : w.per_sensor) {
+    for (auto& a : p) a /= counts[id];
+    p[0] += offset;
+    for (std::size_t a = 0; a < p.size(); ++a) w.cached_mean[a] += p[a];
+  }
+  for (auto& a : w.cached_mean) a /= static_cast<double>(w.per_sensor.size());
+  return w;
+}
+
+TEST(FleetParallel, RecordsAndWindowsApplyInCallerOrder) {
+  const CycleEnvironment env;
+  const auto trace = simulate_region(env, 2.0 * kSecondsPerDay, 21);
+  // Records for the first 20 hours, then windows 25..30 uploaded
+  // pre-aggregated (shifted off the environment, so their position in the
+  // sequence shows in the learned model), then the remaining records --
+  // all without a drain() between the phases.
+  const double cut = 20.0 * kSecondsPerHour;
+  std::vector<SensorRecord> head, tail;
+  for (const auto& rec : trace) (rec.time < cut ? head : tail).push_back(rec);
+  std::vector<ObservationSet> windows;
+  for (std::size_t i = 25; i <= 30; ++i) windows.push_back(window_from(trace, i, 12.0));
+
+  const auto run = [&](std::size_t threads) {
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("r", region_config());
+    // Record by record, so at threads=4 several batches are in flight
+    // around the windows.
+    for (const auto& rec : head) fleet.add_record("r", rec);
+    for (const auto& w : windows) fleet.add_window("r", w);
+    for (const auto& rec : tail) fleet.add_record("r", rec);
+    fleet.finish();
+    EXPECT_EQ(fleet.region_health("r").records_ingested, trace.size() + windows.size() * 6);
+    // The learned model state is order-sensitive even where the verdicts
+    // are not, so compare the checkpoint bytes too.
+    std::ostringstream checkpoint;
+    fleet.region("r").save_checkpoint(checkpoint);
+    return to_string(fleet.diagnose()) + checkpoint.str();
+  };
+  const std::string want = run(1);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(run(4), want) << "threads=4 run " << i;
 }
 
 TEST(FleetParallel, DrainIsQuiescencePoint) {

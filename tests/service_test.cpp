@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 
 #include "core/fleet.h"
 #include "core/pipeline.h"
+#include "core/report.h"
 #include "service/client.h"
 #include "service/frame.h"
 #include "service/frame_reader.h"
@@ -215,6 +217,72 @@ TEST(ServiceControlPlane, SnapshotReportMetricsAndHealthAnswerMidStream) {
   ASSERT_TRUE(final_report.is_ok());
   EXPECT_NE(final_report->find("network:"), std::string::npos);
   server.stop();
+}
+
+TEST(ServiceControlPlane, RegionScopeFinalReportsMatchBatchDiagnosisPerTenant) {
+  // Three tenants with different feeds: the full golden trace, its first
+  // 60%, and the trace without sensors 8 and 9.
+  const auto& trace = golden_trace();
+  std::map<std::string, std::vector<SensorRecord>> feeds;
+  feeds["alpha"] = trace;
+  feeds["beta"].assign(trace.begin(), trace.begin() + trace.size() * 3 / 5);
+  for (const auto& rec : trace) {
+    if (rec.sensor < 8) feeds["gamma"].push_back(rec);
+  }
+
+  core::FleetMonitor batch(6.0);
+  for (const auto& [name, recs] : feeds) {
+    const std::string path = testing::TempDir() + "service_" + name + "." +
+                             std::to_string(::getpid()) + ".snt";
+    write_trace_binary_file(path, recs);
+    batch.add_region(name, golden_config());
+    ASSERT_TRUE(batch.ingest_file(name, path).status.is_ok());
+    std::remove(path.c_str());
+  }
+  batch.finish();
+  const core::FleetReport want = batch.diagnose();
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    service::ServerConfig sc;
+    sc.fleet.threads = threads;
+    sc.region = golden_config();
+    service::Server server(std::move(sc));
+    server.start();
+    service::ClientConfig cc;
+    cc.port = server.port();
+
+    // Every tenant streams before any asks for its report, so each final
+    // REPORT finishes one region while the others stay resident.
+    std::vector<std::unique_ptr<service::Client>> clients;
+    for (const auto& [name, recs] : feeds) {
+      clients.push_back(std::make_unique<service::Client>(cc));
+      ASSERT_TRUE(clients.back()->hello(name, 2).is_ok());
+      ASSERT_TRUE(clients.back()->send(recs).is_ok());
+    }
+    // A fourth tenant sends 3-attribute records into 2-attribute models:
+    // its pipeline fails and the region is quarantined.
+    service::Client poisoned(cc);
+    ASSERT_TRUE(poisoned.hello("delta", 3).is_ok());
+    std::vector<SensorRecord> bad(trace.begin(), trace.begin() + 2000);
+    for (auto& rec : bad) rec.attrs.push_back(0.0);
+    ASSERT_TRUE(poisoned.send(bad).is_ok());
+
+    std::size_t i = 0;
+    for (const auto& [name, recs] : feeds) {
+      const auto report = clients[i++]->report(/*finalize=*/true, /*fleet_scope=*/false);
+      ASSERT_TRUE(report.is_ok()) << name << ": " << report.status().to_string();
+      EXPECT_EQ(*report, core::to_string(want.regions.at(name))) << name;
+    }
+    // The quarantined tenant gets its region's status instead of a report.
+    const auto report = poisoned.report(/*finalize=*/true, /*fleet_scope=*/false);
+    ASSERT_FALSE(report.is_ok());
+    EXPECT_EQ(report.status().code(), util::StatusCode::kInternal);
+    EXPECT_NE(report.status().message().find("region delta: pipeline failed"),
+              std::string::npos)
+        << report.status().to_string();
+    server.stop();
+  }
 }
 
 TEST(ServiceAdmission, OutOfOrderFrameIsBouncedWithExpectedSeq) {
