@@ -42,6 +42,16 @@ bool write_all(int fd, const unsigned char* buf, std::size_t len) {
   return true;
 }
 
+/// The one length-prefix rule: a frame holds at least its type byte and at
+/// most `max_bytes`.
+util::Status check_length(std::uint32_t len, std::size_t max_bytes) {
+  if (len == 0 || len > max_bytes) {
+    return util::Status(util::StatusCode::kInvalidArgument,
+                        "service: frame length " + std::to_string(len) + " out of bounds");
+  }
+  return util::Status::ok();
+}
+
 }  // namespace
 
 util::Status read_frame(int fd, Frame& f, std::size_t max_bytes) {
@@ -52,10 +62,7 @@ util::Status read_frame(int fd, Frame& f, std::size_t max_bytes) {
     return util::Status(util::StatusCode::kDataLoss, "service: short frame header");
   }
   const std::uint32_t len = get_u32le(len_le);
-  if (len == 0 || len > max_bytes) {
-    return util::Status(util::StatusCode::kInvalidArgument,
-                        "service: frame length " + std::to_string(len) + " out of bounds");
-  }
+  if (auto st = check_length(len, max_bytes); !st.is_ok()) return st;
   unsigned char type = 0;
   if (!read_exact(fd, &type, 1, nullptr)) {
     return util::Status(util::StatusCode::kDataLoss, "service: truncated frame");
@@ -68,13 +75,26 @@ util::Status read_frame(int fd, Frame& f, std::size_t max_bytes) {
   return util::Status::ok();
 }
 
+std::size_t decode_frame(const unsigned char* data, std::size_t len, Frame& f, util::Status& st,
+                         std::size_t max_bytes) {
+  st = util::Status::ok();
+  if (len < 4) return 0;
+  const std::uint32_t n = get_u32le(data);
+  st = check_length(n, max_bytes);
+  if (!st.is_ok() || len - 4 < n) return 0;
+  f.type = static_cast<FrameType>(data[4]);
+  f.payload.assign(data + 5, data + 4 + n);
+  return 4 + std::size_t{n};
+}
+
 util::Status write_frame(int fd, FrameType type, const unsigned char* payload, std::size_t len) {
   unsigned char header[5];
   put_u32le(header, static_cast<std::uint32_t>(len + 1));
   header[4] = static_cast<unsigned char>(type);
   if (!write_all(fd, header, sizeof header) || (len > 0 && !write_all(fd, payload, len))) {
-    return util::Status(util::StatusCode::kUnavailable,
-                        std::string("service: write failed: ") + std::strerror(errno));
+    const std::string err = std::strerror(errno);
+    ::shutdown(fd, SHUT_RDWR);
+    return util::Status(util::StatusCode::kUnavailable, "service: write failed: " + err);
   }
   return util::Status::ok();
 }

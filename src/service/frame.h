@@ -31,8 +31,8 @@
 //   kMetrics    empty; kText reply with the compact-JSON metrics export.
 //   kHealth     empty; kText reply with per-region health lines.
 //   kCheckpoint empty; commit a checkpoint for every region now (kAck).
-//   kShutdown   empty; kAck, then the server drains every shard, commits a
-//               final checkpoint, and exits its accept loop.
+//   kShutdown   empty; kAck, then the server ends its poll loop, drains
+//               every shard, and commits a final checkpoint.
 //
 // Server -> client:
 //   kAck        u8 status code, u64 value, message (rest). Reply to hello/
@@ -111,12 +111,21 @@ struct Frame {
 
 /// Read one frame from `fd` (blocking). Non-ok on EOF (kUnavailable with an
 /// empty message when the peer closed cleanly between frames), on a short
-/// or failed read (kDataLoss), and on a length prefix beyond `max_bytes`
-/// (kInvalidArgument). `f.payload` is reused.
+/// or failed read (kDataLoss), and on a length prefix of 0 or beyond
+/// `max_bytes` (kInvalidArgument). `f.payload` is reused.
 util::Status read_frame(int fd, Frame& f, std::size_t max_bytes = kMaxFrameBytes);
 
+/// Decode the frame at the front of `data[0, len)` under the same length
+/// rule as read_frame. Returns the frame's wire size, or 0 when more bytes
+/// are needed or the length prefix is out of bounds (`st` kInvalidArgument;
+/// ok otherwise). Never reads past `len`. `f.payload` is reused.
+std::size_t decode_frame(const unsigned char* data, std::size_t len, Frame& f, util::Status& st,
+                         std::size_t max_bytes = kMaxFrameBytes);
+
 /// Write one frame to `fd` (blocking, SIGPIPE suppressed). Non-ok when the
-/// peer is gone or the write fails.
+/// peer is gone or the write fails; a failed or partial write (a send
+/// timeout included) also shuts the socket down, since the stream can no
+/// longer be framed.
 util::Status write_frame(int fd, FrameType type, const unsigned char* payload, std::size_t len);
 util::Status write_frame(int fd, FrameType type, const std::string& payload);
 

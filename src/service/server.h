@@ -3,32 +3,28 @@
 // batch entry points (see docs/SERVICE.md for the protocol and tenant
 // model).
 //
-// Threading model (docs/CONCURRENCY.md#service):
-//   - the accept loop runs on the thread calling run() (or a background
-//     thread via start());
-//   - each connection gets a handler thread that parses frames;
-//   - every FleetMonitor call is serialized under one ingest mutex, which
-//     is what preserves the fleet's single-producer contract: the "producer
-//     thread" becomes "exactly one producer at a time", and per-region
-//     record order is each connection's send order -- so any interleaving
-//     of tenants yields the same per-region report bytes as ingest_file of
-//     the same records (test-enforced);
-//   - an optional timer thread commits incremental checkpoints through the
-//     fleet's store every checkpoint_interval_seconds.
+// Threading model (docs/CONCURRENCY.md#service): one poll(2) loop, on the
+// thread calling run() (or start()'s background thread), owns the listen
+// socket, the wake pipe, every connection and the FleetMonitor. It reads
+// each ready connection without blocking, reassembles frames in a
+// per-connection buffer, and serves every complete frame in arrival order.
+// The loop is therefore the fleet's single producer by construction, and
+// per-region record order is each connection's send order -- so any
+// interleaving of tenants yields the same per-region report bytes as
+// ingest_file of the same records (test-enforced). Replies are written from
+// the loop with a bounded send timeout (kReplyTimeoutSeconds), so a peer
+// that stops reading is dropped instead of stalling every tenant.
 //
 // Shutdown (request_stop(), a kShutdown frame, or a signal handler calling
-// request_stop(), which is async-signal-safe) stops the accept loop,
-// unblocks and joins every connection, drains all shards, and commits a
-// final checkpoint -- so a restart with ServerConfig::resume continues
-// bit-identically (chaos-tested, SIGKILL included).
+// request_stop(), which is async-signal-safe) ends the loop, closes every
+// connection, drains all shards, and commits a final checkpoint -- so a
+// restart with ServerConfig::resume continues bit-identically
+// (chaos-tested, SIGKILL included).
 
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +34,10 @@
 #include "service/frame.h"
 
 namespace sentinel::service {
+
+/// How long a reply may block on a peer that does not read before the
+/// connection is dropped (SO_SNDTIMEO on accepted sockets).
+inline constexpr int kReplyTimeoutSeconds = 2;
 
 struct ServerConfig {
   /// Port to bind on 127.0.0.1; 0 = ephemeral (read the choice via port()).
@@ -53,8 +53,9 @@ struct ServerConfig {
   /// HELLO time (serve --resume). The HELLO ack tells the client how many
   /// records the restored state already covers.
   bool resume = false;
-  /// Commit incremental checkpoints on a timer thread this often
-  /// (0 = record-cadence only via FleetConfig::checkpoint_every_records).
+  /// Commit incremental checkpoints this often; the loop wakes for it as a
+  /// poll deadline (0 = record-cadence only via
+  /// FleetConfig::checkpoint_every_records).
   double checkpoint_interval_seconds = 0.0;
   /// Upper bound on records per kRecords frame (admission sanity check).
   std::size_t max_frame_records = 1u << 16;
@@ -73,8 +74,8 @@ class Server {
   /// The bound port (the ephemeral choice when cfg.port was 0).
   std::uint16_t port() const { return port_; }
 
-  /// Accept loop; blocks until a shutdown is requested, then tears down
-  /// connections, drains the fleet, and commits the final checkpoint.
+  /// The poll loop; blocks until a shutdown is requested, then closes every
+  /// connection, drains the fleet, and commits the final checkpoint.
   void run();
 
   /// run() on a background thread (tests, benches, the in-process chaos
@@ -86,55 +87,52 @@ class Server {
   void stop();
 
   /// Async-signal-safe shutdown request: sets the stop flag and pokes the
-  /// accept loop's wake pipe. The caller (run()/stop()) does the actual
-  /// teardown.
+  /// loop's wake pipe. The loop's thread does the actual teardown.
   void request_stop();
 
   bool stopped() const { return stopped_.load(); }
 
   /// The resident fleet -- test/bench access; external callers must not
-  /// touch the ingestion API while connections are live.
+  /// touch the ingestion API while the loop runs.
   core::FleetMonitor& fleet() { return fleet_; }
 
  private:
+  /// One accepted connection: its socket, the received bytes not yet
+  /// decoded into a frame, and the tenant state HELLO binds.
   struct Conn {
     int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};  // handler exited; accept loop reaps
+    std::vector<unsigned char> in;
+    std::string region;  // empty until HELLO
+    std::size_t dims = 0;
+    std::uint64_t expected_seq = 0;
+    bool health_reported = false;  // one unsolicited health event each
   };
 
-  void serve_connection(int fd);
-  void handle_hello(int fd, const Frame& f, std::string& region, std::size_t& dims,
-                    std::uint64_t& expected_seq);
-  void handle_records(int fd, const Frame& f, const std::string& region, std::size_t dims,
-                      std::uint64_t& expected_seq, bool& health_reported);
-  void handle_report(int fd, const Frame& f, const std::string& region);
+  /// Read what `c`'s socket holds and serve every complete frame in its
+  /// buffer, in arrival order; false when the connection ended (EOF, a read
+  /// error, or a malformed frame).
+  bool read_conn(Conn& c);
+  void serve_frame(Conn& c, const Frame& f);
+  void handle_hello(Conn& c, const Frame& f);
+  void handle_records(Conn& c, const Frame& f);
+  void handle_report(Conn& c, const Frame& f);
   void handle_metrics(int fd);
   void handle_health(int fd);
-  void shutdown_fleet();
 
   ServerConfig cfg_;
   core::FleetMonitor fleet_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
-  int wake_r_ = -1;  // accept-loop wake pipe (request_stop writes wake_w_)
+  int wake_r_ = -1;  // loop wake pipe (request_stop writes wake_w_)
   int wake_w_ = -1;
-
-  /// Serializes every FleetMonitor call across connection handlers, report
-  /// requests, the checkpoint timer, and shutdown.
-  std::mutex ingest_mu_;
-
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
+  std::vector<Conn> conns_;
+  std::vector<unsigned char> rx_;  // recv buffer, reused
+  Frame frame_;                    // decode target, reused
 
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> stopped_{false};
 
   std::thread run_thread_;  // only when start() was used
-
-  std::thread timer_thread_;
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
 };
 
 }  // namespace sentinel::service

@@ -8,11 +8,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +33,7 @@
 #include "trace/binary_trace.h"
 #include "trace/trace_io.h"
 #include "trace/trace_reader.h"
+#include "util/metrics.h"
 
 namespace sentinel {
 namespace {
@@ -136,6 +140,49 @@ std::string served_report(std::size_t conns, std::size_t threads,
   EXPECT_TRUE(report.is_ok()) << report.status().to_string();
   server.stop();
   return report.is_ok() ? *report : std::string();
+}
+
+/// A raw loopback connection for driving the protocol by hand (-1 on
+/// failure).
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// HELLO `region` (2 dims) on a raw connection; true once the ok ack is read.
+bool raw_hello(int fd, const std::string& region) {
+  std::vector<unsigned char> hello(4 + region.size());
+  service::put_u32le(hello.data(), 2);
+  std::memcpy(hello.data() + 4, region.data(), region.size());
+  service::Frame f;
+  service::AckBody body;
+  return service::write_frame(fd, service::FrameType::kHello, hello.data(), hello.size())
+             .is_ok() &&
+         service::read_frame(fd, f).is_ok() && f.type == service::FrameType::kAck &&
+         service::parse_ack(f.payload, body).is_ok() && body.code == util::StatusCode::kOk;
+}
+
+/// SO_SNDTIMEO / SO_RCVTIMEO on `fd`.
+void set_timeout(int fd, int option, int ms) {
+  const timeval tv{ms / 1000, (ms % 1000) * 1000};
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
+}
+
+/// Entries in /proc/self/fd: this process's open file descriptors.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
 }
 
 TEST(ServiceFraming, RecordCodecRoundTripsThroughFrameReader) {
@@ -292,22 +339,10 @@ TEST(ServiceAdmission, OutOfOrderFrameIsBouncedWithExpectedSeq) {
   server.start();
 
   // Raw socket: drive the protocol by hand to provoke the reject.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
-
-  std::vector<unsigned char> hello(4 + 5);
-  service::put_u32le(hello.data(), 2);
-  std::memcpy(hello.data() + 4, "manual", 5);
-  ASSERT_TRUE(service::write_frame(fd, service::FrameType::kHello, hello.data(), hello.size())
-                  .is_ok());
+  ASSERT_TRUE(raw_hello(fd, "manual"));
   service::Frame f;
-  ASSERT_TRUE(service::read_frame(fd, f).is_ok());
-  ASSERT_EQ(f.type, service::FrameType::kAck);
 
   // Frame with seq 7 while the server expects 0.
   const std::size_t rb = binary_trace_record_bytes(2);
@@ -349,14 +384,8 @@ TEST(ServiceAdmission, RecordsBeforeHelloIsRejected) {
   service::Server server(std::move(sc));
   server.start();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
-
   unsigned char payload[service::kRecordsHeaderBytes] = {};
   ASSERT_TRUE(
       service::write_frame(fd, service::FrameType::kRecords, payload, sizeof payload).is_ok());
@@ -481,6 +510,151 @@ TEST(ServiceLifecycle, ReconnectingTenantResumesFromLiveOffset) {
   ASSERT_TRUE(report.is_ok());
   EXPECT_EQ(*report, batch_report(1, 1));
   server.stop();
+}
+
+TEST(ServiceLifecycle, EndedConnectionsReleaseTheirSockets) {
+  service::ServerConfig sc;
+  sc.region = golden_config();
+  service::Server server(std::move(sc));
+  server.start();
+  service::ClientConfig cc;
+  cc.port = server.port();
+
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 64; ++i) {
+    service::Client client(cc);
+    ASSERT_TRUE(client.hello("tenant0", 2).is_ok());
+  }  // each tenant hangs up after its HELLO ack
+  // The server closes a socket once it sees the hang-up; give it ~2 s.
+  std::size_t after = open_fds();
+  for (int i = 0; i < 200 && after != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = open_fds();
+  }
+  EXPECT_EQ(after, before) << "open fds after the cycles vs before";
+  server.stop();
+}
+
+TEST(ServiceLoop, NonReadingPeerIsDroppedWithoutStallingOtherTenants) {
+  service::ServerConfig sc;
+  sc.region = golden_config();
+  service::Server server(std::move(sc));
+  server.start();
+
+  // The flooder binds a region, then sends FLUSH frames and never reads
+  // their acks. Its own short send timeout ends the flood once the server
+  // stops taking its bytes (or the send fails once the server drops it).
+  int flooder = connect_raw(server.port());
+  ASSERT_GE(flooder, 0);
+  ASSERT_TRUE(raw_hello(flooder, "flooder"));
+  set_timeout(flooder, SO_SNDTIMEO, 200);
+  std::vector<unsigned char> flushes(5 * 4096);
+  for (std::size_t i = 0; i < flushes.size(); i += 5) {
+    service::put_u32le(flushes.data() + i, 1);
+    flushes[i + 4] = static_cast<unsigned char>(service::FrameType::kFlush);
+  }
+  std::size_t flooded = 0;
+  while (flooded < (256u << 20)) {
+    const ssize_t n = ::send(flooder, flushes.data(), flushes.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    flooded += static_cast<std::size_t>(n);
+  }
+
+  // A second tenant streams the whole trace and gets its region report
+  // within the deadline, whatever the flooder's replies cost the server.
+  const auto& trace = golden_trace();
+  auto tenant = std::async(std::launch::async, [&] {
+    service::ClientConfig cc;
+    cc.port = server.port();
+    service::Client client(cc);
+    if (!client.hello("tenant0", 2).is_ok() || !client.send(trace).is_ok()) return std::string();
+    const auto report = client.report(/*finalize=*/true, /*fleet_scope=*/false);
+    return report.is_ok() ? *report : std::string();
+  });
+  const auto deadline = std::chrono::seconds(5 * service::kReplyTimeoutSeconds);
+  if (tenant.wait_for(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << "second tenant stalled behind a non-reading peer (" << flooded
+                  << " flood bytes sent)";
+    ::close(flooder);  // the reset unblocks a server stuck writing to it
+    flooder = -1;
+  }
+  EXPECT_NE(tenant.get().find("network:"), std::string::npos);
+  server.stop();
+
+  // The flooder's connection ends: draining its acks reaches EOF or a reset
+  // instead of a receive timeout.
+  if (flooder >= 0) {
+    set_timeout(flooder, SO_RCVTIMEO, 5000);
+    std::vector<unsigned char> sink(1u << 16);
+    ssize_t n = 0;
+    while ((n = ::recv(flooder, sink.data(), sink.size(), 0)) > 0) {
+    }
+    EXPECT_TRUE(n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) << std::strerror(errno);
+    ::close(flooder);
+  }
+}
+
+TEST(ServiceLoop, SilentPartialFramesDoNotDelayOtherTenants) {
+  service::ServerConfig sc;
+  sc.region = golden_config();
+  service::Server server(std::move(sc));
+  server.start();
+
+  // One peer sends half a length prefix, another a 1 MiB frame header and
+  // 10 payload bytes; both then go silent with their connections open.
+  const int half = connect_raw(server.port());
+  const int stalled = connect_raw(server.port());
+  ASSERT_GE(half, 0);
+  ASSERT_GE(stalled, 0);
+  const unsigned char prefix[2] = {0x10, 0x00};
+  EXPECT_EQ(::send(half, prefix, sizeof prefix, MSG_NOSIGNAL), 2);
+  std::vector<unsigned char> partial(5 + 10, 0);
+  service::put_u32le(partial.data(), 1u << 20);
+  partial[4] = static_cast<unsigned char>(service::FrameType::kRecords);
+  EXPECT_EQ(::send(stalled, partial.data(), partial.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(partial.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // let both land first
+
+  // A third tenant's HELLO is still acked at once (the receive timeout
+  // turns a stall into a failed read instead of a hung test).
+  const int tenant = connect_raw(server.port());
+  ASSERT_GE(tenant, 0);
+  set_timeout(tenant, SO_RCVTIMEO, 2000 * service::kReplyTimeoutSeconds);
+  EXPECT_TRUE(raw_hello(tenant, "tenant0"));
+
+  ::close(tenant);
+  ::close(half);
+  ::close(stalled);
+  server.stop();
+}
+
+TEST(ServiceLoop, CheckpointIntervalCommitsWhileTheLoopIsIdle) {
+  const std::string dir =
+      testing::TempDir() + "service_timed_ckpt." + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  service::ServerConfig sc;
+  sc.fleet.checkpoint_dir = dir;
+  sc.fleet.checkpoint_every_records = 0;  // only the timed commits
+  sc.checkpoint_interval_seconds = 0.05;
+  sc.region = golden_config();
+  service::Server server(std::move(sc));
+  server.start();
+  service::ClientConfig cc;
+  cc.port = server.port();
+  service::Client client(cc);
+  ASSERT_TRUE(client.hello("tenant0", 2).is_ok());
+  const auto& trace = golden_trace();
+  ASSERT_TRUE(client.send({trace.data(), trace.size() / 2}).is_ok());
+  ASSERT_TRUE(client.flush().is_ok());
+
+  // No frame arrives for half a second: only the loop's poll deadline can
+  // commit the region, about ten times over.
+  const util::Counter& commits = util::metrics().counter("fleet.checkpoint_commits");
+  const std::uint64_t before = commits.total();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_GE(commits.total() - before, 2u);
+  server.stop();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -208,7 +208,7 @@ struct ServeChild {
 };
 
 /// Fork an in-process resident service; the child reports its ephemeral
-/// port back over a pipe before entering the accept loop.
+/// port back over a pipe before entering the poll loop.
 ServeChild spawn_server(std::size_t threads, const std::string& dir, std::size_t every,
                         bool resume) {
   int pfd[2];

@@ -26,7 +26,7 @@ int usage() {
                "               [--window SECONDS] [--states K] [--threads N]\n"
                "               [--resume DIR] [--checkpoint-dir DIR] [--checkpoint-every N]\n"
                "               [--checkpoint-interval SECONDS] [--screen-mode off|screen|full]\n"
-               "  sentinel_cli stream <trace1> [<trace2> ...] --port P [--frame-records N]\n"
+               "  sentinel_cli stream [<trace1> ...] --port P [--frame-records N]\n"
                "               [--report] [--final] [--shutdown] [--metrics-json PATH]\n"
                "  sentinel_cli inject <in.csv> <out.csv> [--scenario KIND] [--seed S]\n"
                "  sentinel_cli health <trace.csv> [--period SECONDS]\n"
@@ -53,7 +53,8 @@ std::optional<Args> parse(int argc, char** argv) {
   }
   if (args.command == "fleet" || args.command == "stream") {
     while (i < argc && argv[i][0] != '-') args.paths.emplace_back(argv[i++]);
-    if (args.paths.empty()) return std::nullopt;
+    // `stream` without traces runs only its control-plane tail.
+    if (args.command == "fleet" && args.paths.empty()) return std::nullopt;
   }
   for (; i < argc; ++i) {
     const std::string flag = argv[i];

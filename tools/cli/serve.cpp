@@ -6,12 +6,12 @@
 //             and health are served live; checkpoints commit on a timer and
 //             a final one commits at shutdown so `serve --resume` continues
 //             bit-identically after a crash or restart.
-//   stream -- feed trace files to a running server, one connection (and
-//             region) per file, then optionally fetch the fleet report and
-//             shut the server down. `stream` + `serve` over the same traces
-//             print the same report bytes as `fleet` (test-enforced),
-//             because all three share the bootstrap, region naming, and the
-//             SNTRB1 record codec.
+//   stream -- feed trace files (if any) to a running server, one
+//             connection (and region) per file, then optionally fetch the
+//             fleet report and shut the server down. `stream` + `serve`
+//             over the same traces print the same report bytes as `fleet`
+//             (test-enforced), because all three share the bootstrap,
+//             region naming, and the SNTRB1 record codec.
 
 #include <csignal>
 #include <cstdio>

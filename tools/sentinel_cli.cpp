@@ -53,10 +53,11 @@
 //       live; `serve --resume DIR` continues bit-identically from the last
 //       committed checkpoint.
 //
-//   sentinel_cli stream <trace1> [<trace2> ...] --port P [--report] [--final]
+//   sentinel_cli stream [<trace1> ...] --port P [--report] [--final]
 //                [--shutdown] [--metrics-json PATH]
-//       Feed traces to a running server, one connection per region; then
-//       optionally fetch the fleet report and shut the server down.
+//       Feed traces (if any) to a running server, one connection per
+//       region; then optionally fetch the fleet report and shut the server
+//       down.
 //
 //   sentinel_cli scenarios
 //       List the canonical injection scenarios.
