@@ -144,7 +144,7 @@ struct PipelineConfig {
   /// screen work runs per window, and checkpoints carry no screen section --
   /// reports and checkpoint bytes are identical to a build without the tier.
   /// kScreen gates the per-sensor mapping/alarm/HMM stages behind the cheap
-  /// screens; kFull runs the screens observationally next to the full path.
+  /// screens.
   screen::ScreenConfig screen;
 
   /// Record coarse per-stage wall-clock histograms (spawn scan, state

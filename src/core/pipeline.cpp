@@ -199,18 +199,9 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
     window_mean = &window_mean_;
   }
 
-  // First-tier screening. kScreen takes the gated path; kFull runs the
-  // screens observationally (counters + escalation state for ROC studies)
-  // and falls through to the untouched full path below.
-  if (screens_ != nullptr && cfg_.screen.mode == screen::ScreenMode::kScreen) {
+  if (screens_ != nullptr) {
     process_window_screened(window, points, sensors, *window_mean);
     return;
-  }
-  if (screens_ != nullptr) {
-    util::ScopedTimerNs t(t_screen_);
-    fill_residuals(window, points, *window_mean);
-    screens_->observe_block(sensors.data(), resid_.data(), sensors.size(),
-                            screen_dec_.data());
   }
 
   // (1) Make fresh regimes representable before mapping (section 3.1's
@@ -250,8 +241,7 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
     summary.majority_size = ws.majority_size;
     hist_scratch_.clear();
   }
-  // kFull: feed the hysteresis the same full-tier verdict kScreen would.
-  run_alarm_track_stage(window, summary, /*resolve_screens=*/screens_ != nullptr);
+  run_alarm_track_stage(window);
 
   {
     util::ScopedTimerNs t(t_hmm_);
@@ -324,8 +314,7 @@ void DetectionPipeline::fill_residuals(const ObservationSet& window,
   }
 }
 
-void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window,
-                                              WindowSummary& summary, bool resolve_screens) {
+void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window) {
   util::ScopedTimerNs t(t_alarms_);
   WindowStates& ws = window_states_;
   // Block size: one block's alarm rows, mapping slice, and update scratch
@@ -369,7 +358,7 @@ void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window,
     for (std::size_t k = 0; k < m; ++k) {
       const auto& [sensor, l] = ws.mapping[base + k];
       const bool raw = l != ws.correct;
-      if (resolve_screens) {
+      if (screens_ != nullptr) {
         screens_->resolve(sensor, !raw && !tracks_.has_active_track(sensor));
       }
       if (cfg_.record_history) {
@@ -502,7 +491,7 @@ void DetectionPipeline::process_window_screened(const ObservationSet& window,
     summary.majority_size = ws.majority_size;
     hist_scratch_.clear();
   }
-  run_alarm_track_stage(window, summary, /*resolve_screens=*/true);
+  run_alarm_track_stage(window);
 
   {
     util::ScopedTimerNs t(t_hmm_);

@@ -232,12 +232,12 @@ class DetectionPipeline {
 
   /// Stage (3): alarms and tracks over window_states_.mapping, iterated in
   /// cache-sized sensor blocks as four passes (alarm updates, track edges,
-  /// batched M_CE observes, screen resolution + history). Every pass is
-  /// per-sensor independent, so the results are bit-identical to the old
-  /// interleaved loop -- but the M_CE row updates enqueue into the track
-  /// slab and coalesce into two kernel calls at the window flush.
-  void run_alarm_track_stage(const ObservationSet& window, WindowSummary& summary,
-                             bool resolve_screens);
+  /// batched M_CE observes, screen resolution + history rows staged in
+  /// hist_scratch_). Every pass is per-sensor independent, so the results
+  /// are bit-identical to the old interleaved loop -- but the M_CE row
+  /// updates enqueue into the track slab and coalesce into two kernel calls
+  /// at the window flush.
+  void run_alarm_track_stage(const ObservationSet& window);
 
   /// Move the staged hist_scratch_ rows into the history arena, point
   /// `summary.sensors` at them, and append the summary to history_.

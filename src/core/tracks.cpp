@@ -135,7 +135,7 @@ const hmm::OnlineHmm& TrackManager::refreshed_view(const Aggregate& agg) const {
     if (slab_.lane_has_pending(agg.lane)) {
       throw std::logic_error("TrackManager: combined M_CE read inside an open window batch");
     }
-    agg.view = slab_.materialize(agg.lane, /*eager_avg=*/true);
+    agg.view = slab_.materialize(agg.lane);
     agg.view_dirty = false;
   }
   return agg.view;

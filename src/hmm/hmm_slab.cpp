@@ -313,7 +313,7 @@ void OnlineHmmSlab::validate_after_repack() const {
   check(b_, ss_, n_symbols_.data(), "emission rows");
 }
 
-OnlineHmm OnlineHmmSlab::materialize(std::uint32_t lane, bool eager_avg) const {
+OnlineHmm OnlineHmmSlab::materialize(std::uint32_t lane) const {
   if (lane >= lane_cap_ || in_use_[lane] == 0) {
     throw std::logic_error("OnlineHmmSlab::materialize: lane not in use");
   }
@@ -354,45 +354,6 @@ OnlineHmm OnlineHmmSlab::materialize(std::uint32_t lane, bool eager_avg) const {
   if (has_last_[lane] != 0) m.last_hidden_ = last_hidden_[lane];
   m.steps_ = steps_[lane];
 
-  if (eager_avg && h > 0) {
-    // Pre-fill the averaged-matrix caches with the batched division kernel.
-    // Bit-identical to OnlineHmm::refresh_avg_caches_locked: the same
-    // per-row IEEE divisions, identity rows for never-left states, and the
-    // EMA-initialization copy for never-emitting rows.
-    const auto& kk = kern::k();
-    Matrix a = m.a_avg_;
-    std::vector<std::size_t> offs;
-    std::vector<double> divs;
-    for (std::size_t r = 0; r < h; ++r) {
-      if (m.a_row_counts_[r] > 0.0) {
-        offs.push_back(r * a.stride());
-        divs.push_back(m.a_row_counts_[r]);
-      }
-    }
-    kk.div_scale_rows(a.data(), offs.data(), divs.data(), offs.size(), a.cols());
-    for (std::size_t r = 0; r < h; ++r) {
-      if (m.a_row_counts_[r] <= 0.0) a(r, r) = 1.0;
-    }
-    m.a_avg_cache_ = std::move(a);
-
-    Matrix b = m.b_avg_;
-    offs.clear();
-    divs.clear();
-    for (std::size_t r = 0; r < h; ++r) {
-      if (m.b_row_counts_[r] > 0.0) {
-        offs.push_back(r * b.stride());
-        divs.push_back(m.b_row_counts_[r]);
-      }
-    }
-    kk.div_scale_rows(b.data(), offs.data(), divs.data(), offs.size(), b.cols());
-    for (std::size_t r = 0; r < h; ++r) {
-      if (m.b_row_counts_[r] <= 0.0) {
-        for (std::size_t c = 0; c < s; ++c) b(r, c) = m.b_(r, c);
-      }
-    }
-    m.b_avg_cache_ = std::move(b);
-    m.avg_dirty_ = false;
-  }
   return m;
 }
 

@@ -81,13 +81,10 @@ class OnlineHmmSlab {
 
   /// Build the standalone estimator this lane's state denotes -- the same
   /// object (checkpoint bytes included) an unbatched OnlineHmm fed the same
-  /// observations would be. With `eager_avg` the averaged-matrix caches are
-  /// pre-filled through the batched division kernel (use when the caller
-  /// will read them immediately, e.g. a diagnosis view); without it they
-  /// refresh lazily on first read -- same arithmetic, same results, no
-  /// up-front cost for consumers (track close, checkpointing) that may
-  /// never look. The lane's pending updates must be flushed first.
-  OnlineHmm materialize(std::uint32_t lane, bool eager_avg = false) const;
+  /// observations would be. Its averaged-matrix caches refresh lazily on
+  /// first read, so consumers that never look (track close, checkpointing)
+  /// pay nothing for them. The lane's pending updates must be flushed first.
+  OnlineHmm materialize(std::uint32_t lane) const;
 
   /// Load `src`'s state into an (empty) lane -- checkpoint restore.
   void adopt(std::uint32_t lane, const OnlineHmm& src);

@@ -194,11 +194,16 @@ OnlineHmm OnlineHmm::load(OnlineHmmConfig cfg, serialize::Reader& r) {
   const std::size_t h = m.hidden_ids_.size();
   const std::size_t sy = m.symbol_ids_.size();
   const bool shapes_ok = m.a_.rows() == h && m.a_.cols() == h && m.b_.rows() == h &&
-                         m.b_.cols() == sy && m.a_avg_.rows() == h && m.b_avg_.rows() == h &&
+                         m.b_.cols() == sy && m.a_avg_.rows() == h && m.a_avg_.cols() == h &&
+                         m.b_avg_.rows() == h && m.b_avg_.cols() == sy &&
                          m.a_row_counts_.size() == h && m.b_row_counts_.size() == h &&
                          m.symbol_totals_.size() == sy &&
                          m.hidden_index_.size() == h && m.symbol_index_.size() == sy;
   if (!shapes_ok) throw std::runtime_error("checkpoint: inconsistent online-hmm shapes");
+  // observe() indexes the previous state's rows through hidden_index_.
+  if (has_last && !m.hidden_index_.contains(last)) {
+    throw std::runtime_error("checkpoint: online-hmm last hidden state is not a hidden state");
+  }
   return m;
 }
 

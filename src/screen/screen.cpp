@@ -15,7 +15,6 @@ const char* to_string(ScreenMode mode) {
   switch (mode) {
     case ScreenMode::kOff: return "off";
     case ScreenMode::kScreen: return "screen";
-    case ScreenMode::kFull: return "full";
   }
   return "off";
 }
@@ -26,8 +25,6 @@ bool parse_screen_mode(const char* text, ScreenMode& out) {
     out = ScreenMode::kOff;
   } else if (std::strcmp(text, "screen") == 0) {
     out = ScreenMode::kScreen;
-  } else if (std::strcmp(text, "full") == 0) {
-    out = ScreenMode::kFull;
   } else {
     return false;
   }

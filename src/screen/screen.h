@@ -29,7 +29,7 @@
 // full path owns a sensor until its screens have a warm baseline.
 //
 // Determinism: all reductions go through the util/kernels function table
-// (sum_sumsq / sumsq), whose levels are bit-identical by contract, and the
+// (sum_sumsq), whose levels are bit-identical by contract, and the
 // per-sensor state machine is a pure function of that sensor's residual
 // history -- so escalation decisions are bit-identical at any thread count
 // and under any SENTINEL_KERNELS forcing. The incremental ring sums are
@@ -59,13 +59,10 @@ namespace sentinel::screen {
 ///    never heard of screening (no screen work, no checkpoint section).
 ///  - kScreen: screens gate the full path -- screened sensors skip the
 ///    per-sensor mapping/alarm/HMM stages and vote as a bloc.
-///  - kFull: screens run observationally (trip counters, escalation state)
-///    but every sensor still takes the full path. Detection results equal
-///    kOff; used to measure screen ROC against the HMM tier on one run.
-enum class ScreenMode { kOff = 0, kScreen = 1, kFull = 2 };
+enum class ScreenMode { kOff = 0, kScreen = 1 };
 
 const char* to_string(ScreenMode mode);
-/// Parse "off" / "screen" / "full". Returns false on anything else.
+/// Parse "off" / "screen". Returns false on anything else.
 bool parse_screen_mode(const char* text, ScreenMode& out);
 
 struct ScreenConfig {

@@ -2,8 +2,8 @@
 //
 // The scalar implementations below are the *reference semantics*: four
 // accumulator lanes striped over the input, combined as a fixed pairwise
-// tree (see kernels.h). The SSE2/AVX2 translation units implement the same
-// tree with intrinsics; this file is compiled with -ffp-contract=off so the
+// tree (see kernels.h). The AVX2 translation unit implements the same tree
+// with intrinsics; this file is compiled with -ffp-contract=off so the
 // compiler cannot fuse the mul+add pairs and break cross-level bit-identity.
 
 #include "util/kernels.h"
@@ -15,6 +15,43 @@
 #include <limits>
 
 namespace sentinel::kern {
+
+// The AVX2 table names these two as well (kernels_avx2.cpp).
+
+void div_scale_scalar(double* v, std::size_t n, double d) {
+  for (std::size_t i = 0; i < n; ++i) v[i] /= d;
+}
+
+MaxPlusResult max_plus_scalar(const double* x, const double* y, std::size_t n) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  double bv[4] = {kNegInf, kNegInf, kNegInf, kNegInf};
+  std::size_t bi[4] = {0, 0, 0, 0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (int l = 0; l < 4; ++l) {
+      const double v = x[i + l] + y[i + l];
+      if (v > bv[l]) {
+        bv[l] = v;
+        bi[l] = i + l;
+      }
+    }
+  }
+  for (int l = 0; i < n; ++i, ++l) {
+    const double v = x[i] + y[i];
+    if (v > bv[l]) {
+      bv[l] = v;
+      bi[l] = i;
+    }
+  }
+  MaxPlusResult r{bv[0], bi[0]};
+  for (int l = 1; l < 4; ++l) {
+    if (bv[l] > r.value || (bv[l] == r.value && bi[l] < r.index)) {
+      r.value = bv[l];
+      r.index = bi[l];
+    }
+  }
+  return r;
+}
 
 namespace {
 
@@ -65,16 +102,6 @@ double sum_scalar(const double* a, std::size_t n) {
   return reduce_tree(lane);
 }
 
-double sumsq_scalar(const double* a, std::size_t n) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (int l = 0; l < 4; ++l) lane[l] += a[i + l] * a[i + l];
-  }
-  for (int l = 0; i < n; ++i, ++l) lane[l] += a[i] * a[i];
-  return reduce_tree(lane);
-}
-
 void sum_sumsq_scalar(const double* a, std::size_t n, double* sum_out, double* sumsq_out) {
   double ls[4] = {0.0, 0.0, 0.0, 0.0};
   double lq[4] = {0.0, 0.0, 0.0, 0.0};
@@ -119,10 +146,6 @@ void scale_scalar(double* v, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) v[i] *= s;
 }
 
-void div_scale_scalar(double* v, std::size_t n, double d) {
-  for (std::size_t i = 0; i < n; ++i) v[i] /= d;
-}
-
 void ema_scale_bump_rows_scalar(double* base, const std::size_t* offs,
                                 const std::uint32_t* cols, std::size_t count,
                                 std::size_t n, double s, double bump) {
@@ -131,11 +154,6 @@ void ema_scale_bump_rows_scalar(double* base, const std::size_t* offs,
     scale_scalar(v, n, s);
     v[cols[r]] += bump;
   }
-}
-
-void div_scale_rows_scalar(double* base, const std::size_t* offs, const double* divisors,
-                           std::size_t count, std::size_t n) {
-  for (std::size_t r = 0; r < count; ++r) div_scale_scalar(base + offs[r], n, divisors[r]);
 }
 
 void accum_rows_scalar(double* base, const std::size_t* offs, const double* const* srcs,
@@ -174,43 +192,12 @@ double normalize_scalar(double* v, std::size_t n) {
   return inv;
 }
 
-MaxPlusResult max_plus_scalar(const double* x, const double* y, std::size_t n) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  double bv[4] = {kNegInf, kNegInf, kNegInf, kNegInf};
-  std::size_t bi[4] = {0, 0, 0, 0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (int l = 0; l < 4; ++l) {
-      const double v = x[i + l] + y[i + l];
-      if (v > bv[l]) {
-        bv[l] = v;
-        bi[l] = i + l;
-      }
-    }
-  }
-  for (int l = 0; i < n; ++i, ++l) {
-    const double v = x[i] + y[i];
-    if (v > bv[l]) {
-      bv[l] = v;
-      bi[l] = i;
-    }
-  }
-  MaxPlusResult r{bv[0], bi[0]};
-  for (int l = 1; l < 4; ++l) {
-    if (bv[l] > r.value || (bv[l] == r.value && bi[l] < r.index)) {
-      r.value = bv[l];
-      r.index = bi[l];
-    }
-  }
-  return r;
-}
-
 constexpr Kernels kScalarKernels{
     "scalar",        dist2_block_scalar, dist2_scalar, dot_scalar,       sum_scalar,
-    sumsq_scalar,    sum_sumsq_scalar,
+    sum_sumsq_scalar,
     vec_mat_scalar,  mat_vec_scalar,     mat_vec_block_scalar,
     scale_scalar,    div_scale_scalar,
-    ema_scale_bump_rows_scalar, div_scale_rows_scalar,
+    ema_scale_bump_rows_scalar,
     accum_rows_scalar, sum_rows_scalar,
     axpy_scalar,     mul_scalar,         mul_axpy_scalar,
     normalize_scalar, max_plus_scalar,
@@ -219,7 +206,6 @@ constexpr Kernels kScalarKernels{
 Level detect_best() {
 #if defined(SENTINEL_X86_KERNELS)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return Level::avx2;
-  if (__builtin_cpu_supports("sse2")) return Level::sse2;
 #endif
   return Level::scalar;
 }
@@ -230,7 +216,7 @@ Level resolve_active() {
   if (env == nullptr || env[0] == '\0') return best;
   Level want;
   if (!parse_level(env, want)) {
-    std::fprintf(stderr, "sentinel: SENTINEL_KERNELS='%s' not one of scalar|sse2|avx2; using %s\n",
+    std::fprintf(stderr, "sentinel: SENTINEL_KERNELS='%s' not one of scalar|avx2; using %s\n",
                  env, level_name(best));
     return best;
   }
@@ -245,16 +231,13 @@ Level resolve_active() {
 }  // namespace
 
 #if defined(SENTINEL_X86_KERNELS)
-// Defined in kernels_sse2.cpp / kernels_avx2.cpp (compiled with the matching
-// ISA flags and -ffp-contract=off).
-const Kernels& sse2_kernels();
+// Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma -ffp-contract=off).
 const Kernels& avx2_kernels();
 #endif
 
 const Kernels& table(Level level) {
 #if defined(SENTINEL_X86_KERNELS)
   if (level == Level::avx2 && level_supported(Level::avx2)) return avx2_kernels();
-  if (level >= Level::sse2 && level_supported(Level::sse2)) return sse2_kernels();
 #endif
   (void)level;
   return kScalarKernels;
@@ -277,7 +260,6 @@ const Kernels& k() {
 const char* level_name(Level level) {
   switch (level) {
     case Level::scalar: return "scalar";
-    case Level::sse2: return "sse2";
     case Level::avx2: return "avx2";
   }
   return "scalar";
@@ -287,8 +269,6 @@ bool parse_level(const char* text, Level& out) {
   if (text == nullptr) return false;
   if (std::strcmp(text, "scalar") == 0) {
     out = Level::scalar;
-  } else if (std::strcmp(text, "sse2") == 0) {
-    out = Level::sse2;
   } else if (std::strcmp(text, "avx2") == 0) {
     out = Level::avx2;
   } else {

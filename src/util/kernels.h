@@ -4,8 +4,11 @@
 // centroid distance scans, the scaled HMM forward/backward recursions, the
 // log-space Viterbi max-plus rows, and the online EMA gain updates -- funnels
 // through the function table returned by k(). The implementation level
-// (AVX2+FMA, SSE2, or portable scalar) is selected exactly once at startup
-// from cpuid, overridable with SENTINEL_KERNELS=scalar|sse2|avx2.
+// (AVX2+FMA or portable scalar) is selected exactly once at startup from
+// cpuid, overridable with SENTINEL_KERNELS=scalar|avx2. The AVX2 table keeps
+// an intrinsics body only where bench/perf_kernels measures it beating the
+// scalar one at some shape; its other entries (max_plus, div_scale) point at
+// the scalar functions.
 //
 // Reduction semantics are fixed, not implementation-defined: every reduction
 // (dist2, dot, sum, mat_vec, normalize, max_plus) uses the same 4-lane
@@ -15,7 +18,7 @@
 //   result = (lane0 + lane1) + (lane2 + lane3)
 //
 // -- and the scalar fallback implements the *same* tree with four scalar
-// accumulators, so all three levels are bit-identical to one another on every
+// accumulators, so both levels are bit-identical to one another on every
 // input (infinities, signed zeros, denormals included; NaN payload bits are
 // the one exception -- x86 NaN propagation is operand-order dependent and the
 // compiler may commute scalar multiplies, so only *which* results are NaN is
@@ -40,7 +43,9 @@
 
 namespace sentinel::kern {
 
-enum class Level { scalar = 0, sse2 = 1, avx2 = 2 };
+/// The values are exported as the benches' `machine.kernel_level` counter;
+/// keep them stable.
+enum class Level { scalar = 0, avx2 = 2 };
 
 struct MaxPlusResult {
   double value;
@@ -63,13 +68,10 @@ struct Kernels {
   double (*dot)(const double* a, const double* b, std::size_t n);
   /// Striped sum of a[0..n).
   double (*sum)(const double* a, std::size_t n);
-  /// Striped sum of squares a[i]^2 over n elements (the second raw moment
-  /// numerator the screen tier's chi-squared statistic reduces over).
-  double (*sumsq)(const double* a, std::size_t n);
-  /// Fused windowed-moment reduction: *sum_out = striped sum of a,
-  /// *sumsq_out = striped sum of a^2, one pass over the input. Each moment
-  /// uses its own 4-lane tree, so both results are bit-identical to the
-  /// separate sum/sumsq kernels at every level.
+  /// Fused windowed-moment reduction (the screen tier's chi-squared
+  /// numerators): *sum_out = striped sum of a, *sumsq_out = striped sum of
+  /// a^2, one pass over the input. Each moment uses its own 4-lane tree, so
+  /// *sum_out is bit-identical to sum() at every level.
   void (*sum_sumsq)(const double* a, std::size_t n, double* sum_out, double* sumsq_out);
 
   /// out[j] += x[i] * m[i*stride + j], i ascending 0..rows. Per output lane
@@ -101,11 +103,6 @@ struct Kernels {
   void (*ema_scale_bump_rows)(double* base, const std::size_t* offs,
                               const std::uint32_t* cols, std::size_t count,
                               std::size_t n, double s, double bump);
-  /// Batched per-row IEEE division over scattered rows: for each r,
-  /// (base + offs[r])[i] /= divisors[r] over [0, n). Bit-identical to
-  /// per-row div_scale at every level.
-  void (*div_scale_rows)(double* base, const std::size_t* offs,
-                         const double* divisors, std::size_t count, std::size_t n);
   /// Batched columnar accumulate over scattered destination rows (the
   /// windower's per-sensor running sums): for each r in [0, count),
   /// (base + offs[r])[i] += srcs[r][i] over [0, n). Rows are processed in
@@ -155,7 +152,7 @@ const Kernels& k();
 
 const char* level_name(Level level);
 
-/// Parse "scalar" / "sse2" / "avx2". Returns false on anything else.
+/// Parse "scalar" / "avx2". Returns false on anything else.
 bool parse_level(const char* text, Level& out);
 
 /// Round a row length up to the 4-lane kernel width. Centroid and matrix row

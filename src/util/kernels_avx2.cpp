@@ -8,9 +8,13 @@
 
 #include <cfloat>
 #include <immintrin.h>
-#include <limits>
 
 namespace sentinel::kern {
+
+// Scalar entries this table shares (kernels.cpp): at no shape perf_kernels
+// measures did their AVX2 bodies beat them beyond run-to-run noise.
+void div_scale_scalar(double* v, std::size_t n, double d);
+MaxPlusResult max_plus_scalar(const double* x, const double* y, std::size_t n);
 
 namespace {
 
@@ -106,20 +110,6 @@ double sum_avx2(const double* a, std::size_t n) {
   return finish_reduction(lane);
 }
 
-double sumsq_avx2(const double* a, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(a + i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-  }
-  if (i == n) return reduce_tree(acc);
-  alignas(32) double lane[4];
-  _mm256_storeu_pd(lane, acc);
-  for (int l = 0; i < n; ++i, ++l) lane[l] += a[i] * a[i];
-  return finish_reduction(lane);
-}
-
 void sum_sumsq_avx2(const double* a, std::size_t n, double* sum_out, double* sumsq_out) {
   __m256d s = _mm256_setzero_pd();
   __m256d q = _mm256_setzero_pd();
@@ -190,13 +180,6 @@ void scale_avx2(double* v, std::size_t n, double s) {
   for (; i < n; ++i) v[i] *= s;
 }
 
-void div_scale_avx2(double* v, std::size_t n, double d) {
-  const __m256d k = _mm256_set1_pd(d);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(v + i, _mm256_div_pd(_mm256_loadu_pd(v + i), k));
-  for (; i < n; ++i) v[i] /= d;
-}
-
 void ema_scale_bump_rows_avx2(double* base, const std::size_t* offs, const std::uint32_t* cols,
                               std::size_t count, std::size_t n, double s, double bump) {
   const __m256d k = _mm256_set1_pd(s);
@@ -207,11 +190,6 @@ void ema_scale_bump_rows_avx2(double* base, const std::size_t* offs, const std::
     for (; i < n; ++i) v[i] *= s;
     v[cols[r]] += bump;
   }
-}
-
-void div_scale_rows_avx2(double* base, const std::size_t* offs, const double* divisors,
-                         std::size_t count, std::size_t n) {
-  for (std::size_t r = 0; r < count; ++r) div_scale_avx2(base + offs[r], n, divisors[r]);
 }
 
 void accum_rows_avx2(double* base, const std::size_t* offs, const double* const* srcs,
@@ -275,51 +253,15 @@ double normalize_avx2(double* v, std::size_t n) {
   return inv;
 }
 
-MaxPlusResult max_plus_avx2(const double* x, const double* y, std::size_t n) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  __m256d bv = _mm256_set1_pd(kNegInf);
-  __m256d bi = _mm256_setzero_pd();
-  __m256d idx = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    const __m256d m = _mm256_cmp_pd(v, bv, _CMP_GT_OQ);  // quiet: NaN never wins
-    bv = _mm256_blendv_pd(bv, v, m);
-    bi = _mm256_blendv_pd(bi, idx, m);
-    idx = _mm256_add_pd(idx, four);
-  }
-  alignas(32) double lane_v[4];
-  alignas(32) double lane_i[4];
-  _mm256_storeu_pd(lane_v, bv);
-  _mm256_storeu_pd(lane_i, bi);
-  for (int l = 0; i < n; ++i, ++l) {
-    const double v = x[i] + y[i];
-    if (v > lane_v[l]) {
-      lane_v[l] = v;
-      lane_i[l] = static_cast<double>(i);
-    }
-  }
-  MaxPlusResult r{lane_v[0], static_cast<std::size_t>(lane_i[0])};
-  for (int l = 1; l < 4; ++l) {
-    const auto cand = static_cast<std::size_t>(lane_i[l]);
-    if (lane_v[l] > r.value || (lane_v[l] == r.value && cand < r.index)) {
-      r.value = lane_v[l];
-      r.index = cand;
-    }
-  }
-  return r;
-}
-
 constexpr Kernels kAvx2Kernels{
     "avx2",        dist2_block_avx2, dist2_avx2, dot_avx2,       sum_avx2,
-    sumsq_avx2,    sum_sumsq_avx2,
+    sum_sumsq_avx2,
     vec_mat_avx2,  mat_vec_avx2,     mat_vec_block_avx2,
-    scale_avx2,    div_scale_avx2,
-    ema_scale_bump_rows_avx2, div_scale_rows_avx2,
+    scale_avx2,    div_scale_scalar,
+    ema_scale_bump_rows_avx2,
     accum_rows_avx2, sum_rows_avx2,
     axpy_avx2,     mul_avx2,         mul_axpy_avx2,
-    normalize_avx2, max_plus_avx2,
+    normalize_avx2, max_plus_scalar,
 };
 
 }  // namespace

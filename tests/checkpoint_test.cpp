@@ -6,6 +6,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "faults/fault_models.h"
@@ -57,6 +59,77 @@ TEST(Checkpoint, OnlineHmmRejectsGarbage) {
   EXPECT_THROW(hmm::OnlineHmm::load({}, ss), std::runtime_error);
   std::stringstream truncated("online-hmm\n3 1 2 3");
   EXPECT_THROW(hmm::OnlineHmm::load({}, truncated), std::runtime_error);
+}
+
+/// An online-hmm record written field by field in save()'s order: six hidden
+/// states 0..5, two symbols, the previous state 5. The defaults are a valid
+/// checkpoint; tests swap in shapes save() never writes.
+struct OnlineHmmRecord {
+  static constexpr std::size_t kHidden = 6;
+  static constexpr std::size_t kSymbols = 2;
+  Matrix a_avg{kHidden, kHidden};
+  Matrix b_avg{kHidden, kSymbols};
+  hmm::StateId last = 5;
+
+  std::string bytes() const {
+    std::ostringstream os;
+    serialize::TextWriter w(os);
+    serialize::tag(w, "online-hmm");
+    std::vector<hmm::StateId> hidden(kHidden);
+    for (std::size_t i = 0; i < kHidden; ++i) hidden[i] = static_cast<hmm::StateId>(i);
+    serialize::put_vector(w, hidden);
+    serialize::put_vector(w, std::vector<hmm::StateId>{10, 11});
+    Matrix a(kHidden, kHidden);
+    Matrix b(kHidden, kSymbols);
+    for (std::size_t i = 0; i < kHidden; ++i) {
+      a(i, i) = 1.0;
+      b(i, 0) = 1.0;
+    }
+    serialize::put_matrix(w, a);
+    serialize::put_matrix(w, b);
+    serialize::put_matrix(w, a_avg);
+    serialize::put_matrix(w, b_avg);
+    serialize::put_vector(w, std::vector<double>(kHidden, 0.0));
+    serialize::put_vector(w, std::vector<double>(kHidden, 0.0));
+    serialize::put_vector(w, std::vector<double>(kSymbols, 0.0));
+    serialize::put(w, true);
+    serialize::put(w, last);
+    serialize::put(w, std::size_t{0});
+    w.newline();
+    return os.str();
+  }
+};
+
+hmm::OnlineHmm load_record(const OnlineHmmRecord& rec) {
+  std::istringstream is(rec.bytes());
+  return hmm::OnlineHmm::load({}, is);
+}
+
+TEST(Checkpoint, OnlineHmmRejectsWrongShapedCountsAndUnknownLastState) {
+  // The well-formed record loads and keeps learning from state 5.
+  hmm::OnlineHmm ok = load_record(OnlineHmmRecord{});
+  ok.observe(4, 10);
+  EXPECT_EQ(ok.transition_matrix_avg()(5, 4), 1.0);
+
+  // Count matrices that are not h x h / h x |symbols|: observe() indexes
+  // them by hidden and symbol position, past the row of a narrow matrix (or
+  // through a null buffer when it has no columns).
+  for (const std::size_t cols : {std::size_t{0}, std::size_t{1}}) {
+    OnlineHmmRecord narrow_a;
+    narrow_a.a_avg = Matrix(OnlineHmmRecord::kHidden, cols);
+    EXPECT_THROW(load_record(narrow_a), std::runtime_error) << "a_avg cols " << cols;
+    OnlineHmmRecord narrow_b;
+    narrow_b.b_avg = Matrix(OnlineHmmRecord::kHidden, cols);
+    EXPECT_THROW(load_record(narrow_b), std::runtime_error) << "b_avg cols " << cols;
+  }
+  OnlineHmmRecord wide_a;
+  wide_a.a_avg = Matrix(OnlineHmmRecord::kHidden, OnlineHmmRecord::kHidden + 1);
+  EXPECT_THROW(load_record(wide_a), std::runtime_error);
+
+  // A previous state that is not one of the hidden ids has no row to update.
+  OnlineHmmRecord stray_last;
+  stray_last.last = 7;
+  EXPECT_THROW(load_record(stray_last), std::runtime_error);
 }
 
 TEST(Checkpoint, MarkovChainRoundTrip) {

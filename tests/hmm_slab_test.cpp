@@ -163,44 +163,6 @@ TEST(HmmSlab, FreedLanesRecycleClean) {
   EXPECT_EQ(bytes(slab.materialize(b)), bytes(shadow));
 }
 
-TEST(HmmSlab, EagerAndLazyAvgMaterializeIdentically) {
-  const OnlineHmmConfig cfg;
-  OnlineHmmSlab slab(cfg);
-  const std::uint32_t lane = slab.open_lane();
-  OnlineHmm shadow(cfg);
-  Stream s(42);
-  for (int i = 0; i < 64; ++i) {
-    const auto [h, sym] = s.next();
-    slab.observe(lane, h, sym);
-    shadow.observe(h, sym);
-    slab.flush();
-  }
-  const OnlineHmm lazy = slab.materialize(lane, /*eager_avg=*/false);
-  const OnlineHmm eager = slab.materialize(lane, /*eager_avg=*/true);
-  EXPECT_EQ(bytes(lazy), bytes(eager));
-  EXPECT_EQ(bytes(lazy), bytes(shadow));
-  // The averaged matrices read identically whether the cache was pre-filled
-  // through the batched division kernel or refreshed lazily on this call.
-  const auto la = lazy.transition_matrix_avg();
-  const auto ea = eager.transition_matrix_avg();
-  ASSERT_EQ(la.rows(), ea.rows());
-  ASSERT_EQ(la.cols(), ea.cols());
-  for (std::size_t r = 0; r < la.rows(); ++r) {
-    for (std::size_t c = 0; c < la.cols(); ++c) {
-      EXPECT_EQ(la(r, c), ea(r, c)) << r << "," << c;
-    }
-  }
-  const auto lb = lazy.emission_matrix_avg();
-  const auto eb = eager.emission_matrix_avg();
-  ASSERT_EQ(lb.rows(), eb.rows());
-  ASSERT_EQ(lb.cols(), eb.cols());
-  for (std::size_t r = 0; r < lb.rows(); ++r) {
-    for (std::size_t c = 0; c < lb.cols(); ++c) {
-      EXPECT_EQ(lb(r, c), eb(r, c)) << r << "," << c;
-    }
-  }
-}
-
 // --- TrackManager over slab storage -----------------------------------------
 
 TEST(HmmSlabTracks, WindowBracketMatchesStandaloneObserves) {

@@ -1,9 +1,9 @@
 // Property tests for the runtime-dispatched SIMD kernels (util/kernels.h).
 //
-// The dispatch contract is *bit-identity*: every level (scalar, SSE2, AVX2)
-// implements the same 4-lane striped pairwise reduction tree, so on any
+// The dispatch contract is *bit-identity*: both levels (scalar, AVX2)
+// implement the same 4-lane striped pairwise reduction tree, so on any
 // input -- NaN, infinities, signed zeros, denormals, hostile lengths,
-// unaligned pointers -- all supported levels must produce byte-for-byte the
+// unaligned pointers -- every supported level must produce byte-for-byte the
 // same results. These tests compare every supported level against the scalar
 // reference through std::bit_cast. The one exemption is NaN *payload* bits:
 // x86 NaN propagation is operand-order dependent and ISO C++ lets the
@@ -49,7 +49,7 @@ void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b
 /// self-check; unsupported levels are skipped).
 std::vector<Level> testable_levels() {
   std::vector<Level> out;
-  for (const Level l : {Level::scalar, Level::sse2, Level::avx2}) {
+  for (const Level l : {Level::scalar, Level::avx2}) {
     if (level_supported(l)) out.push_back(l);
   }
   return out;
@@ -110,7 +110,6 @@ TEST(KernelsTest, ReductionsBitIdenticalAcrossLevels) {
       expect_same_bits(k.dot(a.data(), b.data(), n), ref.dot(a.data(), b.data(), n),
                        "dot " + tag);
       expect_same_bits(k.sum(a.data(), n), ref.sum(a.data(), n), "sum " + tag);
-      expect_same_bits(k.sumsq(a.data(), n), ref.sumsq(a.data(), n), "sumsq " + tag);
       double s_got = 0.0;
       double q_got = 0.0;
       double s_want = 0.0;
@@ -119,10 +118,11 @@ TEST(KernelsTest, ReductionsBitIdenticalAcrossLevels) {
       ref.sum_sumsq(a.data(), n, &s_want, &q_want);
       expect_same_bits(s_got, s_want, "sum_sumsq.sum " + tag);
       expect_same_bits(q_got, q_want, "sum_sumsq.sumsq " + tag);
-      // The fused kernel is the separate reductions, one pass: each moment
-      // must equal its standalone kernel bit-for-bit at every level.
+      // The fused kernel is two striped reductions in one pass: the sum must
+      // equal sum() and the sum of squares dot(a, a) (same tree, same
+      // products) bit-for-bit at every level.
       expect_same_bits(s_got, k.sum(a.data(), n), "sum_sumsq vs sum " + tag);
-      expect_same_bits(q_got, k.sumsq(a.data(), n), "sum_sumsq vs sumsq " + tag);
+      expect_same_bits(q_got, k.dot(a.data(), a.data(), n), "sum_sumsq vs dot " + tag);
     }
   }
 }
@@ -243,38 +243,6 @@ TEST(KernelsTest, EmaScaleBumpRowsMatchesPerRowScaleThenBump) {
           want[offs[r] + cols[r]] += bump;
         }
         expect_same_bits(got, want, "ema_scale_bump_rows " + tag);
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, DivScaleRowsMatchesPerRowDivScale) {
-  const Kernels& ref = table(Level::scalar);
-  for (const Level level : testable_levels()) {
-    const Kernels& k = table(level);
-    for (const std::size_t n : {4ul, 8ul, 12ul}) {
-      for (const std::size_t count : {0ul, 1ul, 3ul, 9ul}) {
-        const std::size_t arena_rows = 12;
-        auto arena = hostile(arena_rows * n, 60 + n);
-        std::vector<std::size_t> offs(count);
-        std::vector<double> divisors(count);
-        std::mt19937_64 rng(99 + count);
-        for (std::size_t r = 0; r < count; ++r) {
-          offs[r] = (rng() % arena_rows) * n;
-          // Hostile divisors incl. zero: inf/NaN results must match too.
-          divisors[r] = (r % 4 == 0) ? 0.0 : static_cast<double>(rng() % 31) - 7.0;
-        }
-        const std::string tag = std::string(level_name(level)) + " n=" + std::to_string(n) +
-                                " count=" + std::to_string(count);
-
-        auto got = arena;
-        k.div_scale_rows(got.data(), offs.data(), divisors.data(), count, n);
-
-        auto want = arena;
-        for (std::size_t r = 0; r < count; ++r) {
-          ref.div_scale(want.data() + offs[r], n, divisors[r]);
-        }
-        expect_same_bits(got, want, "div_scale_rows " + tag);
       }
     }
   }
@@ -436,10 +404,9 @@ TEST(KernelsDispatchTest, ParseLevel) {
   Level l = Level::avx2;
   EXPECT_TRUE(parse_level("scalar", l));
   EXPECT_EQ(l, Level::scalar);
-  EXPECT_TRUE(parse_level("sse2", l));
-  EXPECT_EQ(l, Level::sse2);
   EXPECT_TRUE(parse_level("avx2", l));
   EXPECT_EQ(l, Level::avx2);
+  EXPECT_FALSE(parse_level("sse2", l));
   EXPECT_FALSE(parse_level("", l));
   EXPECT_FALSE(parse_level("AVX2", l));
   EXPECT_FALSE(parse_level("avx512", l));
@@ -447,7 +414,7 @@ TEST(KernelsDispatchTest, ParseLevel) {
 }
 
 TEST(KernelsDispatchTest, LevelNamesRoundTrip) {
-  for (const Level l : {Level::scalar, Level::sse2, Level::avx2}) {
+  for (const Level l : {Level::scalar, Level::avx2}) {
     Level parsed = Level::scalar;
     ASSERT_TRUE(parse_level(level_name(l), parsed));
     EXPECT_EQ(parsed, l);

@@ -66,10 +66,9 @@ TEST(ScreenMode, ParseRoundTrip) {
   EXPECT_EQ(m, ScreenMode::kOff);
   EXPECT_TRUE(parse_screen_mode("screen", m));
   EXPECT_EQ(m, ScreenMode::kScreen);
-  EXPECT_TRUE(parse_screen_mode("full", m));
-  EXPECT_EQ(m, ScreenMode::kFull);
+  EXPECT_FALSE(parse_screen_mode("full", m));
   EXPECT_FALSE(parse_screen_mode("banana", m));
-  for (const ScreenMode mode : {ScreenMode::kOff, ScreenMode::kScreen, ScreenMode::kFull}) {
+  for (const ScreenMode mode : {ScreenMode::kOff, ScreenMode::kScreen}) {
     ScreenMode back = ScreenMode::kOff;
     ASSERT_TRUE(parse_screen_mode(to_string(mode), back));
     EXPECT_EQ(back, mode);
@@ -204,7 +203,7 @@ TEST(ScreenBankTest, DecisionsBitIdenticalAcrossKernelLevels) {
   const std::size_t kSensors = 19;
   const std::size_t kWindows = 96;
   std::vector<kern::Level> levels;
-  for (const kern::Level l : {kern::Level::scalar, kern::Level::sse2, kern::Level::avx2}) {
+  for (const kern::Level l : {kern::Level::scalar, kern::Level::avx2}) {
     if (kern::level_supported(l)) levels.push_back(l);
   }
   ASSERT_FALSE(levels.empty());

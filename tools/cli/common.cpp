@@ -17,15 +17,15 @@ int usage() {
                "  sentinel_cli simulate <out.csv> [--days N] [--seed S] [--scenario KIND]\n"
                "  sentinel_cli analyze <trace.csv> [--window SECONDS] [--states K] [--json] [--auto]\n"
                "               [--checkpoint IN] [--save-checkpoint OUT] [--resume DIR]\n"
-               "               [--screen-mode off|screen|full] [--timers] [--metrics-json PATH]\n"
+               "               [--screen-mode off|screen] [--timers] [--metrics-json PATH]\n"
                "  sentinel_cli fleet <trace1> [<trace2> ...] [--window SECONDS] [--states K]\n"
                "               [--threads N] [--timers] [--metrics-json PATH]\n"
                "               [--resume DIR] [--checkpoint-every N]\n"
-               "               [--screen-mode off|screen|full]\n"
+               "               [--screen-mode off|screen]\n"
                "  sentinel_cli serve --bootstrap <trace> [--port P] [--port-file PATH]\n"
                "               [--window SECONDS] [--states K] [--threads N]\n"
                "               [--resume DIR] [--checkpoint-dir DIR] [--checkpoint-every N]\n"
-               "               [--checkpoint-interval SECONDS] [--screen-mode off|screen|full]\n"
+               "               [--checkpoint-interval SECONDS] [--screen-mode off|screen]\n"
                "  sentinel_cli stream [<trace1> ...] --port P [--frame-records N]\n"
                "               [--report] [--final] [--shutdown] [--metrics-json PATH]\n"
                "  sentinel_cli inject <in.csv> <out.csv> [--scenario KIND] [--seed S]\n"
@@ -98,7 +98,7 @@ void inject_pipeline_counters(util::MetricsSnapshot& snap, const std::string& pr
 bool apply_screen_mode(const Args& args, core::PipelineConfig& cfg) {
   const std::string mode = opt_str(args, "--screen-mode", "off");
   if (!screen::parse_screen_mode(mode.c_str(), cfg.screen.mode)) {
-    std::fprintf(stderr, "unknown --screen-mode '%s' (expected off|screen|full)\n", mode.c_str());
+    std::fprintf(stderr, "unknown --screen-mode '%s' (expected off|screen)\n", mode.c_str());
     return false;
   }
   return true;
