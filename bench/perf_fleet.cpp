@@ -22,7 +22,9 @@
 #include "common/scenario.h"
 #include "core/fleet.h"
 #include "metrics_main.h"
+#include "service/frame_reader.h"
 #include "sim/simulator.h"
+#include "trace/binary_trace.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -157,49 +159,77 @@ void BM_FleetIngestDiagnose(benchmark::State& state) {
                 static_cast<double>(state.iterations() * records_per_iter));
 }
 
-/// Steady-state fused ingest: one serial region, the decode -> window ->
-/// screen-cache data plane only (no finish/diagnose in the timed loop). A
-/// warm-up pass over the full trace grows every recycled buffer (windower
-/// slots, gather gathers, pipeline scratch, alarm rows); the counted pass
-/// replays the identical trace time-shifted by a whole number of windows, so
-/// every record takes the same path through warm state. The fused path's
-/// contract -- zero allocations per record at steady state -- is asserted
-/// in-bench (a tiny epsilon absorbs the amortized history-arena slabs and
-/// alarm-edge track churn, which are per-window, not per-record).
+/// Steady-state ingest: one region, the decode -> window -> screen-cache
+/// data plane only (no finish/diagnose in the timed loop), at `threads`
+/// workers. The region's stream is the trace three times over, each copy
+/// time-shifted by a whole number of windows past the one before (so the
+/// replayed records open fresh windows instead of arriving late), cut into
+/// 1024-record frames from its start. With frames:0 each frame arrives as
+/// an add_records span; with frames:1 as SNTRB1 bytes through
+/// service::FrameReader and FleetMonitor::ingest, the resident service's
+/// path. The warm-up pass feeds the frames that fit in the first two
+/// copies, growing every recycled buffer (windower slots, gathers, pipeline
+/// scratch, alarm rows, the ingest buffer) and creating the shard's record
+/// batches -- one per batch in flight, which the longer warm-up covers;
+/// the counted pass feeds the rest, so every record takes the same path
+/// through warm state. Both passes end with drain(), so at threads > 1
+/// every queued batch is applied and recycled inside the pass that queued
+/// it. The contract -- zero allocations per record at steady state -- is
+/// asserted in-bench (a tiny epsilon absorbs the amortized history-arena
+/// slabs, alarm-edge track churn and queue nodes, which are per window or
+/// per batch, not per record).
 void BM_FleetIngestSteadyState(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const bool frames = state.range(1) != 0;
   const FleetWorkload& w = workload();
   const std::vector<SensorRecord>& trace = w.traces[0];
-  constexpr std::size_t kBurst = 1024;
+  constexpr std::size_t kFrame = 1024;
 
-  // Shift pass 2 by the trace duration rounded up to a whole window so the
-  // replayed records open fresh windows instead of arriving late.
   const double window = w.pipeline_config.window_seconds;
   double t_max = 0.0;
   for (const auto& rec : trace) t_max = std::max(t_max, rec.time);
   const double shift = (std::floor(t_max / window) + 1.0) * window;
-  std::vector<SensorRecord> shifted = trace;
-  for (auto& rec : shifted) rec.time += shift;
+  std::vector<SensorRecord> stream;
+  for (const double offset : {0.0, shift, 2.0 * shift}) {
+    for (const auto& rec : trace) stream.push_back({rec.sensor, rec.time + offset, rec.attrs});
+  }
+  const std::size_t warm = 2 * trace.size() / kFrame * kFrame;
+
+  const std::size_t dims = trace.front().attrs.size();
+  const std::size_t record_bytes = binary_trace_record_bytes(dims);
+  std::vector<unsigned char> wire(stream.size() * record_bytes);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    encode_binary_record(wire.data() + i * record_bytes, stream[i]);
+  }
+  service::FrameReader reader(dims);
+
+  const auto feed = [&](core::FleetMonitor& fleet, std::size_t begin, std::size_t end) {
+    for (std::size_t off = begin; off < end; off += kFrame) {
+      const std::size_t len = std::min(kFrame, end - off);
+      if (frames) {
+        reader.reset(wire.data() + off * record_bytes, len);
+        fleet.ingest("r", reader);
+      } else {
+        fleet.add_records("r", {stream.data() + off, len});
+      }
+    }
+    fleet.drain();
+  };
 
   std::uint64_t hot_allocs = 0;
   std::uint64_t hot_records = 0;
   for (auto _ : state) {
     state.PauseTiming();
     core::FleetConfig fc;
-    fc.threads = 1;
+    fc.threads = threads;
     core::FleetMonitor fleet(fc);
     fleet.add_region("r", w.pipeline_config);
-    for (std::size_t off = 0; off < trace.size(); off += kBurst) {
-      const std::size_t len = std::min(kBurst, trace.size() - off);
-      fleet.add_records("r", {trace.data() + off, len});
-    }
+    feed(fleet, 0, warm);
     state.ResumeTiming();
     const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (std::size_t off = 0; off < shifted.size(); off += kBurst) {
-      const std::size_t len = std::min(kBurst, shifted.size() - off);
-      fleet.add_records("r", {shifted.data() + off, len});
-    }
+    feed(fleet, warm, stream.size());
     hot_allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
-    hot_records += shifted.size();
+    hot_records += stream.size() - warm;
     benchmark::DoNotOptimize(fleet.region("r").windows_processed());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(hot_records));
@@ -210,7 +240,7 @@ void BM_FleetIngestSteadyState(benchmark::State& state) {
       static_cast<double>(hot_records), benchmark::Counter::kIsRate);
   state.counters["allocs_per_record"] = benchmark::Counter(allocs_per_record);
   if (allocs_per_record > 0.01) {
-    state.SkipWithError("fused ingest path allocated at steady state");
+    state.SkipWithError("fleet ingest path allocated at steady state");
   }
 }
 
@@ -326,7 +356,11 @@ BENCHMARK(BM_FleetIngestDiagnose)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-BENCHMARK(BM_FleetIngestSteadyState)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_FleetIngestSteadyState)
+    ->ArgsProduct({{1, 4}, {0, 1}})
+    ->ArgNames({"threads", "frames"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 BENCHMARK(BM_FleetCheckpointOverhead)
     ->Arg(0)

@@ -147,14 +147,15 @@ std::string to_string(const FleetReport& r) {
 /// producer_buf, hands whole batches and windows to `queue` -- one FIFO, so
 /// they apply in the caller's order -- and only the single drain task in
 /// flight (`draining`) advances the pipeline: the single-writer invariant.
+/// Applied batches come back through `spare` for the producer to refill.
 struct FleetMonitor::Shard {
   Shard(std::string region_name, DetectionPipeline& p, RegionState& s)
       : name(std::move(region_name)), pipeline(&p), state(&s) {}
 
   /// Records an item stands for: a batch's size, a window's sensor count.
   static std::size_t weight(const QueueItem& item) {
-    const auto* recs = std::get_if<std::vector<SensorRecord>>(&item);
-    return recs != nullptr ? recs->size() : std::get<ObservationSet>(item).sensor_count();
+    const auto* batch = std::get_if<RecordBatch>(&item);
+    return batch != nullptr ? batch->size() : std::get<ObservationSet>(item).sensor_count();
   }
 
   /// Make one pipeline call (`what` names it in the status message). A
@@ -179,13 +180,14 @@ struct FleetMonitor::Shard {
   const std::string name;
   DetectionPipeline* const pipeline;
   RegionState* const state;                // the region's entry in health_
-  std::uint64_t ckpt_anchor = 0;           // records_ingested at the last checkpoint
-  std::vector<SensorRecord> producer_buf;  // threads > 1: records not yet handed off
+  std::uint64_t ckpt_anchor = 0;  // records_ingested at the last checkpoint
+  RecordBatch producer_buf;       // threads > 1: records not yet handed off
 
   // Guarded by mu.
   std::mutex mu;
   std::condition_variable cv;     // queue shrank or drain task finished
   std::deque<QueueItem> queue;    // batches move in whole; drained FIFO
+  std::vector<RecordBatch> spare; // applied batches, cleared with capacity kept
   std::size_t queue_records = 0;  // summed weight of `queue`, for backpressure
   bool draining = false;          // a pool task owns this shard's pipeline
   std::exception_ptr error;       // first pipeline failure, folded into health
@@ -454,7 +456,15 @@ void FleetMonitor::add_records(const std::string& region, std::span<const Sensor
     // One fused span pass through the windower, in place: no copy, no queue.
     if (!sh->run("pipeline", recs.size(), [&] { sh->pipeline->add_records(recs); })) absorb(*sh);
   } else {
-    sh->producer_buf.insert(sh->producer_buf.end(), recs.begin(), recs.end());
+    if (sh->producer_buf.empty()) {
+      // Start the next batch in one the drain task recycled, if one is back.
+      std::lock_guard<std::mutex> lock(sh->mu);
+      if (!sh->spare.empty()) {
+        sh->producer_buf = std::move(sh->spare.back());
+        sh->spare.pop_back();
+      }
+    }
+    sh->producer_buf.append(recs);
     if (sh->producer_buf.size() >= cfg_.batch_records) flush_shard(*sh);
   }
   maybe_checkpoint(*sh);
@@ -524,7 +534,6 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
   if (batch_records == 0) batch_records = TraceReader::kDefaultBatch;
   RegionState& st = state_of(region);  // throws on unknown region
   IngestSummary sum;
-  std::vector<SensorRecord> batch;
   const MalformedCounts before = st.malformed;
   const std::size_t comment_base = st.comment_lines;
   const std::uint64_t block_base = st.backpressure_block_ns;
@@ -563,7 +572,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
     if (st.health == RegionHealth::kQuarantined) break;
     std::size_t n = 0;
     try {
-      n = reader.read_batch(batch, batch_records);
+      n = reader.read_batch(ingest_buf_, batch_records);
     } catch (...) {
       const auto err = std::current_exception();
       quarantine(st,
@@ -580,7 +589,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
       st.malformed = before;
       st.malformed += reader.malformed() - skip_malformed;
       st.comment_lines = comment_base + (reader.comment_lines() - skip_comments);
-      add_records(region, batch);
+      add_records(region, {ingest_buf_.data(), n});
       sum.records += n;
       SENTINEL_FAULT_POINT(util::fault::kIngestBatch);
     }
@@ -653,8 +662,10 @@ FleetMonitor::IngestSummary FleetMonitor::ingest_file(const std::string& region,
 
 void FleetMonitor::flush_shard(Shard& sh) const {
   if (sh.producer_buf.empty()) return;
-  // Whole-batch handoff: one vector move, no per-record copies. The drain
-  // side applies the batch as a single fused span.
+  // Whole-batch handoff: the batch's columns move into the queue, and
+  // add_records starts the next one in a spare the drain task recycled, so
+  // each record is copied into memory the shard already owns. The drain
+  // side applies the batch as a single fused pass.
   enqueue(sh, std::move(sh.producer_buf));
   sh.producer_buf.clear();
 }
@@ -700,11 +711,19 @@ void FleetMonitor::enqueue(Shard& sh, QueueItem item) const {
 }
 
 void FleetMonitor::drain_shard(Shard& sh) const {
+  std::deque<QueueItem> items;
   for (;;) {
-    std::deque<QueueItem> items;
     std::size_t taken = 0;
     {
       std::lock_guard<std::mutex> lock(sh.mu);
+      // The batches just applied go back, emptied, for add_records to refill.
+      for (QueueItem& item : items) {
+        if (auto* batch = std::get_if<RecordBatch>(&item)) {
+          batch->clear();
+          sh.spare.push_back(std::move(*batch));
+        }
+      }
+      items.clear();
       if (sh.queue.empty()) {
         sh.draining = false;
         sh.cv.notify_all();
@@ -719,8 +738,8 @@ void FleetMonitor::drain_shard(Shard& sh) const {
     for (auto it = items.begin(); it != items.end(); ++it) {
       const QueueItem& item = *it;
       const bool ok = sh.run("pipeline", Shard::weight(item), [&] {
-        if (const auto* recs = std::get_if<std::vector<SensorRecord>>(&item)) {
-          sh.pipeline->add_records(*recs);
+        if (const auto* batch = std::get_if<RecordBatch>(&item)) {
+          sh.pipeline->add_batch(*batch);
         } else {
           sh.pipeline->process_window(std::get<ObservationSet>(item));
         }

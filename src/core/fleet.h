@@ -162,17 +162,20 @@ struct FleetConfig {
   /// Per-region ingest queue bound (records; threads > 1). add_record and
   /// add_window block once a region's queue is this deep -- backpressure
   /// instead of unbounded memory when producers outrun the pipelines.
-  /// Deeper queues cost memory (~100 B/record) but reduce producer stalls
-  /// on oversubscribed machines.
+  /// Deeper queues cost memory (a queued record takes 16 B plus 8 B per
+  /// attribute in its flat batch: 32 B at two attributes) but reduce
+  /// producer stalls on oversubscribed machines.
   /// Backpressure is a documented-healthy state: the wait is counted
   /// (fleet.backpressure_waits), not a health transition.
   std::size_t max_queue_records = 16384;
-  /// Producer-side batch (threads > 1): add_record appends to an unlocked
-  /// per-region buffer and only takes the shard lock every `batch_records`
-  /// records. Per-record pipeline cost is tiny (real work happens once per
-  /// closed window), so unbatched handoff would spend more on locking and
-  /// worker wakeups than on detection. 1 = hand off every record
-  /// immediately.
+  /// Producer-side batch (threads > 1): add_record copies records into the
+  /// region's flat RecordBatch without the shard lock and hands the batch
+  /// over once it holds `batch_records` records. The drain task clears each
+  /// applied batch and returns it to the region, which starts its next
+  /// batch in it, so a warm handoff allocates nothing. Per-record pipeline
+  /// cost is tiny (real work happens once per closed window), so unbatched
+  /// handoff would spend more on locking and worker wakeups than on
+  /// detection. 1 = hand off every record immediately.
   std::size_t batch_records = 256;
   /// Health-transition thresholds (see RegionHealthConfig).
   RegionHealthConfig health;
@@ -361,8 +364,9 @@ class FleetMonitor {
  private:
   struct Shard;      // per-region ingest shard (defined in fleet.cpp)
   struct Committer;  // checkpoint fsync/rename thread (defined in fleet.cpp)
-  /// One unit of a shard's queue: a producer batch of records, or a window.
-  using QueueItem = std::variant<std::vector<SensorRecord>, ObservationSet>;
+  /// One unit of a shard's queue: a producer batch of records (flat, and
+  /// recycled once applied), or a window.
+  using QueueItem = std::variant<RecordBatch, ObservationSet>;
 
   void register_region(const std::string& name, DetectionPipeline& pipeline);
   Shard& shard_of(const std::string& name) const;  // throws on unknown region
@@ -403,6 +407,10 @@ class FleetMonitor {
   std::unique_ptr<Committer> committer_;
   /// report_snapshot() sequence number. Caller thread only.
   std::uint64_t snapshot_epoch_ = 0;
+  /// ingest()'s read buffer, kept across calls so a service that ingests
+  /// one frame per call reuses its records' attribute storage. Caller
+  /// thread only, like the rest of the ingestion API.
+  std::vector<SensorRecord> ingest_buf_;
 
   /// Health records, keyed like regions_. Only the caller (producer) thread
   /// reads or writes these -- workers report through their Shard and the

@@ -146,12 +146,22 @@ void DetectionPipeline::add_record(const SensorRecord& rec) {
   add_records(std::span<const SensorRecord>(&rec, 1));
 }
 
+struct DetectionPipeline::WindowSink {
+  DetectionPipeline& p;
+  void operator()(ObservationSet&& window) const { p.process_window(window); }
+  void operator()(Windower::EmptyWindows gap) const { p.windows_skipped_ += gap.count; }
+};
+
 void DetectionPipeline::add_records(std::span<const SensorRecord> recs) {
   // One fused pass: the windower's columnar accumulators run inline over the
   // batch, and each completed window is processed in place through the
   // recycled emission object -- no per-record virtual dispatch, no window
   // materialization, and (keep_raw off) no allocations per record.
-  windower_.add_batch(recs, [this](ObservationSet&& window) { process_window(window); });
+  windower_.add_batch(recs, WindowSink{*this});
+}
+
+void DetectionPipeline::add_batch(const RecordBatch& batch) {
+  windower_.add_batch(batch, WindowSink{*this});
 }
 
 void DetectionPipeline::finish() {

@@ -152,6 +152,10 @@ class DetectionPipeline {
   /// calling add_record on each element in order.
   void add_records(std::span<const SensorRecord> recs);
 
+  /// The same pass over a flat batch: what a threads > 1 fleet's drain task
+  /// applies (see core/fleet.h).
+  void add_batch(const RecordBatch& batch);
+
   /// Close the final partial window.
   void finish();
 
@@ -218,6 +222,11 @@ class DetectionPipeline {
   const PipelineConfig& config() const { return cfg_; }
 
  private:
+  /// The windower callback of add_records/add_batch: processes each completed
+  /// window in place, and counts a run of empty windows as skipped in one
+  /// step (each would fail the min_sensors_per_window >= 1 gate).
+  struct WindowSink;
+
   /// The kScreen per-window path: per-sensor screens decide who takes the
   /// full mapping/alarm/HMM stages; screened sensors vote as a bloc through
   /// their collective mean. Shares the caller's flat representative arrays.

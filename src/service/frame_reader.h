@@ -37,6 +37,9 @@ class FrameReader final : public TraceReader {
 
   std::size_t read_batch(std::vector<SensorRecord>& out, std::size_t max_records) override {
     const std::size_t n = std::min(max_records, count_ - next_);
+    // End of frame: leave `out` alone. Shrinking it would free every
+    // record's attribute storage, which the next frame decodes into.
+    if (n == 0) return 0;
     if (out.size() < n) out.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       decode_binary_record(base_ + (next_ + i) * record_bytes_, dims_, out[i]);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,39 @@ struct SensorRecord {
   AttrVec attrs;      // <x_1, ..., x_n>
 
   bool operator==(const SensorRecord&) const = default;
+};
+
+/// A flat batch of records: one column per field, and every record's
+/// attributes back to back in one arena (record i's widths[i] values follow
+/// record i-1's). Widths are per record because one feed may mix them --
+/// the windower must see a stray wider record in order, and reject it as it
+/// would a SensorRecord. clear() keeps every column's capacity, so a batch
+/// that is refilled and cleared in a loop stops allocating once it has held
+/// its largest fill.
+struct RecordBatch {
+  std::vector<SensorId> sensors;
+  std::vector<double> times;
+  std::vector<std::uint32_t> widths;
+  std::vector<double> attrs;
+
+  std::size_t size() const { return sensors.size(); }
+  bool empty() const { return sensors.empty(); }
+
+  void clear() {
+    sensors.clear();
+    times.clear();
+    widths.clear();
+    attrs.clear();
+  }
+
+  void append(std::span<const SensorRecord> recs) {
+    for (const SensorRecord& r : recs) {
+      sensors.push_back(r.sensor);
+      times.push_back(r.time);
+      widths.push_back(static_cast<std::uint32_t>(r.attrs.size()));
+      attrs.insert(attrs.end(), r.attrs.begin(), r.attrs.end());
+    }
+  }
 };
 
 /// Names of the attribute dimensions (e.g. {"temperature", "humidity"}).

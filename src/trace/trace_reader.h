@@ -45,8 +45,10 @@ class TraceReader {
 
   /// Fill `out` with up to `max_records` records, reusing its storage
   /// (records beyond the previous batch's size are value-constructed; attr
-  /// vectors keep their capacity). Returns out.size(); 0 means end of
-  /// stream -- clean or broken; check status() to tell which. Records
+  /// vectors keep their capacity). Returns the number read, and out.size()
+  /// equals it when it is > 0. 0 means end of stream -- clean or broken;
+  /// check status() to tell which -- and leaves the contents of `out`
+  /// unspecified, so callers test the return value, not `out`. Records
   /// arrive in file order.
   virtual std::size_t read_batch(std::vector<SensorRecord>& out, std::size_t max_records) = 0;
 

@@ -28,6 +28,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -125,6 +126,14 @@ class Windower {
   explicit Windower(double window_seconds)
       : Windower(WindowerConfig{window_seconds, /*keep_raw=*/true}) {}
 
+  /// A run of `count` consecutive empty windows, handed to a callback that
+  /// accepts one instead of `count` empty ObservationSets. A timestamp far in
+  /// the future (clamped to window 9e18) opens a gap no per-window loop
+  /// finishes.
+  struct EmptyWindows {
+    std::size_t count = 0;
+  };
+
   /// Add a record. Returns any windows completed by this record's arrival
   /// (possibly more than one if time jumped; empty windows are emitted so the
   /// caller sees gaps explicitly -- the pipeline skips them).
@@ -145,29 +154,21 @@ class Windower {
   /// allocator and no map. Completed windows are delivered to
   /// `on_window(ObservationSet&&)` in order; the emission object is recycled
   /// across windows when the callback reads it in place (the pipeline does).
+  /// A gap of empty windows arrives as one `on_window(EmptyWindows)` when the
+  /// callback accepts that, else as one empty ObservationSet per window.
   template <typename Fn>
   void add_batch(std::span<const SensorRecord> recs, Fn&& on_window) {
-    for (const SensorRecord& rec : recs) {
-      const auto idx = index_for(rec.time);
-      if (current_index_ == 0) {
-        open_window(idx);
-      } else if (idx < current_index_) {
-        ++late_records_;
-        continue;
-      } else if (idx > current_index_) {
-        finalize_into(out_);
-        on_window(std::move(out_));
-        // Emit empty windows for any gap so downstream sees time holes.
-        for (std::size_t i = current_index_ + 1; i < idx; ++i) {
-          ObservationSet empty;
-          empty.window_index = i;
-          empty.window_start = window_seconds_ * static_cast<double>(i - 1);
-          empty.window_end = window_seconds_ * static_cast<double>(i);
-          on_window(std::move(empty));
-        }
-        open_window(idx);
-      }
-      accumulate(rec);
+    for (const SensorRecord& rec : recs) step(rec.sensor, rec.time, rec.attrs, on_window);
+  }
+
+  /// The same pass over a flat batch (the fleet's shard queues carry these).
+  template <typename Fn>
+  void add_batch(const RecordBatch& batch, Fn&& on_window) {
+    const double* attrs = batch.attrs.data();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::size_t width = batch.widths[i];
+      step(batch.sensors[i], batch.times[i], {attrs, width}, on_window);
+      attrs += width;
     }
   }
 
@@ -197,11 +198,42 @@ class Windower {
   static constexpr std::uint32_t kDimsUnset = 0xFFFFFFFFu;
   static constexpr std::size_t kGatherCap = 256;
 
+  /// One record through the window bookkeeping: both add_batch overloads
+  /// run this, in input order.
+  template <typename Fn>
+  void step(SensorId sensor, double time, std::span<const double> attrs, Fn& on_window) {
+    const auto idx = index_for(time);
+    if (current_index_ == 0) {
+      open_window(idx);
+    } else if (idx < current_index_) {
+      ++late_records_;
+      return;
+    } else if (idx > current_index_) {
+      finalize_into(out_);
+      on_window(std::move(out_));
+      // Emit empty windows for any gap so downstream sees time holes.
+      if constexpr (std::is_invocable_v<Fn&, EmptyWindows>) {
+        if (idx - current_index_ > 1) on_window(EmptyWindows{idx - current_index_ - 1});
+      } else {
+        for (std::size_t i = current_index_ + 1; i < idx; ++i) {
+          ObservationSet empty;
+          empty.window_index = i;
+          empty.window_start = window_seconds_ * static_cast<double>(i - 1);
+          empty.window_end = window_seconds_ * static_cast<double>(i);
+          on_window(std::move(empty));
+        }
+      }
+      open_window(idx);
+    }
+    accumulate(sensor, time, attrs);
+  }
+
   void open_window(std::size_t index);
   std::size_t index_for(double time);
-  /// Log `rec` into the recycled arrival-order log and update the columnar
-  /// accumulators (gather-deferred adds). Allocation-free at steady state.
-  void accumulate(const SensorRecord& rec);
+  /// Log the record into the recycled arrival-order log and update the
+  /// columnar accumulators (gather-deferred adds). Allocation-free at steady
+  /// state.
+  void accumulate(SensorId sensor, double time, std::span<const double> attrs);
   void accumulate_entry(const SensorRecord& e);
   std::uint32_t slot_for(SensorId id);
   void grow_stride(std::size_t dims);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -300,6 +301,55 @@ TEST(FleetParallel, RecordsAndWindowsApplyInCallerOrder) {
   };
   const std::string want = run(1);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(run(4), want) << "threads=4 run " << i;
+}
+
+TEST(FleetParallel, MixedWidthBatchesKeepTheirArenaOffsets) {
+  // Late 3-dim records ride in a 2-dim region's spans. The windower drops a
+  // late record before it would accumulate it, so they must change nothing
+  // but the late count. With 16-record batches every queued batch at
+  // threads=4 mixes both widths in its attribute arena; a batch that does
+  // not step past a dropped record's attributes feeds shifted values on.
+  const CycleEnvironment env;
+  const auto trace = simulate_region(env, 2.0 * kSecondsPerDay, 31);
+  std::vector<SensorRecord> mixed;
+  std::size_t late = 0;
+  for (const auto& rec : trace) {
+    mixed.push_back(rec);
+    if (rec.time >= 2.0 * kSecondsPerHour && mixed.size() % 5 == 0) {
+      mixed.push_back({rec.sensor, 0.0, {99.0, 99.0, 99.0}});  // window 1: long closed
+      ++late;
+    }
+  }
+  ASSERT_GT(late, 100u);
+
+  struct Outcome {
+    std::string bytes;  // report, then the region's checkpoint
+    std::size_t late_records = 0;
+  };
+  const auto run = [](const std::vector<SensorRecord>& feed, std::size_t threads) {
+    FleetConfig fc;
+    fc.threads = threads;
+    fc.batch_records = 16;
+    FleetMonitor fleet(fc);
+    fleet.add_region("r", region_config());
+    for (std::size_t off = 0; off < feed.size(); off += 7) {
+      fleet.add_records("r", {feed.data() + off, std::min<std::size_t>(7, feed.size() - off)});
+    }
+    fleet.finish();
+    std::ostringstream checkpoint;
+    fleet.region("r").save_checkpoint(checkpoint);
+    return Outcome{to_string(fleet.diagnose()) + checkpoint.str(),
+                   fleet.region("r").counters().late_records};
+  };
+  const Outcome clean = run(trace, 1);
+  const Outcome serial = run(mixed, 1);
+  EXPECT_EQ(serial.late_records, clean.late_records + late);
+  EXPECT_EQ(serial.bytes, clean.bytes);
+  for (int i = 0; i < 3; ++i) {
+    const Outcome parallel = run(mixed, 4);
+    EXPECT_EQ(parallel.bytes, serial.bytes) << "threads=4 run " << i;
+    EXPECT_EQ(parallel.late_records, serial.late_records) << "threads=4 run " << i;
+  }
 }
 
 TEST(FleetParallel, DrainIsQuiescencePoint) {

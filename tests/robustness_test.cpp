@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <sstream>
+#include <thread>
 
+#include "core/fleet.h"
 #include "core/pipeline.h"
 #include "faults/attack_models.h"
 #include "faults/fault_models.h"
@@ -185,6 +191,57 @@ TEST(Robustness, AllSameValueTraceDoesNotDivide) {
   const auto report = p.diagnose();
   EXPECT_EQ(report.network.verdict, core::Verdict::kNormal);
   EXPECT_TRUE(report.sensors.empty());
+}
+
+/// Run `fn` on its own thread with a deadline. A call still running past it
+/// is a hang the test cannot unwind (the thread cannot be cancelled), so it
+/// fails the test and ends the process instead of stalling the whole suite.
+template <typename Fn>
+void run_with_deadline(std::chrono::seconds deadline, Fn fn) {
+  std::packaged_task<void()> task(std::move(fn));
+  std::future<void> done = task.get_future();
+  std::thread worker(std::move(task));
+  if (done.wait_for(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << "call still running after " << deadline.count() << " s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  worker.join();
+  done.get();  // rethrows a failure from the call
+}
+
+/// Windows skipped by a pipeline fed five sensors at t = 0 and then one
+/// record at `t`, through a one-region fleet at `threads` (threads > 1 hands
+/// the records over as a queued batch).
+std::size_t skipped_after_jump(double t, std::size_t threads) {
+  core::FleetConfig fc;
+  fc.threads = threads;
+  core::FleetMonitor fleet(fc);
+  core::PipelineConfig cfg = small_config();
+  cfg.window_seconds = kSecondsPerHour;
+  fleet.add_region("r", cfg);
+  std::vector<SensorRecord> recs;
+  for (SensorId s = 0; s < 5; ++s) recs.push_back({s, 0.0, {0.0, 0.0}});
+  recs.push_back({0, t, {0.0, 0.0}});
+  run_with_deadline(std::chrono::seconds(10), [&] {
+    fleet.add_records("r", recs);
+    fleet.drain();
+  });
+  EXPECT_EQ(fleet.region_health("r").health, core::RegionHealth::kHealthy);
+  EXPECT_EQ(fleet.region("r").windows_processed(), 1u);
+  return fleet.region("r").windows_skipped();
+}
+
+TEST(Robustness, FarFutureTimestampSkipsTheGapAtOnce) {
+  // t = 1e300 clamps to window 9e18; every window between it and window 1
+  // is empty, so each would be skipped -- the pipeline counts the whole gap
+  // in one step, because walking ~9e18 windows never finishes.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_EQ(skipped_after_jump(1e300, threads), std::size_t{8999999999999999998u})
+        << "threads=" << threads;
+    // A long but finite jump counts exactly the windows it crosses.
+    EXPECT_EQ(skipped_after_jump(3.6e9, threads), 999999u) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -207,6 +207,25 @@ TEST(ServiceFraming, RecordCodecRoundTripsThroughFrameReader) {
   }
 }
 
+TEST(ServiceFraming, FrameReaderEndOfFrameKeepsTheBatch) {
+  // The server ingests one frame per call into one reused batch. The call
+  // that finds the frame drained must not shrink that batch: doing so frees
+  // every record's attribute storage, which the next frame decodes into.
+  const std::size_t rb = binary_trace_record_bytes(2);
+  std::vector<unsigned char> wire(8 * rb);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    encode_binary_record(wire.data() + i * rb, SensorRecord{i, 1.0 * i, AttrVec{1.0, 2.0}});
+  }
+  service::FrameReader reader(2);
+  reader.reset(wire.data(), 8);
+  std::vector<SensorRecord> out;
+  ASSERT_EQ(reader.read_batch(out, 64), 8u);
+  const double* storage = out[0].attrs.data();
+  EXPECT_EQ(reader.read_batch(out, 64), 0u);
+  ASSERT_EQ(out.size(), 8u);
+  EXPECT_EQ(out[0].attrs.data(), storage);
+}
+
 TEST(ServiceDeterminism, SingleConnectionMatchesIngestFile) {
   const std::string want = batch_report(1, 1);
   ASSERT_FALSE(want.empty());

@@ -127,8 +127,7 @@ int cmd_stream(const Args& args) {
     std::vector<SensorRecord> first;
     std::size_t dims = reader->dims();
     if (dims == 0) {
-      reader->read_batch(first, TraceReader::kDefaultBatch);
-      if (first.empty()) {
+      if (reader->read_batch(first, TraceReader::kDefaultBatch) == 0) {
         std::fprintf(stderr, "[region %s] no parseable records in %s\n", name.c_str(),
                      path.c_str());
         return 1;
