@@ -267,13 +267,17 @@ class FleetMonitor {
   };
 
   /// Streaming ingestion: pump `reader` dry into `region` in batches of
-  /// `batch_records` (0 = TraceReader::kDefaultBatch). Peak memory is one
-  /// batch regardless of trace size, and the records flow through the same
-  /// add_records path as bulk ingestion, so the resulting FleetReport is
-  /// byte-identical to reading the whole trace up front. Malformed lines
-  /// are attributed to the region per cause; a malformed-rate breach or a
-  /// non-ok reader status (truncation, mid-stream loss) transitions the
-  /// region's health instead of throwing.
+  /// `batch_records` (0 = TraceReader::kDefaultBatch). Memory is one batch
+  /// plus the reader's own fixed read-ahead (for CSV, a few decoded chunks
+  /// and the mapped pages behind them; see trace/trace_reader.h), whatever
+  /// the trace size, and the records flow through the same add_records path
+  /// as bulk ingestion, so the resulting FleetReport is byte-identical to
+  /// reading the whole trace up front. Malformed lines are attributed to the
+  /// region per cause; a malformed-rate breach or a non-ok reader status
+  /// (truncation, mid-stream loss) transitions the region's health instead
+  /// of throwing. The rate is checked after every batch against the
+  /// reader's tallies, which equal a serial read's after every call, so a
+  /// hostile feed is cut off at the same line at any thread count.
   /// `skip_records` fast-forwards the reader past records a restored
   /// checkpoint already covers (see add_region_resumed) before ingesting the
   /// tail; a trace shorter than the skip quarantines the region (its

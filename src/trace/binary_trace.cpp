@@ -228,9 +228,10 @@ std::size_t BinaryTraceReader::read_batch(std::vector<SensorRecord>& out,
       remaining < max_records ? remaining : static_cast<std::uint64_t>(max_records));
   if (out.size() < n) out.resize(n);
   if (map_) {
-    const auto* base = reinterpret_cast<const unsigned char*>(map_->view().data()) +
-                       kBinaryTraceHeaderBytes + next_ * record_bytes_;
+    const std::size_t begin = kBinaryTraceHeaderBytes + next_ * record_bytes_;
+    const auto* base = reinterpret_cast<const unsigned char*>(map_->view().data()) + begin;
     for (std::size_t i = 0; i < n; ++i) decode(base + i * record_bytes_, out[i]);
+    map_->release_prefix(begin + n * record_bytes_);
   } else {
     chunk_.resize(n * record_bytes_);
     in_.read(chunk_.data(), static_cast<std::streamsize>(chunk_.size()));

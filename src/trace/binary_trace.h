@@ -88,8 +88,10 @@ class BinaryTraceWriter {
 void write_trace_binary_file(const std::string& path, const std::vector<SensorRecord>& records);
 
 /// Batch reader for SNTRB1 files; mmap with buffered-stream fallback, same
-/// interface as CsvTraceReader. Structural header problems (wrong magic,
-/// impossible dims/record_bytes, dims mismatch) throw std::runtime_error
+/// interface as CsvTraceReader. Mapped pages behind the records handed out
+/// are released as the reader goes (util::MappedFile::release_prefix).
+/// Structural header problems (wrong magic, impossible dims/record_bytes,
+/// dims mismatch) throw std::runtime_error
 /// from the constructor with a message naming the file and the defect --
 /// such a file was never a readable trace. A *truncated* file (header
 /// promises more records than the bytes hold: a writer crash, a partial

@@ -34,7 +34,7 @@ namespace {
 // re-parses through the general path, so accept/reject semantics never
 // change; this only removes the per-field split + trim + call overhead from
 // the common case.
-bool parse_simple_line(std::string_view line, std::size_t dims, SensorRecord& rec) {
+bool parse_simple_line(std::string_view line, std::size_t dims, RecordBatch& out) {
   const char* p = line.data();
   const char* const end = p + line.size();
 
@@ -83,18 +83,20 @@ bool parse_simple_line(std::string_view line, std::size_t dims, SensorRecord& re
   if (!parse_field(time) || p == end || *p != ',') return false;
   ++p;
 
-  rec.attrs.resize(dims);
-  for (std::size_t i = 0; i < dims; ++i) {
-    if (!parse_field(rec.attrs[i])) return false;
-    if (i + 1 < dims) {
-      if (p == end || *p != ',') return false;
-      ++p;
-    }
+  const std::size_t base = out.attrs.size();
+  out.attrs.resize(base + dims);
+  double* const attrs = out.attrs.data() + base;
+  bool ok = true;
+  for (std::size_t i = 0; ok && i < dims; ++i) {
+    ok = parse_field(attrs[i]) && (i + 1 == dims || (p != end && *p++ == ','));
   }
-  if (p != end) return false;  // trailing garbage / extra fields: re-check slowly
-
-  rec.sensor = static_cast<SensorId>(id);
-  rec.time = time;
+  if (!ok || p != end) {  // trailing garbage / extra fields: re-check slowly
+    out.attrs.resize(base);
+    return false;
+  }
+  out.sensors.push_back(static_cast<SensorId>(id));
+  out.times.push_back(time);
+  out.widths.push_back(static_cast<std::uint32_t>(dims));
   return true;
 }
 
@@ -107,15 +109,16 @@ std::string to_string(const MalformedCounts& m) {
          std::to_string(m.bad_number) + ")";
 }
 
-LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, SensorRecord& rec,
+LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, RecordBatch& out,
                            std::vector<std::string_view>& fields) {
   if (line.empty()) return LineParse::kBlank;
   if (line.front() == '#') return LineParse::kComment;
-  if (expected_dims != 0 && parse_simple_line(line, expected_dims, rec)) {
+  if (expected_dims != 0 && parse_simple_line(line, expected_dims, out)) {
     return LineParse::kRecord;
   }
   csv::split_into(line, fields);
-  if (fields.size() < 3) return LineParse::kBadFieldCount;
+  // A width must fit RecordBatch::widths; no real line comes near.
+  if (fields.size() < 3 || fields.size() - 2 > UINT32_MAX) return LineParse::kBadFieldCount;
   const std::size_t dims = fields.size() - 2;
   if (expected_dims == 0) {
     expected_dims = dims;
@@ -137,14 +140,19 @@ LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, Se
   }
   const auto t = csv::parse_double(fields[1]);
   if (!t) return LineParse::kBadNumber;
-  rec.sensor = sensor;
-  rec.time = *t;
-  rec.attrs.resize(dims);
+  const std::size_t base = out.attrs.size();
+  out.attrs.resize(base + dims);
   for (std::size_t i = 0; i < dims; ++i) {
     const auto v = csv::parse_double(fields[i + 2]);
-    if (!v) return LineParse::kBadNumber;
-    rec.attrs[i] = *v;
+    if (!v) {
+      out.attrs.resize(base);
+      return LineParse::kBadNumber;
+    }
+    out.attrs[base + i] = *v;
   }
+  out.sensors.push_back(sensor);
+  out.times.push_back(*t);
+  out.widths.push_back(static_cast<std::uint32_t>(dims));
   return LineParse::kRecord;
 }
 
@@ -152,11 +160,14 @@ TraceReadResult read_trace(std::istream& in, std::size_t expected_dims) {
   TraceReadResult result;
   std::string line;
   std::vector<std::string_view> fields;
-  SensorRecord rec;
+  RecordBatch rec;  // holds the one line just parsed
   while (std::getline(in, line)) {
+    rec.clear();
     const LineParse p = parse_trace_line(line, expected_dims, rec, fields);
     switch (p) {
-      case LineParse::kRecord: result.records.push_back(rec); break;
+      case LineParse::kRecord:
+        result.records.push_back({rec.sensors[0], rec.times[0], rec.attrs});
+        break;
       case LineParse::kComment: ++result.comment_lines; break;
       case LineParse::kBlank: break;
       default: result.malformed.count(p); break;

@@ -8,10 +8,10 @@
 //
 // Two readers share the per-line grammar below, so they accept identical
 // record sets: read_trace (istream + getline, the simple path) and the
-// zero-copy batch reader in trace/trace_reader.h (mmap + string_view slicing,
-// the fast path). read_trace_file() auto-detects the binary trace format
-// (trace/binary_trace.h) by its magic, so every file-path entry point takes
-// either format.
+// decode-ahead batch reader in trace/trace_reader.h (mmap + string_view
+// slicing on the shared pool, the fast path). read_trace_file()
+// auto-detects the binary trace format (trace/binary_trace.h) by its magic,
+// so every file-path entry point takes either format.
 
 #pragma once
 
@@ -62,12 +62,12 @@ struct MalformedCounts {
   std::size_t total() const {
     return bad_field_count + dims_mismatch + bad_sensor_id + bad_number;
   }
-  void count(LineParse p) {
+  void count(LineParse p, std::size_t n = 1) {
     switch (p) {
-      case LineParse::kBadFieldCount: ++bad_field_count; break;
-      case LineParse::kDimsMismatch: ++dims_mismatch; break;
-      case LineParse::kBadSensorId: ++bad_sensor_id; break;
-      case LineParse::kBadNumber: ++bad_number; break;
+      case LineParse::kBadFieldCount: bad_field_count += n; break;
+      case LineParse::kDimsMismatch: dims_mismatch += n; break;
+      case LineParse::kBadSensorId: bad_sensor_id += n; break;
+      case LineParse::kBadNumber: bad_number += n; break;
       default: break;
     }
   }
@@ -104,12 +104,13 @@ struct TraceReadResult {
   util::Status status;
 };
 
-/// Parse one CSV line into `rec` without allocating in steady state: fields
-/// are string_views into `line` (split via `fields` scratch), numbers parse
-/// with from_chars, and rec.attrs is overwritten element-wise so it keeps its
-/// capacity across calls. `expected_dims` = 0 accepts any width >= 1 and is
-/// fixed by the first record. `rec` is only valid when kRecord is returned.
-LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, SensorRecord& rec,
+/// Parse one CSV line (without its newline) and, on kRecord, append the
+/// record to `out`; any other outcome leaves `out` as it was. Allocation-free
+/// once `out` and the `fields` split scratch have grown: fields are
+/// string_views into `line` and numbers parse with from_chars. `expected_dims`
+/// = 0 accepts any width >= 1 and is fixed by the first line that has at
+/// least three fields.
+LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, RecordBatch& out,
                            std::vector<std::string_view>& fields);
 
 /// Parse records from a stream. `expected_dims` = 0 accepts any width >= 1

@@ -1,19 +1,15 @@
 #include "trace/trace_reader.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <stdexcept>
 
 #include "trace/binary_trace.h"
 #include "trace/trace_io.h"
+#include "util/thread_pool.h"
 
 namespace sentinel {
-
-namespace {
-
-constexpr std::size_t kStreamBufBytes = 1 << 20;  // 1 MiB refill buffer
-
-}  // namespace
 
 std::size_t TraceReader::skip_records(std::size_t n) {
   // Generic fallback: read into scratch and discard. Text formats must parse
@@ -30,94 +26,244 @@ std::size_t TraceReader::skip_records(std::size_t n) {
   return skipped;
 }
 
-CsvTraceReader::CsvTraceReader(const std::string& path, std::size_t expected_dims, Mode mode)
-    : expected_dims_(expected_dims) {
-  if (mode == Mode::kAuto) {
-    map_ = util::MappedFile::map(path);
-    if (map_) {
-      rest_ = map_->view();
-      return;
+/// One line-aligned slice of the input and what decoding it produced. The
+/// reader and every decode task posted for the chunk each hold a reference
+/// (`refs`), so a task that runs after the reader is gone -- it finds the
+/// chunk claimed and does nothing -- still touches live memory. Slots are
+/// recycled: a task left over from an earlier use that finds the chunk
+/// queued again simply decodes the current contents.
+struct CsvTraceReader::Chunk {
+  enum State : int { kQueued, kClaimed, kDone };
+
+  /// `count` comment or malformed lines of one kind that lie after the
+  /// chunk's first `before` records.
+  struct Event {
+    std::size_t before = 0;
+    LineParse kind = LineParse::kComment;
+    std::size_t count = 0;
+  };
+
+  std::atomic<int> state{kDone};
+  std::atomic<int> refs{1};
+
+  // Decode input, written by the reader before the chunk is queued.
+  std::string_view text;   // bytes of the mapping, or of `own`
+  std::vector<char> own;   // stream source: the bytes read for this chunk
+  std::size_t offset = 0;  // mapping offset of `text`
+  std::size_t dims = 0;    // 0: fixed by the first line wide enough
+
+  // Decode output.
+  RecordBatch records;
+  std::vector<Event> events;
+  std::vector<std::string_view> fields;  // split scratch
+
+  // Hand-out cursor (the reader's thread only).
+  std::size_t next = 0;
+  std::size_t next_attr = 0;
+  std::size_t next_event = 0;
+
+  /// True for the one thread that moves a queued chunk to claimed.
+  bool claim() {
+    int queued = kQueued;
+    return state.compare_exchange_strong(queued, kClaimed, std::memory_order_acquire);
+  }
+
+  void decode() {
+    records.clear();
+    events.clear();
+    for (std::string_view rest = text; !rest.empty();) {
+      const std::size_t nl = std::min(rest.find('\n'), rest.size());
+      const LineParse p = parse_trace_line(rest.substr(0, nl), dims, records, fields);
+      rest.remove_prefix(std::min(nl + 1, rest.size()));
+      if (p == LineParse::kRecord || p == LineParse::kBlank) continue;
+      if (!events.empty() && events.back().before == records.size() && events.back().kind == p) {
+        ++events.back().count;
+      } else {
+        events.push_back({records.size(), p, 1});
+      }
+    }
+    state.store(kDone, std::memory_order_release);
+    state.notify_all();
+  }
+
+  /// Block until a worker that claimed the chunk has decoded it.
+  void wait_decoded() {
+    for (int s = state.load(std::memory_order_acquire); s != kDone;
+         s = state.load(std::memory_order_acquire)) {
+      state.wait(s, std::memory_order_acquire);
     }
   }
+
+  static void unref(Chunk* c) {
+    if (c->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete c;
+  }
+};
+
+CsvTraceReader::CsvTraceReader(const std::string& path, std::size_t expected_dims, Mode mode)
+    : dims_(expected_dims) {
+  if (mode == Mode::kAuto) map_ = util::MappedFile::map(path);
+  if (map_) return;
   in_.open(path, std::ios::binary);
   if (!in_) throw std::runtime_error("CsvTraceReader: cannot open " + path);
-  buf_.resize(kStreamBufBytes);
 }
 
-/// Shift the unconsumed tail to the front of the buffer and read more bytes
-/// after it. Returns false when no new bytes arrived (true end of file).
-bool CsvTraceReader::refill() {
-  if (stream_eof_) return false;
-  const std::size_t tail = buf_end_ - buf_pos_;
-  if (tail > 0) std::memmove(buf_.data(), buf_.data() + buf_pos_, tail);
-  buf_pos_ = 0;
-  buf_end_ = tail;
-  // A line longer than the whole buffer: grow so it can ever complete.
-  if (buf_end_ == buf_.size()) buf_.resize(buf_.size() * 2);
-  in_.read(buf_.data() + buf_end_, static_cast<std::streamsize>(buf_.size() - buf_end_));
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  buf_end_ += got;
-  if (got == 0) {
-    stream_eof_ = true;
-    // Distinguish clean EOF from a device-level read failure: the latter is
-    // a mid-stream data loss the consumer must see as a Status, not as a
-    // silently short trace.
-    if (in_.bad()) {
-      status_ = util::Status(util::StatusCode::kDataLoss, "csv trace: read error mid-stream");
-    }
+CsvTraceReader::~CsvTraceReader() {
+  // A queued chunk is claimed so no worker starts it; a running one is
+  // waited out, since it reads the mapping and the stream buffers.
+  for (Chunk* c : ring_) {
+    if (c == nullptr) continue;
+    if (!c->claim()) c->wait_decoded();
+    Chunk::unref(c);
   }
-  return got > 0;
 }
 
-std::optional<std::string_view> CsvTraceReader::next_line() {
+bool CsvTraceReader::cut(Chunk& c) {
   if (map_) {
-    if (rest_.empty()) return std::nullopt;
-    const std::size_t nl = rest_.find('\n');
-    std::string_view line;
-    if (nl == std::string_view::npos) {
-      line = rest_;
-      rest_ = {};
-    } else {
-      line = rest_.substr(0, nl);
-      rest_.remove_prefix(nl + 1);
+    const std::string_view all = map_->view();
+    if (map_pos_ == all.size()) return false;
+    std::size_t end = all.size();
+    if (end - map_pos_ > kChunkBytes) {
+      end = std::min(all.find('\n', map_pos_ + kChunkBytes - 1), all.size() - 1) + 1;
     }
-    return line;
+    c.offset = map_pos_;
+    c.text = all.substr(map_pos_, end - map_pos_);
+    map_pos_ = end;
+    return true;
   }
+  // Stream: the partial line left by the last cut, then whole reads until
+  // one holds a line end. Bytes after the last line end carry over.
+  std::vector<char>& b = c.own;
+  b.assign(carry_.begin(), carry_.end());
+  carry_.clear();
   for (;;) {
-    const char* base = buf_.data() + buf_pos_;
-    const std::size_t avail = buf_end_ - buf_pos_;
-    const void* nl = std::memchr(base, '\n', avail);
-    if (nl != nullptr) {
-      const auto len = static_cast<std::size_t>(static_cast<const char*>(nl) - base);
-      buf_pos_ += len + 1;
-      return std::string_view(base, len);
+    const std::size_t have = b.size();
+    b.resize(have + kChunkBytes);
+    in_.read(b.data() + have, static_cast<std::streamsize>(kChunkBytes));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    b.resize(have + got);
+    if (got < kChunkBytes) {
+      // End of file -- or a device-level read failure, which is mid-stream
+      // data loss the consumer must see as a Status, not as a short trace.
+      if (in_.bad()) {
+        end_status_ = util::Status(util::StatusCode::kDataLoss, "csv trace: read error mid-stream");
+      }
+      break;
     }
-    if (!refill()) {
-      // Final line without a trailing newline.
-      if (avail == 0) return std::nullopt;
-      buf_pos_ = buf_end_;
-      return std::string_view(buf_.data(), avail);
+    const std::size_t nl = std::string_view(b.data() + have, got).rfind('\n');
+    if (nl != std::string_view::npos) {
+      carry_.assign(b.begin() + static_cast<std::ptrdiff_t>(have + nl + 1), b.end());
+      b.resize(have + nl + 1);
+      break;
     }
   }
+  c.text = {b.data(), b.size()};
+  return !b.empty();
+}
+
+void CsvTraceReader::top_up() {
+  while (live_ < ring_.size() && !input_done_) {
+    Chunk*& slot = ring_[(head_ + live_) % ring_.size()];
+    if (slot == nullptr) slot = new Chunk;
+    Chunk& c = *slot;
+    if (!cut(c)) {
+      input_done_ = true;
+      break;
+    }
+    ++live_;
+    c.dims = dims_;
+    c.next = c.next_attr = c.next_event = 0;
+    if (dims_ == 0) {
+      // Until a line fixes the width, a chunk's grammar depends on the
+      // chunks before it: decode in order, here.
+      c.decode();
+      dims_ = c.dims;
+      continue;
+    }
+    c.refs.fetch_add(1, std::memory_order_relaxed);
+    c.state.store(Chunk::kQueued, std::memory_order_release);
+    util::ThreadPool::shared().post([chunk = &c] {
+      if (chunk->claim()) chunk->decode();
+      Chunk::unref(chunk);
+    });
+  }
+}
+
+CsvTraceReader::Chunk* CsvTraceReader::head() {
+  top_up();
+  if (live_ == 0) return nullptr;
+  Chunk& c = *ring_[head_];
+  if (c.claim()) {
+    c.decode();  // no worker has started it: cheaper to decode than to wait
+  } else {
+    c.wait_decoded();
+  }
+  return &c;
+}
+
+std::size_t CsvTraceReader::take(std::vector<SensorRecord>* out, std::size_t max) {
+  // Replays `c`'s comment and malformed lines that lie before record `limit`.
+  const auto tally = [this](Chunk& c, std::size_t limit) {
+    for (; c.next_event < c.events.size() && c.events[c.next_event].before < limit;
+         ++c.next_event) {
+      const Chunk::Event& e = c.events[c.next_event];
+      if (e.kind == LineParse::kComment) {
+        comments_ += e.count;
+      } else {
+        malformed_.count(e.kind, e.count);
+      }
+    }
+  };
+  std::size_t n = 0;
+  while (n < max) {
+    Chunk* const c = head();
+    if (c == nullptr) {
+      status_ = end_status_;
+      break;
+    }
+    const RecordBatch& recs = c->records;
+    const std::size_t k = std::min(max - n, recs.size() - c->next);
+    if (out != nullptr && out->size() < n + k) out->resize(n + k);
+    const double* attrs = recs.attrs.data() + c->next_attr;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t r = c->next + i;
+      const std::uint32_t width = recs.widths[r];
+      if (out != nullptr) {
+        SensorRecord& rec = (*out)[n + i];
+        rec.sensor = recs.sensors[r];
+        rec.time = recs.times[r];
+        // Element-wise: a handful of values, where assign() pays a memmove call.
+        if (rec.attrs.size() != width) rec.attrs.resize(width);
+        for (std::uint32_t a = 0; a < width; ++a) rec.attrs[a] = attrs[a];
+      }
+      attrs += width;
+    }
+    c->next_attr = static_cast<std::size_t>(attrs - recs.attrs.data());
+    c->next += k;
+    n += k;
+    if (n == max) {
+      // A serial read stops right after its last record: what follows it
+      // is tallied by the next call.
+      tally(*c, c->next);
+      break;
+    }
+    tally(*c, recs.size() + 1);  // spent, and the read goes on
+    head_ = (head_ + 1) % ring_.size();
+    --live_;
+    if (map_) map_->release_prefix(live_ > 0 ? ring_[head_]->offset : map_pos_);
+  }
+  return n;
 }
 
 std::size_t CsvTraceReader::read_batch(std::vector<SensorRecord>& out, std::size_t max_records) {
-  std::size_t n = 0;
-  while (n < max_records) {
-    const auto line = next_line();
-    if (!line) break;
-    if (n == out.size()) out.emplace_back();
-    const LineParse p = parse_trace_line(*line, expected_dims_, out[n], fields_);
-    switch (p) {
-      case LineParse::kRecord: ++n; break;
-      case LineParse::kComment: ++comments_; break;
-      case LineParse::kBlank: break;
-      default: malformed_.count(p); break;
-    }
-  }
-  out.resize(n);  // only shrinks on the final partial batch
+  const std::size_t n = take(&out, max_records);
+  // Shrinks only on the final partial batch. At end of stream `out` stays
+  // as it was, so its records keep their attribute storage for whoever
+  // refills it next.
+  if (n > 0) out.resize(n);
   return n;
 }
+
+std::size_t CsvTraceReader::skip_records(std::size_t n) { return take(nullptr, n); }
 
 std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
                                                std::size_t expected_dims) {

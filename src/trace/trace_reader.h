@@ -1,30 +1,35 @@
 // Streaming trace ingestion: readers that yield records in batches so a
 // consumer (core/fleet.h's ingest, the CLI, benches) never materializes a
-// whole trace -- peak memory is O(batch), which is what lets the collector
-// tier keep up with continuous sensor streams (paper section 3.1's
-// "on-the-fly" requirement) at file sizes that dwarf RAM.
+// whole trace -- memory stays bounded by the batch plus a fixed read-ahead,
+// whatever the file size, which is what lets the collector tier keep up with
+// continuous sensor streams (paper section 3.1's "on-the-fly" requirement)
+// at file sizes that dwarf RAM.
 //
 // Implementations:
-//  - CsvTraceReader: zero-copy CSV. Memory-maps the file (buffered-istream
-//    fallback when mapping is unavailable), slices lines and fields as
-//    string_views straight out of the mapping, parses numbers with
-//    from_chars. No per-line or per-field allocation; the batch vector's
-//    records keep their attr capacity across batches, so the steady-state
-//    pump loop does not touch the allocator.
+//  - CsvTraceReader: decode-ahead CSV. It cuts its input (a read-only
+//    mapping, or a buffered stream where mapping is unavailable) into
+//    line-aligned chunks and decodes a few chunks ahead on
+//    util::ThreadPool::shared(), straight into flat RecordBatch columns;
+//    read_batch copies decoded records out. See the class comment for the
+//    threads, the memory bound and the tally contract.
 //  - BinaryTraceReader (trace/binary_trace.h): fixed-width records decoded
 //    by offset; no parsing at all.
+//
+// Both readers release the mapped pages they have read
+// (util::MappedFile::release_prefix), so a mapped trace does not stay
+// resident behind the reader.
 //
 // open_trace_reader() auto-detects the format by magic bytes, so callers
 // never branch on file extension.
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "trace/record.h"
@@ -83,50 +88,90 @@ class TraceReader {
   virtual std::size_t dims() const = 0;
 };
 
-/// Zero-copy CSV reader. `expected_dims` as in read_trace: 0 = fixed by the
-/// first record. Throws std::runtime_error if the file cannot be opened.
+/// Decode-ahead CSV reader. `expected_dims` as in read_trace: 0 = fixed by
+/// the first line with at least three fields. Throws std::runtime_error if
+/// the file cannot be opened.
+///
+/// Threads. The input is cut, on the caller's thread, into line-aligned
+/// chunks of about kChunkBytes (a chunk ends at the first newline at or
+/// after kChunkBytes, so a longer line makes a longer chunk), and up to
+/// kDepth chunks beyond the one being handed out decode on
+/// util::ThreadPool::shared(). Whichever thread starts a chunk claims it
+/// atomically; read_batch decodes a chunk no worker has started itself, so
+/// it never waits on a queued task and still finishes when every pool
+/// worker is busy or the pool has one worker (a 1-CPU quota reads
+/// serially). While the dimensionality is still unknown, chunks decode
+/// serially on the caller. The constructor starts no decode; the destructor
+/// claims every queued chunk and waits out running ones before it unmaps.
+/// One reader is used by one thread at a time.
+///
+/// Memory. kDepth + 1 chunks of decoded columns (recycled, so a warm reader
+/// allocates nothing), plus, when mapped, the pages from the oldest chunk
+/// still in flight onward: the prefix behind it is released in
+/// util::MappedFile::kReleaseStep steps.
+///
+/// Tallies. Each chunk records where among its records its comments and
+/// malformed lines fell, and read_batch replays them at those positions, so
+/// malformed(), comment_lines() and status() after every call equal those
+/// of a serial line-by-line read that stops right after its last record.
+/// The mapped and stream sources feed the same chunk decoder, so records
+/// and per-cause tallies are identical either way (test-enforced).
 class CsvTraceReader final : public TraceReader {
  public:
+  /// Target bytes per decode chunk.
+  static constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+  /// Chunks decoding ahead of the one read_batch is handing out.
+  static constexpr std::size_t kDepth = 3;
+
   /// kAuto memory-maps when the platform allows and falls back to a
-  /// buffered stream; kForceStream always takes the stream path. The two
-  /// paths share parse_trace_line, so record sets and per-cause malformed
-  /// counts are identical either way (test-enforced) -- kForceStream exists
-  /// so that parity is provable on platforms where mmap succeeds.
+  /// buffered stream; kForceStream always takes the stream path, so the
+  /// parity of the two sources is provable where mmap succeeds.
   enum class Mode { kAuto, kForceStream };
 
   explicit CsvTraceReader(const std::string& path, std::size_t expected_dims = 0,
                           Mode mode = Mode::kAuto);
+  ~CsvTraceReader() override;
+  CsvTraceReader(const CsvTraceReader&) = delete;
+  CsvTraceReader& operator=(const CsvTraceReader&) = delete;
 
   std::size_t read_batch(std::vector<SensorRecord>& out, std::size_t max_records) override;
+  /// Advances through decoded chunks without copying records out.
+  std::size_t skip_records(std::size_t n) override;
   util::Status status() const override { return status_; }
   const MalformedCounts& malformed() const override { return malformed_; }
   std::size_t comment_lines() const override { return comments_; }
-  std::size_t dims() const override { return expected_dims_; }
+  std::size_t dims() const override { return dims_; }
 
   /// True when the file is memory-mapped (false = buffered-stream fallback).
   bool mapped() const { return map_.has_value(); }
 
  private:
-  /// Next line as a view (without the trailing newline), or nullopt at end
-  /// of stream. Stream mode: the view aliases the refill buffer and is valid
-  /// until the next call.
-  std::optional<std::string_view> next_line();
-  bool refill();
+  struct Chunk;
+
+  /// Hand out up to `max` records into `out` (nullptr: skip them).
+  std::size_t take(std::vector<SensorRecord>* out, std::size_t max);
+  /// The oldest chunk not yet handed out, decoded; nullptr at end of input.
+  Chunk* head();
+  /// Cut and start chunks until kDepth + 1 are live or the input ends.
+  void top_up();
+  /// Fill `c` with the next line-aligned bytes; false at end of input.
+  bool cut(Chunk& c);
 
   std::optional<util::MappedFile> map_;
-  std::string_view rest_;  // unparsed remainder of the mapping
+  std::size_t map_pos_ = 0;   // mapping offset of the next cut
+  std::ifstream in_;          // fallback stream
+  std::vector<char> carry_;   // stream: the partial line after the last cut
+  bool input_done_ = false;   // every byte has been cut into a chunk
+  util::Status end_status_;   // stream read failure, surfaced at end of input
 
-  std::ifstream in_;        // fallback stream
-  std::vector<char> buf_;   // refill buffer; grows only for oversized lines
-  std::size_t buf_pos_ = 0;
-  std::size_t buf_end_ = 0;
-  bool stream_eof_ = false;
+  std::array<Chunk*, kDepth + 1> ring_{};  // co-owned with queued decode tasks
+  std::size_t head_ = 0;                   // ring index of the oldest live chunk
+  std::size_t live_ = 0;                   // chunks cut and not yet retired
 
-  std::size_t expected_dims_ = 0;
+  std::size_t dims_ = 0;
   MalformedCounts malformed_;
   std::size_t comments_ = 0;
   util::Status status_;
-  std::vector<std::string_view> fields_;  // per-line split scratch
 };
 
 /// Open a trace file for streaming, auto-detecting CSV vs binary by magic

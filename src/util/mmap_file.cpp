@@ -1,5 +1,6 @@
 #include "util/mmap_file.h"
 
+#include <algorithm>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -37,15 +38,31 @@ std::optional<MappedFile> MappedFile::map(const std::string& path) {
 }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      released_(std::exchange(other.released_, 0)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
     this->~MappedFile();
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    released_ = std::exchange(other.released_, 0);
   }
   return *this;
+}
+
+void MappedFile::release_prefix(std::size_t consumed) {
+#if SENTINEL_HAVE_MMAP
+  if (data_ == nullptr || consumed < released_ + kReleaseStep) return;
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t end = std::min(consumed, size_) / page * page;
+  // Advisory: on failure the pages simply stay resident.
+  (void)::madvise(static_cast<char*>(data_) + released_, end - released_, MADV_DONTNEED);
+  released_ = end;
+#else
+  (void)consumed;
+#endif
 }
 
 MappedFile::~MappedFile() {
@@ -54,6 +71,7 @@ MappedFile::~MappedFile() {
 #endif
   data_ = nullptr;
   size_ = 0;
+  released_ = 0;
 }
 
 }  // namespace sentinel::util

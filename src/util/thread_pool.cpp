@@ -1,10 +1,15 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <pthread.h>
+#endif
 
 namespace sentinel::util {
 
@@ -46,6 +51,20 @@ std::size_t cgroup_cpu_quota() {
   return quota_from_cfs(quota, period);
 }
 
+// Forks this process descends through, counted in each child as it starts.
+// A pool constructed at an older count lives in a child of the process that
+// started its workers.
+std::atomic<unsigned> g_fork_generation{0};
+
+unsigned fork_generation() {
+#if defined(__unix__) || defined(__APPLE__)
+  static const int registered = ::pthread_atfork(
+      nullptr, nullptr, [] { g_fork_generation.fetch_add(1, std::memory_order_relaxed); });
+  (void)registered;
+#endif
+  return g_fork_generation.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 std::size_t default_concurrency() {
@@ -54,7 +73,7 @@ std::size_t default_concurrency() {
   return n;
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads) : fork_generation_(fork_generation()) {
   if (threads == 0) threads = default_concurrency();
   logical_size_ = threads;
   if (threads == 1) {
@@ -80,6 +99,10 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::post(std::function<void()> task) {
   if (!task) throw std::invalid_argument("ThreadPool::post: null task");
+  if (g_fork_generation.load(std::memory_order_relaxed) != fork_generation_) {
+    task();  // a forked child: no workers here, and the locks may be stale
+    return;
+  }
   if (inline_mode_) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -114,8 +137,10 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(0);
-  return pool;
+  // Leaked on purpose: destroying it at exit would join workers that a
+  // forked child does not have.
+  static ThreadPool* const pool = new ThreadPool(0);
+  return *pool;
 }
 
 }  // namespace sentinel::util

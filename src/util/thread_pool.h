@@ -18,6 +18,13 @@
 // immediately (nested post) instead of after the outer task, and a
 // throwing post()ed task propagates to the poster instead of terminating a
 // worker -- post() tasks must not throw either way.
+//
+// Fork: a child process inherits a pool's memory but none of its workers,
+// and possibly a lock some parent thread held at the fork. In a child
+// forked after a pool was constructed, post() therefore runs the task
+// inline on the poster and touches neither the queue's lock nor the
+// workers. (shared() is never destroyed, so a child's exit never joins
+// workers it does not have.)
 
 #pragma once
 
@@ -80,8 +87,8 @@ class ThreadPool {
   std::size_t size() const { return logical_size_; }
 
   /// Process-wide pool sized to the hardware, for callers that want to share
-  /// workers instead of owning a pool (bench trace generation). Created on
-  /// first use; lives for the process.
+  /// workers instead of owning a pool (bench trace generation, the CSV
+  /// reader's decode-ahead). Created on first use and never destroyed.
   static ThreadPool& shared();
 
  private:
@@ -95,6 +102,7 @@ class ThreadPool {
   std::size_t logical_size_ = 0;
   bool inline_mode_ = false;           // size 1: run tasks on the poster
   std::recursive_mutex inline_mu_;     // serializes inline execution
+  unsigned fork_generation_ = 0;       // forks seen when constructed
 };
 
 }  // namespace sentinel::util

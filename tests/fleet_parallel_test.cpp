@@ -4,12 +4,16 @@
 // single-writer, diagnosis reads quiescent state, results assemble in
 // region-name order) -- plus worker-fault quarantine (a pipeline exception
 // in a pool worker is parked in the shard and folded into the region's
-// health record on the caller thread, never rethrown to the producer), and
-// the parallel simulator's trace-identity guarantee.
+// health record on the caller thread, never rethrown to the producer),
+// hostile multi-chunk CSV feeds whose health, tallies and resume behave the
+// same at any thread count, and the parallel simulator's trace-identity
+// guarantee.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -22,6 +26,7 @@
 #include "faults/fault_models.h"
 #include "faults/injection_plan.h"
 #include "sim/simulator.h"
+#include "trace/trace_reader.h"
 #include "util/thread_pool.h"
 
 namespace sentinel::core {
@@ -377,6 +382,163 @@ TEST(FleetParallel, ConfigValidation) {
   FleetConfig bad_queue;
   bad_queue.max_queue_records = 0;
   EXPECT_THROW(FleetMonitor{bad_queue}, std::invalid_argument);
+}
+
+// --- Hostile CSV feeds through the decode-ahead reader ----------------------
+
+std::string temp_path(const std::string& name) { return testing::TempDir() + name; }
+
+/// Write `recs` as CSV with a comment every 500 records and, from record
+/// `mixed_from`, a malformed line (cycling through the causes) before every
+/// third record; from record `burst_at` on, a run of `burst` malformed lines
+/// first. Several CsvTraceReader chunks long for any useful `recs`.
+void write_hostile_csv(const std::string& path, const std::vector<SensorRecord>& recs,
+                       std::size_t mixed_from, std::size_t burst_at, std::size_t burst) {
+  static const char* const kBad[] = {"garbage", "1,60", "2,120,21.0", "1e300,240,21.0,70",
+                                     "4,abc,21.0,70"};
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (i % 500 == 0) out << "# uplink " << i << '\n';
+    if (i == burst_at) {
+      for (std::size_t k = 0; k < burst; ++k) out << kBad[bad++ % 5] << '\n';
+    }
+    if (i >= mixed_from && i % 3 == 0) out << kBad[bad++ % 5] << '\n';
+    const SensorRecord& r = recs[i];
+    out << r.sensor << ',' << r.time << ',' << r.attrs[0] << ',' << r.attrs[1] << '\n';
+  }
+}
+
+void expect_same_state(const RegionState& got, const RegionState& want, const std::string& what) {
+  EXPECT_EQ(got.health, want.health) << what;
+  EXPECT_EQ(got.status.to_string(), want.status.to_string()) << what;
+  EXPECT_EQ(got.records_ingested, want.records_ingested) << what;
+  EXPECT_EQ(got.records_dropped, want.records_dropped) << what;
+  EXPECT_EQ(got.malformed, want.malformed) << what;
+  EXPECT_EQ(got.comment_lines, want.comment_lines) << what;
+}
+
+struct HostileRun {
+  RegionState state;
+  std::string report;
+};
+
+/// A clean region and the hostile one, read in 512-record batches, through
+/// the mapped source or the buffered-stream one.
+HostileRun run_hostile(std::size_t threads, const std::string& clean, const std::string& hostile,
+                       CsvTraceReader::Mode mode) {
+  FleetConfig fc;
+  fc.threads = threads;
+  FleetMonitor fleet(fc);
+  fleet.add_region("clean", region_config());
+  fleet.add_region("hostile", region_config());
+  fleet.ingest_file("clean", clean);
+  CsvTraceReader reader(hostile, 0, mode);
+  fleet.ingest("hostile", reader, 512);
+  fleet.finish();
+  return {fleet.region_health("hostile"), to_string(fleet.diagnose())};
+}
+
+TEST(FleetParallel, HostileCsvHealthIsThreadCountInvariant) {
+  const CycleEnvironment env;
+  const auto clean = simulate_region(env, 6.0 * kSecondsPerDay, 31);
+  const auto recs = simulate_region(env, 6.0 * kSecondsPerDay, 32);
+  ASSERT_GT(recs.size(), 9000u);
+  const std::string clean_path = temp_path("fleet_clean.csv");
+  write_hostile_csv(clean_path, clean, clean.size(), clean.size(), 0);
+  // Clean for 4000 records, then one malformed line per three records
+  // (crossing the 5% degrade rate), then a 9000-line burst at record 7000
+  // (crossing the 50% quarantine rate) -- all mid-file, many chunks in.
+  const std::string degraded_path = temp_path("fleet_degraded.csv");
+  const std::string quarantined_path = temp_path("fleet_quarantined.csv");
+  write_hostile_csv(degraded_path, recs, 4000, recs.size(), 0);
+  write_hostile_csv(quarantined_path, recs, 4000, 7000, 9000);
+  ASSERT_GT(std::filesystem::file_size(quarantined_path), 5 * CsvTraceReader::kChunkBytes);
+
+  for (const auto* path : {&degraded_path, &quarantined_path}) {
+    const HostileRun want = run_hostile(1, clean_path, *path, CsvTraceReader::Mode::kAuto);
+    const bool burst = path == &quarantined_path;
+    EXPECT_EQ(want.state.health, burst ? RegionHealth::kQuarantined : RegionHealth::kDegraded);
+    EXPECT_NE(want.state.status.message().find(burst ? "rate too high" : "elevated"),
+              std::string::npos)
+        << want.state.status.to_string();
+    EXPECT_GT(want.state.malformed.bad_field_count, 0u);
+    EXPECT_GT(want.state.malformed.dims_mismatch, 0u);
+    EXPECT_GT(want.state.malformed.bad_sensor_id, 0u);
+    EXPECT_GT(want.state.malformed.bad_number, 0u);
+    EXPECT_GT(want.state.comment_lines, 0u);
+    if (burst) {
+      EXPECT_GT(want.state.records_ingested, 7000u);
+      EXPECT_LT(want.state.records_ingested, recs.size());
+    } else {
+      EXPECT_EQ(want.state.records_ingested, recs.size());
+    }
+    for (const auto mode : {CsvTraceReader::Mode::kAuto, CsvTraceReader::Mode::kForceStream}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::string what = *path + " threads=" + std::to_string(threads) +
+                                 (mode == CsvTraceReader::Mode::kAuto ? " mapped" : " stream");
+        const HostileRun got = run_hostile(threads, clean_path, *path, mode);
+        expect_same_state(got.state, want.state, what);
+        EXPECT_EQ(got.report, want.report) << what;
+      }
+    }
+  }
+  std::remove(clean_path.c_str());
+  std::remove(degraded_path.c_str());
+  std::remove(quarantined_path.c_str());
+}
+
+TEST(FleetParallel, CsvCheckpointResumeReproducesTheUninterruptedRun) {
+  // A degraded multi-chunk feed (its tallies render in the report). The
+  // first run reads only a prefix, cut right after a record line, and
+  // leaves the periodic checkpoints it committed; the resumed run skips
+  // what the last one covers and reads the rest of the full file.
+  const CycleEnvironment env;
+  const auto recs = simulate_region(env, 6.0 * kSecondsPerDay, 33);
+  const std::string full = temp_path("fleet_resume_full.csv");
+  const std::string prefix = temp_path("fleet_resume_prefix.csv");
+  write_hostile_csv(full, recs, 0, recs.size(), 0);
+  write_hostile_csv(prefix, {recs.begin(), recs.begin() + 6500}, 0, 6500, 0);
+  ASSERT_GT(std::filesystem::file_size(prefix), 2 * CsvTraceReader::kChunkBytes);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    const std::string dir = temp_path("fleet_resume_store_t" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    FleetConfig fc;
+    fc.threads = threads;
+
+    FleetMonitor straight(fc);
+    straight.add_region("r", region_config());
+    straight.ingest("r", *open_trace_reader(full), 512);
+    straight.finish();
+    const std::string want = to_string(straight.diagnose());
+    ASSERT_NE(want.find("degraded"), std::string::npos) << want;
+
+    {
+      FleetConfig cc = fc;
+      cc.checkpoint_dir = dir;
+      cc.checkpoint_every_records = 3000;
+      FleetMonitor interrupted(cc);
+      interrupted.add_region("r", region_config());
+      interrupted.ingest("r", *open_trace_reader(prefix), 512);
+    }  // no finish: the store holds the last periodic checkpoint
+
+    FleetConfig rc = fc;
+    rc.checkpoint_dir = dir;
+    FleetMonitor resumed(rc);
+    const auto offset = resumed.add_region_resumed("r", region_config());
+    ASSERT_TRUE(offset.is_ok()) << offset.status().to_string();
+    EXPECT_GT(offset.value(), 0u) << what;
+    EXPECT_LT(offset.value(), 6500u) << what << ": the checkpoint is mid-prefix";
+    resumed.ingest("r", *open_trace_reader(full), 512, offset.value());
+    resumed.finish();
+    EXPECT_EQ(to_string(resumed.diagnose()), want) << what;
+    expect_same_state(resumed.region_health("r"), straight.region_health("r"), what);
+    std::filesystem::remove_all(dir);
+  }
+  std::remove(full.c_str());
+  std::remove(prefix.c_str());
 }
 
 TEST(SimulatorParallel, TraceIdenticalToSerial) {

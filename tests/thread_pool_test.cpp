@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -155,6 +159,32 @@ TEST(ThreadPool, SharedPoolIsUsable) {
   int sum = 0;
   for (auto& f : futs) sum += f.get();
   EXPECT_EQ(sum, 28);
+}
+
+TEST(ThreadPool, ForkedChildRunsPostInline) {
+  // A child forked after the shared pool started its workers has none of
+  // them: post() must run the task on the poster, or it would never run.
+  auto& pool = ThreadPool::shared();
+  pool.submit([] {}).get();
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    bool ran = false;
+    pool.post([&ran] { ran = true; });
+    std::_Exit(ran ? 0 : 1);
+  }
+  int status = 0;
+  pid_t done = 0;
+  for (int i = 0; i < 6000 && (done = waitpid(pid, &status, WNOHANG)) == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    FAIL() << "post() in the forked child hung";
+  }
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "post() in the forked child did not run the task";
 }
 
 TEST(ThreadPoolQuota, CpuMaxUnlimited) {
