@@ -38,10 +38,8 @@ int main() {
 
     double alarm_latency = -1.0;
     double first_right_day = -1.0;  // -1 = not (or no longer) correct
-    std::size_t windows_done = 0;
     for (const auto& w : windows) {
-      if (!w.empty()) p.process_window(w);
-      ++windows_done;
+      p.process_window(w);
       if (!p.history().empty() && alarm_latency < 0.0) {
         const auto& h = p.history().back();
         for (const auto& [sensor, info] : h.sensors) {
@@ -51,7 +49,7 @@ int main() {
           }
         }
       }
-      if (windows_done % 24 == 0 && w.window_end > onset) {
+      if (w.window_index % 24 == 0 && w.window_end > onset) {
         const double day = w.window_end / kSecondsPerDay;
         const auto score = bench::score_report(p.diagnose(), kind);
         if (score.exact) {

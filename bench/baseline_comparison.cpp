@@ -113,7 +113,7 @@ int main() {
     // Median detector over the same trace.
     baseline::MedianDetector median_det(baseline::MedianDetectorConfig{});
     for (const auto& w : window_trace(r.sim.trace, r.pipeline_config.window_seconds)) {
-      if (!w.empty()) median_det.process(w);
+      median_det.process(w);
     }
     std::size_t flagged_sensors = 0;
     for (SensorId s = 0; s < 10; ++s) {

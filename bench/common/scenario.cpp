@@ -67,6 +67,27 @@ ScenarioResult run_scenario(const sim::GdiEnvironmentConfig& env_cfg, const Scen
   return result;
 }
 
+ObservationSet make_window(std::size_t index, double window_seconds,
+                           std::vector<SensorId> sensors, std::vector<AttrVec> points) {
+  ObservationSet w;
+  w.window_index = index;
+  w.window_start = window_seconds * static_cast<double>(index - 1);
+  w.window_end = window_seconds * static_cast<double>(index);
+  w.records = points.size();
+  if (!points.empty()) {
+    // vecn::mean adds in point order and scales once: the windower's bits.
+    w.cached_mean = vecn::mean(points);
+    w.rep_total.assign(points.front().size(), 0.0);
+  }
+  for (const AttrVec& p : points) {
+    w.rep_sums.push_back(vecn::scalar_sum(p));
+    for (std::size_t a = 0; a < p.size(); ++a) w.rep_total[a] += p[a];
+  }
+  w.rep_sensors = std::move(sensors);
+  w.rep_points = std::move(points);
+  return w;
+}
+
 const char* to_string(InjectionKind kind) {
   switch (kind) {
     case InjectionKind::kClean: return "clean";

@@ -101,6 +101,14 @@ struct ScenarioScore {
 };
 ScenarioScore score_report(const core::DiagnosisReport& report, InjectionKind injected);
 
+/// A hand-built window `index` of `window_seconds`, filled as the windower
+/// closes a window that holds one record per sensor: `points[j]` is sensor
+/// `sensors[j]`'s representative (ids ascending), and rep_sums, rep_total,
+/// cached_mean and records follow from them. The vectors are moved in, so
+/// the points keep the heap placement the caller gave them.
+ObservationSet make_window(std::size_t index, double window_seconds,
+                           std::vector<SensorId> sensors, std::vector<AttrVec> points);
+
 /// "(24,70)"-style label for a model state (the paper's table headers).
 std::string state_label(hmm::StateId id, const core::CentroidLookup& lookup);
 

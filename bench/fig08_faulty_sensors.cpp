@@ -5,6 +5,7 @@
 // We inject the corresponding DriftFault and CalibrationFault (DESIGN.md
 // substitution #2).
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -35,10 +36,10 @@ int main() {
 
   const auto windows = window_trace(r.sim.trace, kSecondsPerHour);
   for (const auto& w : windows) {
-    if (w.empty()) continue;
     const auto get = [&](SensorId id) -> double {
-      const auto it = w.per_sensor.find(id);
-      return it == w.per_sensor.end() ? -1.0 : it->second[1];
+      const auto it = std::lower_bound(w.rep_sensors.begin(), w.rep_sensors.end(), id);
+      if (it == w.rep_sensors.end() || *it != id) return -1.0;
+      return w.rep_points[static_cast<std::size_t>(it - w.rep_sensors.begin())][1];
     };
     std::printf("%8.0f %10.2f %10.2f %10.2f\n", w.window_start / kSecondsPerHour, get(6), get(7),
                 get(9));

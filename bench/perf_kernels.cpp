@@ -9,8 +9,7 @@
 // can be checked against one run. The shapes mirror the real call sites:
 // dims 2-3 are the paper's attribute vectors (stride 4 after padding), dims
 // 8 the autotune sweep's upper end; state counts 4-40 span the pipeline's
-// model sizes and the HMM benches; the windower gathers up to 256 records
-// per accum_rows/sum_rows call; the screen reduces W = 16..64 residuals.
+// model sizes and the HMM benches; the screen reduces W = 16..64 residuals.
 
 #include <benchmark/benchmark.h>
 
@@ -198,47 +197,6 @@ void BM_EmaScaleBumpRows(benchmark::State& state, const kern::Kernels& k) {
   set_items(state, count * n);
 }
 
-// The windower's gathers: `count` records of `dims` attributes, added into
-// scattered per-sensor slots (accum_rows) or into one window total
-// (sum_rows).
-struct Gather {
-  Gather(std::size_t dims, std::size_t count)
-      : pool(random_vec(count * dims, 24)),
-        sums(64 * kern::padded(dims), 0.0),
-        offs(random_offs(count, 64, kern::padded(dims), 25)),
-        srcs(count) {
-    for (std::size_t r = 0; r < count; ++r) srcs[r] = pool.data() + r * dims;
-  }
-  std::vector<double> pool;
-  std::vector<double> sums;
-  std::vector<std::size_t> offs;
-  std::vector<const double*> srcs;
-};
-
-void BM_AccumRows(benchmark::State& state, const kern::Kernels& k) {
-  const auto dims = static_cast<std::size_t>(state.range(0));
-  const auto count = static_cast<std::size_t>(state.range(1));
-  Gather g(dims, count);
-  for (auto _ : state) {
-    k.accum_rows(g.sums.data(), g.offs.data(), g.srcs.data(), count, dims);
-    benchmark::DoNotOptimize(g.sums.data());
-    benchmark::ClobberMemory();
-  }
-  set_items(state, count);
-}
-
-void BM_SumRows(benchmark::State& state, const kern::Kernels& k) {
-  const auto dims = static_cast<std::size_t>(state.range(0));
-  const auto count = static_cast<std::size_t>(state.range(1));
-  Gather g(dims, count);
-  for (auto _ : state) {
-    k.sum_rows(g.sums.data(), g.srcs.data(), count, dims);
-    benchmark::DoNotOptimize(g.sums.data());
-    benchmark::ClobberMemory();
-  }
-  set_items(state, count);
-}
-
 void BM_Axpy(benchmark::State& state, const kern::Kernels& k) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto x = random_vec(n, 26);
@@ -335,10 +293,6 @@ void register_for_level(kern::Level level) {
   for (const long stride : {4L, 8L}) {
     reg("BM_EmaScaleBumpRows", BM_EmaScaleBumpRows)->Args({stride, 64});
     reg("BM_MatVecBlock", BM_MatVecBlock)->Args({256, stride});
-  }
-  for (const long dims : {2L, 8L}) {
-    reg("BM_AccumRows", BM_AccumRows)->Args({dims, 256});
-    reg("BM_SumRows", BM_SumRows)->Args({dims, 256});
   }
 }
 

@@ -85,14 +85,8 @@ core::PipelineConfig config_for(std::size_t states, std::uint64_t seed) {
 
 /// Replay the full window set through `p` once, counting processed windows.
 std::size_t replay(core::DetectionPipeline& p, const std::vector<ObservationSet>& windows) {
-  std::size_t n = 0;
-  for (const auto& w : windows) {
-    if (!w.empty()) {
-      p.process_window(w);
-      ++n;
-    }
-  }
-  return n;
+  for (const auto& w : windows) p.process_window(w);
+  return windows.size();
 }
 
 void run_window_bench(benchmark::State& state, const core::PipelineConfig& cfg,
@@ -116,7 +110,7 @@ void run_window_bench(benchmark::State& state, const core::PipelineConfig& cfg,
   // Raw sensor records ingested per second (both the warm-up and counted
   // replay touch every record), the unit fleet capacity planning uses.
   std::size_t records = 0;
-  for (const auto& w : windows) records += w.raw.size();
+  for (const auto& w : windows) records += w.records;
   state.counters["records_per_second"] =
       benchmark::Counter(static_cast<double>(state.iterations() * 2 * records),
                          benchmark::Counter::kIsRate);
@@ -175,7 +169,6 @@ void BM_DiagnoseCold(benchmark::State& state) {
   replay(p, windows);
   std::size_t i = 0;
   for (auto _ : state) {
-    while (windows[i % windows.size()].empty()) ++i;
     p.process_window(windows[i % windows.size()]);
     ++i;
     benchmark::DoNotOptimize(p.diagnose());

@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "common/scenario.h"
 #include "core/fleet.h"
 #include "metrics_main.h"
 #include "screen/screen.h"
@@ -153,17 +154,14 @@ ScreenWorkload make_workload(std::size_t suspicious_pct) {
     Rng rng(9000 + r, "perf-screen");
     for (std::size_t i = 1; i <= kWindows; ++i) {
       const AttrVec regime = regime_centroid(((i - 1) / kRegimePeriod) % kRegimes);
-      ObservationSet os;
-      os.window_index = i;
-      os.window_start = kWindowSeconds * static_cast<double>(i - 1);
-      os.window_end = kWindowSeconds * static_cast<double>(i);
-      os.rep_sensors.reserve(kSensors);
-      os.rep_points.reserve(kSensors);
-      AttrVec mean(kAttrs, 0.0);
-      // Build the rep arrays in their own pass so the per-point heap blocks
-      // land back-to-back (the hot loops walk them sequentially every
-      // window; interleaving them with map-node allocations would hand both
-      // modes a cache miss per point and drown the compute being compared).
+      std::vector<SensorId> ids;
+      std::vector<AttrVec> points;
+      ids.reserve(kSensors);
+      points.reserve(kSensors);
+      // Build the points in their own pass so the per-point heap blocks land
+      // back-to-back (the hot loops walk them sequentially every window;
+      // interleaving them with other allocations would hand both modes a
+      // cache miss per point and drown the compute being compared).
       const bool episode_on = ((i - 1) % kEpisodePeriod) < kEpisodeOn;
       for (std::size_t s = 0; s < kSensors; ++s) {
         double fault = 0.0;
@@ -174,19 +172,13 @@ ScreenWorkload make_workload(std::size_t suspicious_pct) {
         for (std::size_t a = 0; a < kAttrs; ++a) {
           p[a] = regime[a] + rng.gaussian(0.0, 0.4) + fault;
         }
-        for (std::size_t a = 0; a < kAttrs; ++a) mean[a] += p[a];
-        os.rep_sensors.push_back(static_cast<SensorId>(s));
-        os.rep_sums.push_back(vecn::scalar_sum(p));
-        if (os.rep_total.empty()) os.rep_total.assign(kAttrs, 0.0);
-        for (std::size_t a = 0; a < kAttrs; ++a) os.rep_total[a] += p[a];
-        os.rep_points.push_back(std::move(p));
+        ids.push_back(static_cast<SensorId>(s));
+        points.push_back(std::move(p));
       }
-      // per_sensor and raw stay empty: the head uploads representatives plus
-      // the cached mean, not raw samples, and the pipeline's min-sensors
-      // gate and the fleet's ingest weight count the rep arrays directly.
-      for (auto& a : mean) a /= static_cast<double>(kSensors);
-      os.cached_mean = std::move(mean);
-      feed.windows.push_back(std::move(os));
+      // The head uploads representatives plus the cached mean, not raw
+      // samples.
+      feed.windows.push_back(
+          bench::make_window(i, kWindowSeconds, std::move(ids), std::move(points)));
     }
     w.regions.push_back(std::move(feed));
   }
@@ -287,13 +279,10 @@ ScreenWorkload make_steady_workload(std::size_t suspicious_pct) {
     feed.windows.reserve(kWindows);
     Rng rng(9600 + r, "perf-screen-steady");
     for (std::size_t i = 1; i <= kWindows; ++i) {
-      ObservationSet os;
-      os.window_index = i;
-      os.window_start = kWindowSeconds * static_cast<double>(i - 1);
-      os.window_end = kWindowSeconds * static_cast<double>(i);
-      os.rep_sensors.reserve(kSensors);
-      os.rep_points.reserve(kSensors);
-      AttrVec mean(kAttrs, 0.0);
+      std::vector<SensorId> ids;
+      std::vector<AttrVec> points;
+      ids.reserve(kSensors);
+      points.reserve(kSensors);
       for (std::size_t s = 0; s < kSensors; ++s) {
         // Persistent, mean-balanced fault: the bloc raw-alarms every window,
         // so its tracks open once and never close.
@@ -303,16 +292,11 @@ ScreenWorkload make_steady_workload(std::size_t suspicious_pct) {
         for (std::size_t a = 0; a < kAttrs; ++a) {
           p[a] = regime[a] + rng.gaussian(0.0, 0.4) + fault;
         }
-        for (std::size_t a = 0; a < kAttrs; ++a) mean[a] += p[a];
-        os.rep_sensors.push_back(static_cast<SensorId>(s));
-        os.rep_sums.push_back(vecn::scalar_sum(p));
-        if (os.rep_total.empty()) os.rep_total.assign(kAttrs, 0.0);
-        for (std::size_t a = 0; a < kAttrs; ++a) os.rep_total[a] += p[a];
-        os.rep_points.push_back(std::move(p));
+        ids.push_back(static_cast<SensorId>(s));
+        points.push_back(std::move(p));
       }
-      for (auto& a : mean) a /= static_cast<double>(kSensors);
-      os.cached_mean = std::move(mean);
-      feed.windows.push_back(std::move(os));
+      feed.windows.push_back(
+          bench::make_window(i, kWindowSeconds, std::move(ids), std::move(points)));
     }
     w.regions.push_back(std::move(feed));
   }

@@ -79,9 +79,7 @@ int main() {
 
   // --- Median-deviation baseline ---
   baseline::MedianDetector median_det((baseline::MedianDetectorConfig()));
-  for (const auto& w : window_trace(faulty_trace, 3600.0)) {
-    if (!w.empty()) median_det.process(w);
-  }
+  for (const auto& w : window_trace(faulty_trace, 3600.0)) median_det.process(w);
   std::printf("=== median-deviation baseline ===\n");
   for (SensorId s = 0; s < 10; ++s) {
     const std::size_t n = median_det.windows(s);

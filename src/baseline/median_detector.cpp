@@ -16,26 +16,26 @@ MedianDetector::MedianDetector(MedianDetectorConfig cfg) : cfg_(cfg) {
 
 std::map<SensorId, bool> MedianDetector::process(const ObservationSet& window) {
   std::map<SensorId, bool> out;
-  const auto reps = window.representatives();
-  for (const auto& [id, v] : reps) {
-    (void)v;
+  const auto& ids = window.rep_sensors;
+  const auto& reps = window.rep_points;
+  for (const SensorId id : ids) {
     out[id] = false;
     ++window_counts_[id];
   }
   if (reps.size() < 3) return out;
 
-  const std::size_t dims = reps.front().second.size();
+  const std::size_t dims = reps.front().size();
   for (std::size_t a = 0; a < dims; ++a) {
     std::vector<double> xs;
     xs.reserve(reps.size());
-    for (const auto& [id, v] : reps) xs.push_back(v[a]);
+    for (const AttrVec& v : reps) xs.push_back(v[a]);
     const double med = median(xs);
     std::vector<double> devs;
     devs.reserve(xs.size());
     for (const double x : xs) devs.push_back(std::abs(x - med));
     const double sigma = std::max(cfg_.min_sigma, 1.4826 * median(devs));
-    for (const auto& [id, v] : reps) {
-      if (std::abs(v[a] - med) > cfg_.k * sigma) out[id] = true;
+    for (std::size_t j = 0; j < reps.size(); ++j) {
+      if (std::abs(reps[j][a] - med) > cfg_.k * sigma) out[ids[j]] = true;
     }
   }
   for (const auto& [id, flagged] : out) {

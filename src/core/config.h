@@ -130,15 +130,6 @@ struct PipelineConfig {
   /// Detection and diagnosis results are unaffected either way.
   bool record_history = true;
 
-  /// Retain each window's raw attribute vectors and per-sensor sample map in
-  /// the ObservationSet handed to the stages (WindowerConfig::keep_raw).
-  /// The pipeline consumes only the flat rep arrays and the cached window
-  /// mean, so this is off by default; with it off the fused ingest path is
-  /// allocation-free per record at steady state. Turn it on when external
-  /// window consumers need ObservationSet::raw / per_sensor. Detection,
-  /// diagnosis, and report bytes are identical either way.
-  bool keep_raw = false;
-
   /// First-tier screening (screen/screen.h). The default mode (off) takes
   /// exactly the historical code path: no screen state is allocated, no
   /// screen work runs per window, and checkpoints carry no screen section --

@@ -155,7 +155,7 @@ struct FleetMonitor::Shard {
   /// Records an item stands for: a batch's size, a window's sensor count.
   static std::size_t weight(const QueueItem& item) {
     const auto* batch = std::get_if<RecordBatch>(&item);
-    return batch != nullptr ? batch->size() : std::get<ObservationSet>(item).sensor_count();
+    return batch != nullptr ? batch->size() : std::get<ObservationSet>(item).rep_sensors.size();
   }
 
   /// Make one pipeline call (`what` names it in the status message). A
@@ -471,7 +471,7 @@ void FleetMonitor::add_records(const std::string& region, std::span<const Sensor
 }
 
 void FleetMonitor::add_window(const std::string& region, const ObservationSet& window) {
-  const std::size_t weight = window.sensor_count();
+  const std::size_t weight = window.rep_sensors.size();
   Shard* sh = admit(region, weight);
   if (sh == nullptr) return;
   m_windows_->inc();

@@ -244,14 +244,16 @@ class FleetMonitor {
   /// windows locally and uploads one ObservationSet per closed window (the
   /// regime the screen tier is sized for -- per-record windowing cost would
   /// otherwise dominate the screened per-sensor cost). Bypasses the region's
-  /// windower entirely; the window is processed as-is, so its per_sensor map
-  /// (or rep arrays) must already hold one representative per sensor.
-  /// Windows count toward records_ingested / backpressure / checkpoint
-  /// cadence at weight per_sensor.size(). Within a region, record spans and
-  /// windows are applied in the order the caller hands them over, at any
-  /// thread count. Quarantine/error semantics match add_record. One worker
-  /// processes the window in place (no copy); more copy it into the
-  /// region's queue.
+  /// windower entirely; the window is processed as-is, so its rep arrays
+  /// must already hold one representative per sensor, with rep_sums,
+  /// rep_total and cached_mean filled as the windower fills them. A window
+  /// whose arrays disagree in length makes process_window throw, which
+  /// quarantines the region. Windows count toward records_ingested /
+  /// backpressure / checkpoint cadence at weight rep_sensors.size(). Within
+  /// a region, record spans and windows are applied in the order the caller
+  /// hands them over, at any thread count. Quarantine/error semantics match
+  /// add_record. One worker processes the window in place (no copy); more
+  /// copy it into the region's queue.
   void add_window(const std::string& region, const ObservationSet& window);
 
   /// What ingest()/ingest_file() report back: how much arrived and the

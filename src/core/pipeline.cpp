@@ -35,7 +35,7 @@ util::Histogram& stage_histogram(const char* name) {
 DetectionPipeline::DetectionPipeline(PipelineConfig cfg)
     : cfg_(std::move(cfg)),
       states_(cfg_.model_states, cfg_.initial_states),
-      windower_(WindowerConfig{cfg_.window_seconds, cfg_.keep_raw}),
+      windower_(cfg_.window_seconds),
       alarms_(cfg_.alarm_filter),
       tracks_(hmm_config(cfg_)),
       m_co_(hmm_config(cfg_)) {
@@ -156,7 +156,7 @@ void DetectionPipeline::add_records(std::span<const SensorRecord> recs) {
   // One fused pass: the windower's columnar accumulators run inline over the
   // batch, and each completed window is processed in place through the
   // recycled emission object -- no per-record virtual dispatch, no window
-  // materialization, and (keep_raw off) no allocations per record.
+  // materialization, and no allocations per record.
   windower_.add_batch(recs, WindowSink{*this});
 }
 
@@ -169,50 +169,38 @@ void DetectionPipeline::finish() {
 }
 
 void DetectionPipeline::process_trace(const std::vector<SensorRecord>& records) {
-  for (const auto& window : window_trace(records, cfg_.window_seconds)) {
-    process_window(window);
-  }
+  std::vector<SensorRecord> sorted = records;
+  sort_by_time(sorted);
+  add_records(sorted);
+  finish();
 }
 
 void DetectionPipeline::process_window(const ObservationSet& window) {
-  if (window.sensor_count() < cfg_.min_sensors_per_window) {
+  // The stages index rep_points, rep_sums and rep_total by rep_sensors and
+  // the window mean's width: a hand-built window that disagrees would send
+  // them past the ends of its arrays.
+  const std::size_t n = window.rep_sensors.size();
+  if (window.rep_points.size() != n || window.rep_sums.size() != n ||
+      window.rep_total.size() != window.cached_mean.size()) {
+    throw std::invalid_argument(
+        "process_window: rep_points/rep_sums must match rep_sensors in length and rep_total "
+        "must match cached_mean in width");
+  }
+  if (n < cfg_.min_sensors_per_window) {
     ++windows_skipped_;
     return;
   }
 
-  // Per-sensor representatives drive every step: each sensor gets one vote
-  // per window, so a chatty sensor cannot outvote the rest. The windower
-  // caches them as flat arrays; hand-built windows are copied into the
-  // reusable scratch (element-wise, so the AttrVecs keep their capacity).
-  std::span<const AttrVec> points;
-  std::span<const SensorId> sensors;
-  if (!window.rep_points.empty()) {
-    points = window.rep_points;
-    sensors = window.rep_sensors;
-  } else {
-    points_.resize(window.per_sensor.size());
-    sensors_.resize(window.per_sensor.size());
-    std::size_t i = 0;
-    for (const auto& [id, p] : window.per_sensor) {
-      sensors_[i] = id;
-      points_[i].assign(p.begin(), p.end());
-      ++i;
-    }
-    points = points_;
-    sensors = sensors_;
-  }
-  // The windower caches the overall mean at finalization (same accumulation
-  // order, so the bits match); only hand-built windows pay the re-walk here.
-  const AttrVec* window_mean = &window.cached_mean;
-  if (window_mean->empty()) {
-    vecn::mean_into(window.raw, window_mean_);
-    window_mean = &window_mean_;
-  }
-
   if (screens_ != nullptr) {
-    process_window_screened(window, points, sensors, *window_mean);
+    process_window_screened(window);
     return;
   }
+
+  // Per-sensor representatives drive every step: each sensor gets one vote
+  // per window, so a chatty sensor cannot outvote the rest.
+  const std::span<const AttrVec> points = window.rep_points;
+  const std::span<const SensorId> sensors = window.rep_sensors;
+  const AttrVec& window_mean = window.cached_mean;
 
   // (1) Make fresh regimes representable before mapping (section 3.1's
   // "creating a new state s_{M+1} = p_j"). The window mean is a spawn
@@ -227,15 +215,14 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
   {
     util::ScopedTimerNs t(t_spawn_);
     spawned_points = !states_.maybe_spawn_mapped(points, spawn_slots_).empty();
-    spawned_mean = !states_.maybe_spawn(std::span<const AttrVec>(window_mean, 1)).empty();
+    spawned_mean = !states_.maybe_spawn(std::span<const AttrVec>(&window_mean, 1)).empty();
   }
 
-  // (2) o_i, c_i, l_j -- over the flat copies made above, so the window's
-  // per-sensor map is walked exactly once per window.
+  // (2) o_i, c_i, l_j over the window's rep arrays.
   WindowStates& ws = window_states_;
   {
     util::ScopedTimerNs t(t_identify_);
-    identify_states_into(sensors, points, states_, *window_mean, ws, ident_scratch_,
+    identify_states_into(sensors, points, states_, window_mean, ws, ident_scratch_,
                          (spawned_points || spawned_mean)
                              ? std::span<const std::size_t>{}
                              : std::span<const std::size_t>(spawn_slots_));
@@ -302,26 +289,16 @@ void DetectionPipeline::commit_history(WindowSummary& summary) {
   history_.push_back(summary);
 }
 
-void DetectionPipeline::fill_residuals(const ObservationSet& window,
-                                       std::span<const AttrVec> points,
-                                       const AttrVec& window_mean) {
-  const std::size_t n = points.size();
+void DetectionPipeline::fill_residuals(const ObservationSet& window) {
+  const std::size_t n = window.rep_sums.size();
   resid_.resize(n);
   screen_dec_.resize(n);
-  const double mean_sum = vecn::scalar_sum(window_mean);
+  const double mean_sum = vecn::scalar_sum(window.cached_mean);
   // The windower caches each representative's scalar_sum at finalization,
-  // while the samples are still cache-hot; reading one double per sensor
-  // here is bit-identical to recomputing it (same fixed accumulation
-  // order), so hand-built windows without the cache take the full walk and
-  // land on the same residuals.
-  if (window.rep_sums.size() == n) {
-    const double* sums = window.rep_sums.data();
-    for (std::size_t j = 0; j < n; ++j) resid_[j] = sums[j] - mean_sum;
-  } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      resid_[j] = vecn::scalar_sum(points[j]) - mean_sum;
-    }
-  }
+  // while the samples are still cache-hot, so a healthy sensor costs one
+  // double read here.
+  const double* sums = window.rep_sums.data();
+  for (std::size_t j = 0; j < n; ++j) resid_[j] = sums[j] - mean_sum;
 }
 
 void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window) {
@@ -383,10 +360,10 @@ void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window) {
   tracks_.flush_window();
 }
 
-void DetectionPipeline::process_window_screened(const ObservationSet& window,
-                                                std::span<const AttrVec> points,
-                                                std::span<const SensorId> sensors,
-                                                const AttrVec& window_mean) {
+void DetectionPipeline::process_window_screened(const ObservationSet& window) {
+  const std::vector<AttrVec>& points = window.rep_points;
+  const std::vector<SensorId>& sensors = window.rep_sensors;
+  const AttrVec& window_mean = window.cached_mean;
   const std::size_t n = sensors.size();
 
   // Screens partition the window: escalated representatives go through the
@@ -399,19 +376,13 @@ void DetectionPipeline::process_window_screened(const ObservationSet& window,
   {
     util::ScopedTimerNs t(t_screen_);
     // Three passes, each a tight loop: residuals (one cached scalar per
-    // sensor when the windower filled rep_sums), one batched bank update
-    // (independent per-sensor chains overlap), then the partition on the
-    // decisions. With rep_sums and rep_total present, a healthy sensor's
-    // full representative is never read at all -- the screened bloc's sum
-    // comes from rep_total minus the escalated points.
-    fill_residuals(window, points, window_mean);
+    // sensor), one batched bank update (independent per-sensor chains
+    // overlap), then the partition on the decisions. A healthy sensor's full
+    // representative is never read at all -- the screened bloc's sum comes
+    // from rep_total minus the escalated points.
+    fill_residuals(window);
     screens_->observe_block(sensors.data(), resid_.data(), n, screen_dec_.data());
-    const bool have_total = window.rep_total.size() == window_mean.size();
-    if (have_total) {
-      screened_mean_.assign(window.rep_total.begin(), window.rep_total.end());
-    } else {
-      screened_mean_.assign(window_mean.size(), 0.0);
-    }
+    screened_mean_.assign(window.rep_total.begin(), window.rep_total.end());
     for (std::size_t j = 0; j < n; ++j) {
       if (screen_dec_[j].full_path) {
         if (esc_points_.size() <= esc_n) esc_points_.emplace_back();
@@ -419,18 +390,10 @@ void DetectionPipeline::process_window_screened(const ObservationSet& window,
         esc_points_[esc_n].assign(p.begin(), p.end());
         esc_sensors_.push_back(sensors[j]);
         ++esc_n;
-        if (have_total) {
-          for (std::size_t a = 0; a < screened_mean_.size() && a < p.size(); ++a) {
-            screened_mean_[a] -= p[a];
-          }
+        for (std::size_t a = 0; a < screened_mean_.size() && a < p.size(); ++a) {
+          screened_mean_[a] -= p[a];
         }
       } else {
-        if (!have_total) {
-          const AttrVec& p = points[j];
-          for (std::size_t a = 0; a < screened_mean_.size() && a < p.size(); ++a) {
-            screened_mean_[a] += p[a];
-          }
-        }
         ++screened_n;
       }
     }

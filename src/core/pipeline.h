@@ -18,8 +18,8 @@
 // the combined network + per-sensor report.
 //
 // The per-window hot path is allocation-free in steady state: all working
-// buffers (representative copies, the window mean, labels, cluster counters)
-// live in reusable scratch owned by the pipeline, and the only remaining
+// buffers (spawn slots, labels, cluster counters, escalated copies) live in
+// reusable scratch owned by the pipeline, and the only remaining
 // steady-state allocation is the history append (see
 // PipelineConfig::record_history and docs/PERFORMANCE.md).
 //
@@ -147,9 +147,9 @@ class DetectionPipeline {
 
   /// Bulk streaming entry: one fused pass over a decoded batch. The windower
   /// accumulates columnar per-sensor sums inline and each completed window is
-  /// processed in place -- no per-record dispatch overhead and, with
-  /// keep_raw off, no allocations per record at steady state. Equivalent to
-  /// calling add_record on each element in order.
+  /// processed in place -- no per-record dispatch overhead and no
+  /// allocations per record at steady state. Equivalent to calling
+  /// add_record on each element in order.
   void add_records(std::span<const SensorRecord> recs);
 
   /// The same pass over a flat batch: what a threads > 1 fleet's drain task
@@ -160,9 +160,16 @@ class DetectionPipeline {
   void finish();
 
   /// Batch entry point used by experiments: process one pre-built window.
+  /// Throws std::invalid_argument unless rep_points and rep_sums match
+  /// rep_sensors in length and rep_total matches cached_mean in width (the
+  /// windower's output always does; see bench::make_window for hand-built
+  /// windows).
   void process_window(const ObservationSet& window);
 
-  /// Convenience: window and process a whole trace, then finish().
+  /// Convenience: a copy of `records` sorted with sort_by_time, then
+  /// add_records() and finish(). The records go through this pipeline's own
+  /// windower, so late_records / clamped_records count them and a time gap
+  /// of any length costs one step.
   void process_trace(const std::vector<SensorRecord>& records);
 
   // --- Model access -------------------------------------------------------
@@ -229,15 +236,13 @@ class DetectionPipeline {
 
   /// The kScreen per-window path: per-sensor screens decide who takes the
   /// full mapping/alarm/HMM stages; screened sensors vote as a bloc through
-  /// their collective mean. Shares the caller's flat representative arrays.
-  void process_window_screened(const ObservationSet& window, std::span<const AttrVec> points,
-                               std::span<const SensorId> sensors, const AttrVec& window_mean);
+  /// their collective mean.
+  void process_window_screened(const ObservationSet& window);
 
   /// Fill resid_ (and size screen_dec_) for the screen tier: one scalar per
-  /// sensor, from the windower's cached rep_sums when present (bit-identical
-  /// to recomputing, without touching the representative vectors).
-  void fill_residuals(const ObservationSet& window, std::span<const AttrVec> points,
-                      const AttrVec& window_mean);
+  /// sensor, from the window's cached rep_sums (without touching the
+  /// representative vectors).
+  void fill_residuals(const ObservationSet& window);
 
   /// Stage (3): alarms and tracks over window_states_.mapping, iterated in
   /// cache-sized sensor blocks as four passes (alarm updates, track edges,
@@ -302,9 +307,6 @@ class DetectionPipeline {
 
   // Per-window scratch, reused so the steady-state hot path allocates
   // nothing (see docs/PERFORMANCE.md).
-  std::vector<AttrVec> points_;     // per-sensor representatives, window order
-  std::vector<SensorId> sensors_;   // sensor ids matching points_
-  AttrVec window_mean_;             // eq. (2) input, shared by spawn + identify
   std::vector<std::size_t> spawn_slots_;  // per-point slots from the spawn scan
   WindowStates window_states_;
   StateIdentScratch ident_scratch_;

@@ -46,40 +46,6 @@ void pick_correct_state(const ModelStateSet& states, WindowStates& out,
 
 }  // namespace
 
-void identify_states_into(const ObservationSet& window, const ModelStateSet& states,
-                          std::span<const double> window_mean, WindowStates& out,
-                          StateIdentScratch& scratch,
-                          std::span<const std::size_t> precomputed_slots) {
-  if (window.per_sensor.empty()) {
-    throw std::invalid_argument("identify_states: empty window");
-  }
-  if (!precomputed_slots.empty() && precomputed_slots.size() != window.per_sensor.size()) {
-    throw std::invalid_argument("identify_states: precomputed slot count mismatch");
-  }
-
-  out.mapping.clear();
-  out.sensors = window.per_sensor.size();
-
-  // eq. (2): o_i = argmin_k || s_k - mean(all observations) ||.
-  out.observable = states.ids()[states.map_slot(window_mean)];
-
-  // eq. (3): l_j per sensor representative. per_sensor iterates ascending by
-  // sensor id, so mapping[] comes out sorted.
-  scratch.point_slots.clear();
-  scratch.cluster_sizes.assign(states.size(), 0);
-  std::size_t j = 0;
-  for (const auto& [sensor, p] : window.per_sensor) {
-    const std::size_t slot =
-        precomputed_slots.empty() ? states.map_slot(p) : precomputed_slots[j];
-    ++j;
-    out.mapping.emplace_back(sensor, states.ids()[slot]);
-    scratch.point_slots.push_back(slot);
-    ++scratch.cluster_sizes[slot];
-  }
-
-  pick_correct_state(states, out, scratch);
-}
-
 void identify_states_into(std::span<const SensorId> sensors, std::span<const AttrVec> points,
                           const ModelStateSet& states, std::span<const double> window_mean,
                           WindowStates& out, StateIdentScratch& scratch,
@@ -96,8 +62,12 @@ void identify_states_into(std::span<const SensorId> sensors, std::span<const Att
 
   out.mapping.clear();
   out.sensors = sensors.size();
+
+  // eq. (2): o_i = argmin_k || s_k - mean(all observations) ||.
   out.observable = states.ids()[states.map_slot(window_mean)];
 
+  // eq. (3): l_j per sensor representative; sensors ascend, so mapping[]
+  // comes out sorted.
   scratch.point_slots.clear();
   scratch.cluster_sizes.assign(states.size(), 0);
   for (std::size_t j = 0; j < sensors.size(); ++j) {
@@ -112,12 +82,10 @@ void identify_states_into(std::span<const SensorId> sensors, std::span<const Att
 }
 
 WindowStates identify_states(const ObservationSet& window, const ModelStateSet& states) {
-  if (window.per_sensor.empty()) {
-    throw std::invalid_argument("identify_states: empty window");
-  }
   WindowStates out;
   StateIdentScratch scratch;
-  identify_states_into(window, states, window.overall_mean(), out, scratch);
+  identify_states_into(window.rep_sensors, window.rep_points, states, window.cached_mean, out,
+                       scratch);
   return out;
 }
 

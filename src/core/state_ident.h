@@ -45,30 +45,24 @@ struct StateIdentScratch {
   std::vector<std::size_t> cluster_sizes;  // per-slot representative counts
 };
 
-/// Identify o_i, c_i, and l_j for one window. Requires a nonempty window.
-/// Ties in eq. (4) break toward the cluster containing the observable state,
-/// then toward the smaller state id (deterministic).
+/// Identify o_i, c_i, and l_j for one window, from its rep arrays and
+/// cached_mean. Requires a nonempty window. Ties in eq. (4) break toward the
+/// cluster containing the observable state, then toward the smaller state
+/// id (deterministic).
 WindowStates identify_states(const ObservationSet& window, const ModelStateSet& states);
 
-/// Allocation-free variant: writes into `out` and `scratch` (cleared and
+/// Allocation-free variant over flat arrays (the pipeline's hot path):
+/// `sensors[j]`/`points[j]` must be the per-sensor representatives in
+/// ascending sensor order. Writes into `out` and `scratch` (cleared and
 /// reused; their capacity persists across windows). `window_mean` must be
 /// the window's overall mean (eq. (2) input), precomputed by the caller so
 /// the same mean also serves the spawn pass.
 ///
 /// `precomputed_slots`, when nonempty, must hold map_slot() of each
-/// per-sensor representative (in per_sensor order) under the *current*
-/// centroids -- e.g. from ModelStateSet::maybe_spawn_mapped when it created
-/// no states -- and lets eq. (3) skip its distance scans entirely. Throws if
-/// its size disagrees with the window's representative count.
-void identify_states_into(const ObservationSet& window, const ModelStateSet& states,
-                          std::span<const double> window_mean, WindowStates& out,
-                          StateIdentScratch& scratch,
-                          std::span<const std::size_t> precomputed_slots = {});
-
-/// Flat-array variant for callers that already copied the representatives out
-/// of the window (the pipeline's hot path): `sensors[j]`/`points[j]` must be
-/// the per-sensor representatives in ascending sensor order. Identical
-/// results to the ObservationSet overload, without re-walking its map.
+/// representative (in `points` order) under the *current* centroids -- e.g.
+/// from ModelStateSet::maybe_spawn_mapped when it created no states -- and
+/// lets eq. (3) skip its distance scans entirely. Throws if its size
+/// disagrees with the representative count.
 void identify_states_into(std::span<const SensorId> sensors, std::span<const AttrVec> points,
                           const ModelStateSet& states, std::span<const double> window_mean,
                           WindowStates& out, StateIdentScratch& scratch,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "trace/windower.h"
 #include "util/stats.h"
@@ -13,22 +14,38 @@ TraceEnvironment::TraceEnvironment(const std::vector<SensorRecord>& records,
   if (!(cfg.window_seconds > 0.0)) {
     throw std::invalid_argument("TraceEnvironment: window must be positive");
   }
-  for (const auto& w : window_trace(records, cfg.window_seconds)) {
-    if (w.empty()) continue;
-    if (dims_ == 0) dims_ = w.raw.front().size();
+  // Bucket the readings by window exactly as the windower would (sorted,
+  // same index rule), so each run of equal indices is one nonempty window.
+  std::vector<SensorRecord> sorted = records;
+  sort_by_time(sorted);
+  std::vector<double> xs;
+  for (std::size_t begin = 0; begin < sorted.size();) {
+    const std::size_t index = window_index(sorted[begin].time, cfg.window_seconds).index;
+    const std::size_t width = sorted[begin].attrs.size();
+    std::size_t end = begin + 1;
+    for (; end < sorted.size() &&
+           window_index(sorted[end].time, cfg.window_seconds).index == index;
+         ++end) {
+      // The windower rejects a window whose records disagree in width.
+      if (sorted[end].attrs.size() != width) {
+        throw std::invalid_argument("AttrVec dimension mismatch: " + std::to_string(width) +
+                                    " vs " + std::to_string(sorted[end].attrs.size()));
+      }
+    }
+    if (dims_ == 0) dims_ = width;
     // Per-attribute median across every reading in the window.
     AttrVec med(dims_);
-    std::vector<double> xs;
-    xs.reserve(w.raw.size());
     for (std::size_t a = 0; a < dims_; ++a) {
       xs.clear();
-      for (const auto& p : w.raw) {
-        if (p.size() == dims_) xs.push_back(p[a]);
+      for (std::size_t i = begin; i < end; ++i) {
+        if (sorted[i].attrs.size() == dims_) xs.push_back(sorted[i].attrs[a]);
       }
       med[a] = median(xs);
     }
-    times_.push_back(0.5 * (w.window_start + w.window_end));
+    const double start = cfg.window_seconds * static_cast<double>(index - 1);
+    times_.push_back(0.5 * (start + cfg.window_seconds * static_cast<double>(index)));
     centers_.push_back(std::move(med));
+    begin = end;
   }
   if (centers_.empty()) {
     throw std::invalid_argument("TraceEnvironment: trace has no nonempty window");

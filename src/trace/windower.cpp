@@ -22,9 +22,6 @@
 //    slots), the order std::map iteration gave the legacy loop; rep_sums /
 //    rep_total are computed from the finished reps with the identical
 //    helper and truncation guard.
-// The deferred adds run through kern accum_rows/sum_rows, which are
-// element-wise with rows processed in gather order at every level, so the
-// kernel batching changes nothing about the order of additions.
 //
 // Dimension-mismatch errors also mirror the legacy path: a sensor whose
 // samples disagree in width throws vecn::check_same_size's message for the
@@ -47,26 +44,6 @@
 
 namespace sentinel {
 
-AttrVec ObservationSet::overall_mean() const {
-  if (!cached_mean.empty()) return cached_mean;
-  if (raw.empty()) throw std::logic_error("ObservationSet::overall_mean on empty window");
-  return vecn::mean(raw);
-}
-
-std::vector<std::pair<SensorId, AttrVec>> ObservationSet::representatives() const {
-  std::vector<std::pair<SensorId, AttrVec>> out;
-  if (!rep_sensors.empty()) {
-    out.reserve(rep_sensors.size());
-    for (std::size_t j = 0; j < rep_sensors.size(); ++j) {
-      out.emplace_back(rep_sensors[j], rep_points[j]);
-    }
-    return out;
-  }
-  out.reserve(per_sensor.size());
-  for (const auto& [id, v] : per_sensor) out.emplace_back(id, v);
-  return out;
-}
-
 namespace {
 
 // Fibonacci-style mix so consecutive sensor ids spread across the table.
@@ -81,35 +58,31 @@ inline std::size_t hash_id(SensorId id) {
 
 }  // namespace
 
-Windower::Windower(const WindowerConfig& cfg)
-    : window_seconds_(cfg.window_seconds), keep_raw_(cfg.keep_raw) {
-  if (!(window_seconds_ > 0.0)) throw std::invalid_argument("Windower: window must be positive");
-  ht_.assign(64, 0);
+WindowIndex window_index(double time, double window_seconds) {
+  // The paper's eq. (1) is inclusive on both ends, but half-open intervals
+  // avoid double counting. Degenerate times need defined handling before the
+  // cast -- converting a negative or out-of-range double to size_t is
+  // undefined behavior (the ASan+UBSan CI job checks this path). Each clamp
+  // is reported so the windower can count degenerate timestamps instead of
+  // absorbing them silently.
+  const double idx = std::floor(time / window_seconds);
+  if (!(idx >= 0.0)) return {1, true};
+  constexpr double kMaxIndex = 9.0e18;  // < 2^63: cast below is defined
+  if (idx >= kMaxIndex) return {static_cast<std::size_t>(kMaxIndex), true};
+  return {static_cast<std::size_t>(idx) + 1, false};
 }
 
-void Windower::open_window(std::size_t index) { current_index_ = index; }
+void sort_by_time(std::vector<SensorRecord>& records) {
+  // `a.time < b.time` alone is not a strict weak order once a NaN is present.
+  std::stable_sort(records.begin(), records.end(),
+                   [](const SensorRecord& a, const SensorRecord& b) {
+                     return (std::isnan(a.time) && !std::isnan(b.time)) || a.time < b.time;
+                   });
+}
 
-std::size_t Windower::index_for(double time) {
-  // Window i (1-based) covers [w*(i-1), w*i); the paper's eq. (1) is
-  // inclusive on both ends, but half-open intervals avoid double counting.
-  // Degenerate times need defined handling before the cast -- converting a
-  // negative or out-of-range double to size_t is undefined behavior (the
-  // ASan+UBSan CI job checks this path): times before deployment start (and
-  // NaN) clamp into window 1, astronomically large times clamp to the
-  // largest index the cast can represent. Each clamp is counted so the
-  // pipeline can attribute degenerate timestamps instead of absorbing them
-  // silently.
-  const double idx = std::floor(time / window_seconds_);
-  if (!(idx >= 0.0)) {
-    ++clamped_records_;
-    return 1;
-  }
-  constexpr double kMaxIndex = 9.0e18;  // < 2^63: cast below is defined
-  if (idx >= kMaxIndex) {
-    ++clamped_records_;
-    return static_cast<std::size_t>(kMaxIndex);
-  }
-  return static_cast<std::size_t>(idx) + 1;
+Windower::Windower(double window_seconds) : window_seconds_(window_seconds) {
+  if (!(window_seconds_ > 0.0)) throw std::invalid_argument("Windower: window must be positive");
+  ht_.assign(64, 0);
 }
 
 std::uint32_t Windower::slot_for(SensorId id) {
@@ -146,9 +119,7 @@ void Windower::rehash() {
 
 void Windower::grow_stride(std::size_t dims) {
   // A record wider than any seen before: re-lay the sums arena at the new
-  // padded stride. Gathered offsets were computed against the old stride, so
-  // they must land first.
-  flush_slot_gather();
+  // padded stride.
   const std::size_t new_stride = kern::padded(dims);
   std::vector<double> wider(slot_ids_.size() * new_stride, 0.0);
   for (std::size_t s = 0; s < slot_ids_.size(); ++s) {
@@ -160,31 +131,12 @@ void Windower::grow_stride(std::size_t dims) {
   stride_ = new_stride;
 }
 
-void Windower::flush_slot_gather() {
-  if (g_count_ == 0) return;
-  kern::k().accum_rows(sums_.data(), g_offs_.data(), g_srcs_.data(), g_count_, g_dims_);
-  g_count_ = 0;
-}
-
-void Windower::flush_total_gather() {
-  if (gt_count_ == 0) return;
-  kern::k().sum_rows(total_.data(), gt_srcs_.data(), gt_count_, window_dims_);
-  gt_count_ = 0;
-}
-
 void Windower::accumulate(SensorId sensor, double time, std::span<const double> attrs) {
-  if (pending_count_ == pending_log_.size()) pending_log_.emplace_back();
-  SensorRecord& e = pending_log_[pending_count_];
-  e.sensor = sensor;
-  e.time = time;
-  e.attrs.assign(attrs.begin(), attrs.end());
-  ++pending_count_;
-  accumulate_entry(e);
-}
-
-void Windower::accumulate_entry(const SensorRecord& e) {
-  const auto dims = static_cast<std::uint32_t>(e.attrs.size());
-  const double* src = e.attrs.data();
+  const auto dims = static_cast<std::uint32_t>(attrs.size());
+  log_.sensors.push_back(sensor);
+  log_.times.push_back(time);
+  log_.widths.push_back(dims);
+  log_.attrs.insert(log_.attrs.end(), attrs.begin(), attrs.end());
 
   // Whole-window total: every record whose width matches the window's first.
   if (window_dims_ == kDimsUnset) {
@@ -192,26 +144,22 @@ void Windower::accumulate_entry(const SensorRecord& e) {
     total_.assign(dims, 0.0);
   }
   if (dims == window_dims_) {
-    if (gt_count_ == kGatherCap) flush_total_gather();
-    gt_srcs_[gt_count_++] = src;
+    for (std::size_t i = 0; i < dims; ++i) total_[i] += attrs[i];
   } else if (window_conflict_ == kDimsUnset) {
     window_conflict_ = dims;
   }
 
   // Per-sensor running sum.
   if (static_cast<std::size_t>(dims) > stride_) grow_stride(dims);
-  const std::uint32_t slot = slot_for(e.sensor);
+  const std::uint32_t slot = slot_for(sensor);
   if (slot_counts_[slot] == 0) {
     touched_.push_back(slot);
     slot_dims_[slot] = dims;
   }
   ++slot_counts_[slot];
   if (dims == slot_dims_[slot]) {
-    if (g_count_ == kGatherCap || (g_count_ != 0 && g_dims_ != dims)) flush_slot_gather();
-    if (g_count_ == 0) g_dims_ = dims;
-    g_offs_[g_count_] = static_cast<std::size_t>(slot) * stride_;
-    g_srcs_[g_count_] = src;
-    ++g_count_;
+    double* row = sums_.data() + static_cast<std::size_t>(slot) * stride_;
+    for (std::size_t i = 0; i < dims; ++i) row[i] += attrs[i];
   } else if (slot_conflict_[slot] == kDimsUnset) {
     slot_conflict_[slot] = dims;
   }
@@ -226,28 +174,22 @@ void Windower::reset_window_state() {
     std::fill(row, row + stride_, 0.0);
   }
   touched_.clear();
-  pending_count_ = 0;
+  log_.clear();
   window_dims_ = kDimsUnset;
   window_conflict_ = kDimsUnset;
-  g_count_ = 0;
-  gt_count_ = 0;
 }
 
 void Windower::finalize_into(ObservationSet& out) {
-  flush_slot_gather();
-  flush_total_gather();
-
   out.window_index = current_index_;
   out.window_start = window_seconds_ * static_cast<double>(current_index_ - 1);
   out.window_end = window_seconds_ * static_cast<double>(current_index_);
-  out.per_sensor.clear();
+  out.records = log_.size();
   out.cached_mean.clear();
   out.rep_sensors.clear();
   out.rep_sums.clear();
   out.rep_total.clear();
-  if (!keep_raw_) out.raw.clear();
-  // raw / rep_points are recycled element-wise below (clear() would free
-  // every inner buffer and reintroduce per-window allocations).
+  // rep_points is recycled element-wise below (clear() would free every
+  // inner buffer and reintroduce per-window allocations).
 
   // Ascending sensor order -- the order the legacy std::map iteration gave.
   std::sort(touched_.begin(), touched_.end(),
@@ -278,7 +220,6 @@ void Windower::finalize_into(ObservationSet& out) {
     rep.resize(dims);
     for (std::size_t i = 0; i < dims; ++i) rep[i] = row[i] * inv;
     out.rep_sensors.push_back(slot_ids_[s]);
-    if (keep_raw_) out.per_sensor.emplace(slot_ids_[s], rep);
     out.rep_sums.push_back(vecn::scalar_sum(rep));
     if (out.rep_total.empty()) out.rep_total.assign(rep.size(), 0.0);
     for (std::size_t a = 0; a < out.rep_total.size() && a < rep.size(); ++a) {
@@ -286,7 +227,7 @@ void Windower::finalize_into(ObservationSet& out) {
     }
   }
 
-  if (pending_count_ > 0) {
+  if (!log_.empty()) {
     // ...then a window whose records disagree with its first record's width
     // (vecn::mean_into over raw).
     if (window_conflict_ != kDimsUnset) {
@@ -295,18 +236,9 @@ void Windower::finalize_into(ObservationSet& out) {
       reset_window_state();
       throw_dims_mismatch(have, got);
     }
-    const double inv = 1.0 / static_cast<double>(pending_count_);
+    const double inv = 1.0 / static_cast<double>(log_.size());
     out.cached_mean.resize(window_dims_);
     for (std::size_t i = 0; i < window_dims_; ++i) out.cached_mean[i] = total_[i] * inv;
-  }
-
-  if (keep_raw_) {
-    if (out.raw.size() > pending_count_) out.raw.resize(pending_count_);
-    for (std::size_t i = 0; i < pending_count_; ++i) {
-      if (i == out.raw.size()) out.raw.emplace_back();
-      const AttrVec& a = pending_log_[i].attrs;
-      out.raw[i].assign(a.begin(), a.end());
-    }
   }
 
   reset_window_state();
@@ -319,7 +251,7 @@ std::vector<ObservationSet> Windower::add(const SensorRecord& rec) {
 }
 
 std::optional<ObservationSet> Windower::flush() {
-  if (current_index_ == 0 || pending_count_ == 0) return std::nullopt;
+  if (current_index_ == 0 || log_.empty()) return std::nullopt;
   ObservationSet set;
   finalize_into(set);  // resets to an empty window at the same index
   return set;
@@ -330,12 +262,15 @@ void Windower::save(serialize::Writer& w) const {
   serialize::put(w, current_index_);
   serialize::put(w, late_records_);
   serialize::put(w, clamped_records_);
-  serialize::put(w, pending_count_);
-  for (std::size_t i = 0; i < pending_count_; ++i) {
-    const SensorRecord& rec = pending_log_[i];
-    serialize::put(w, rec.sensor);
-    serialize::put(w, rec.time);
-    serialize::put_vector(w, rec.attrs);
+  serialize::put(w, log_.size());
+  const double* attrs = log_.attrs.data();
+  for (std::size_t i = 0; i < log_.size(); ++i) {
+    serialize::put(w, log_.sensors[i]);
+    serialize::put(w, log_.times[i]);
+    const std::size_t width = log_.widths[i];
+    serialize::put(w, width);
+    for (std::size_t a = 0; a < width; ++a) serialize::put(w, attrs[a]);
+    attrs += width;
   }
 }
 
@@ -346,35 +281,28 @@ void Windower::load(serialize::Reader& r) {
   clamped_records_ = serialize::get<std::size_t>(r);
   const auto n = serialize::get<std::size_t>(r);
   if (n > (1u << 26)) throw std::runtime_error("checkpoint: implausible pending-record count");
-  reset_window_state();
-  pending_log_.clear();
-  pending_log_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    SensorRecord rec;
-    rec.sensor = serialize::get<SensorId>(r);
-    rec.time = serialize::get<double>(r);
-    rec.attrs = serialize::get_vector<double>(r);
-    pending_log_.push_back(std::move(rec));
-  }
   // Rebuild the columnar accumulators by replaying the log (the counters
   // above were restored from the stream; replay must not re-count).
-  pending_count_ = n;
-  for (std::size_t i = 0; i < n; ++i) accumulate_entry(pending_log_[i]);
-  flush_slot_gather();
-  flush_total_gather();
+  reset_window_state();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto sensor = serialize::get<SensorId>(r);
+    const auto time = serialize::get<double>(r);
+    const AttrVec attrs = serialize::get_vector<double>(r);
+    accumulate(sensor, time, attrs);
+  }
 }
 
 std::vector<ObservationSet> window_trace(std::vector<SensorRecord> records,
                                          double window_seconds) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const SensorRecord& a, const SensorRecord& b) { return a.time < b.time; });
+  sort_by_time(records);
   Windower w(window_seconds);
   std::vector<ObservationSet> out;
-  for (const auto& rec : records) {
-    auto done = w.add(rec);
-    out.insert(out.end(), std::make_move_iterator(done.begin()),
-               std::make_move_iterator(done.end()));
-  }
+  struct Sink {
+    std::vector<ObservationSet>& out;
+    void operator()(ObservationSet&& window) const { out.push_back(std::move(window)); }
+    void operator()(Windower::EmptyWindows) const {}
+  };
+  w.add_batch(records, Sink{out});
   if (auto last = w.flush()) out.push_back(std::move(*last));
   return out;
 }

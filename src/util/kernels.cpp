@@ -156,22 +156,6 @@ void ema_scale_bump_rows_scalar(double* base, const std::size_t* offs,
   }
 }
 
-void accum_rows_scalar(double* base, const std::size_t* offs, const double* const* srcs,
-                       std::size_t count, std::size_t n) {
-  for (std::size_t r = 0; r < count; ++r) {
-    double* v = base + offs[r];
-    const double* s = srcs[r];
-    for (std::size_t i = 0; i < n; ++i) v[i] += s[i];
-  }
-}
-
-void sum_rows_scalar(double* out, const double* const* srcs, std::size_t count, std::size_t n) {
-  for (std::size_t r = 0; r < count; ++r) {
-    const double* s = srcs[r];
-    for (std::size_t i = 0; i < n; ++i) out[i] += s[i];
-  }
-}
-
 void axpy_scalar(double* y, const double* x, std::size_t n, double a) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
@@ -198,7 +182,6 @@ constexpr Kernels kScalarKernels{
     vec_mat_scalar,  mat_vec_scalar,     mat_vec_block_scalar,
     scale_scalar,    div_scale_scalar,
     ema_scale_bump_rows_scalar,
-    accum_rows_scalar, sum_rows_scalar,
     axpy_scalar,     mul_scalar,         mul_axpy_scalar,
     normalize_scalar, max_plus_scalar,
 };

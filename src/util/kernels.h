@@ -103,20 +103,6 @@ struct Kernels {
   void (*ema_scale_bump_rows)(double* base, const std::size_t* offs,
                               const std::uint32_t* cols, std::size_t count,
                               std::size_t n, double s, double bump);
-  /// Batched columnar accumulate over scattered destination rows (the
-  /// windower's per-sensor running sums): for each r in [0, count),
-  /// (base + offs[r])[i] += srcs[r][i] over [0, n). Rows are processed in
-  /// batch order with elements ascending within a row, so repeated offsets
-  /// accumulate exactly like the equivalent sequence of scalar loops --
-  /// elementwise adds, no reduction, trivially bit-identical at every level.
-  void (*accum_rows)(double* base, const std::size_t* offs,
-                     const double* const* srcs, std::size_t count, std::size_t n);
-  /// Many-rows-into-one accumulate (the windower's whole-window total):
-  /// out[i] += srcs[r][i], r ascending then i ascending within each row. Per
-  /// output element the additions happen in row order -- the accumulation
-  /// order of vecn::mean_into -- so results are bit-identical to that loop
-  /// and to one another at every level.
-  void (*sum_rows)(double* out, const double* const* srcs, std::size_t count, std::size_t n);
   /// y[i] += a * x[i]; multiply then add, each rounded (no FMA).
   void (*axpy)(double* y, const double* x, std::size_t n, double a);
   /// out[i] = a[i] * b[i]. out may alias a or b.

@@ -192,30 +192,6 @@ void ema_scale_bump_rows_avx2(double* base, const std::size_t* offs, const std::
   }
 }
 
-void accum_rows_avx2(double* base, const std::size_t* offs, const double* const* srcs,
-                     std::size_t count, std::size_t n) {
-  for (std::size_t r = 0; r < count; ++r) {
-    double* v = base + offs[r];
-    const double* s = srcs[r];
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      _mm256_storeu_pd(v + i, _mm256_add_pd(_mm256_loadu_pd(v + i), _mm256_loadu_pd(s + i)));
-    }
-    for (; i < n; ++i) v[i] += s[i];
-  }
-}
-
-void sum_rows_avx2(double* out, const double* const* srcs, std::size_t count, std::size_t n) {
-  for (std::size_t r = 0; r < count; ++r) {
-    const double* s = srcs[r];
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(out + i), _mm256_loadu_pd(s + i)));
-    }
-    for (; i < n; ++i) out[i] += s[i];
-  }
-}
-
 void axpy_avx2(double* y, const double* x, std::size_t n, double a) {
   const __m256d k = _mm256_set1_pd(a);
   std::size_t i = 0;
@@ -259,7 +235,6 @@ constexpr Kernels kAvx2Kernels{
     vec_mat_avx2,  mat_vec_avx2,     mat_vec_block_avx2,
     scale_avx2,    div_scale_scalar,
     ema_scale_bump_rows_avx2,
-    accum_rows_avx2, sum_rows_avx2,
     axpy_avx2,     mul_avx2,         mul_axpy_avx2,
     normalize_avx2, max_plus_scalar,
 };

@@ -4,6 +4,7 @@
 
 #include "baseline/median_detector.h"
 #include "baseline/warrender.h"
+#include "common/scenario.h"
 #include "util/rng.h"
 
 namespace sentinel::baseline {
@@ -68,15 +69,16 @@ TEST(Warrender, ErrorsBeforeTraining) {
 
 TEST(MedianDetectorTest, FlagsOutlierSensor) {
   MedianDetector det(MedianDetectorConfig{});
-  ObservationSet w;
+  std::vector<SensorId> ids;
+  std::vector<AttrVec> points;
   for (SensorId s = 0; s < 6; ++s) {
-    w.per_sensor[s] = {20.0 + 0.1 * s, 70.0};
-    w.raw.push_back(w.per_sensor[s]);
+    ids.push_back(s);
+    points.push_back({20.0 + 0.1 * s, 70.0});
   }
-  w.per_sensor[6] = {20.0, 5.0};  // humidity outlier
-  w.raw.push_back(w.per_sensor[6]);
+  ids.push_back(6);
+  points.push_back({20.0, 5.0});  // humidity outlier
 
-  const auto flags = det.process(w);
+  const auto flags = det.process(bench::make_window(1, 3600.0, ids, points));
   EXPECT_TRUE(flags.at(6));
   for (SensorId s = 0; s < 6; ++s) EXPECT_FALSE(flags.at(s)) << s;
   EXPECT_EQ(det.flags(6), 1u);
@@ -85,9 +87,8 @@ TEST(MedianDetectorTest, FlagsOutlierSensor) {
 
 TEST(MedianDetectorTest, SmallWindowsFlagNobody) {
   MedianDetector det(MedianDetectorConfig{});
-  ObservationSet w;
-  w.per_sensor = {{0, {1.0, 1.0}}, {1, {100.0, 100.0}}};
-  const auto flags = det.process(w);
+  const auto flags =
+      det.process(bench::make_window(1, 3600.0, {0, 1}, {{1.0, 1.0}, {100.0, 100.0}}));
   EXPECT_FALSE(flags.at(0));
   EXPECT_FALSE(flags.at(1));
 }
@@ -97,10 +98,13 @@ TEST(MedianDetectorTest, QuietEnvironmentNoFalseFlags) {
   Rng rng(4, "median-quiet");
   std::size_t false_flags = 0;
   for (int t = 0; t < 200; ++t) {
-    ObservationSet w;
+    std::vector<SensorId> ids;
+    std::vector<AttrVec> points;
     for (SensorId s = 0; s < 8; ++s) {
-      w.per_sensor[s] = {20.0 + rng.gaussian(0, 0.3), 70.0 + rng.gaussian(0, 0.3)};
+      ids.push_back(s);
+      points.push_back({20.0 + rng.gaussian(0, 0.3), 70.0 + rng.gaussian(0, 0.3)});
     }
+    const auto w = bench::make_window(1, 3600.0, std::move(ids), std::move(points));
     for (const auto& [id, flagged] : det.process(w)) false_flags += flagged;
   }
   EXPECT_LT(false_flags, 10u);

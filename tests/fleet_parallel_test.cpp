@@ -14,13 +14,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/scenario.h"
 #include "core/fleet.h"
 #include "faults/attack_models.h"
 #include "faults/fault_models.h"
@@ -246,31 +246,14 @@ TEST(FleetParallel, QuarantineAccountingIsThreadCountInvariant) {
   }
 }
 
-/// Hand-built window `index` (1-based hours) over the trace records inside
-/// it: each sensor's mean, shifted by `offset` on the first attribute, and
-/// the mean of those as the window mean.
+/// Window `index` (1-based hours) of `trace` as a cluster head uploads it,
+/// each representative shifted by `offset` on the first attribute.
 ObservationSet window_from(const std::vector<SensorRecord>& trace, std::size_t index,
                            double offset) {
-  ObservationSet w;
-  w.window_index = index;
-  w.window_start = kSecondsPerHour * static_cast<double>(index - 1);
-  w.window_end = w.window_start + kSecondsPerHour;
-  std::map<SensorId, double> counts;
-  for (const auto& rec : trace) {
-    if (rec.time < w.window_start || rec.time >= w.window_end) continue;
-    AttrVec& sum = w.per_sensor[rec.sensor];
-    sum.resize(rec.attrs.size(), 0.0);
-    for (std::size_t a = 0; a < sum.size(); ++a) sum[a] += rec.attrs[a];
-    counts[rec.sensor] += 1.0;
-  }
-  w.cached_mean.assign(2, 0.0);
-  for (auto& [id, p] : w.per_sensor) {
-    for (auto& a : p) a /= counts[id];
-    p[0] += offset;
-    for (std::size_t a = 0; a < p.size(); ++a) w.cached_mean[a] += p[a];
-  }
-  for (auto& a : w.cached_mean) a /= static_cast<double>(w.per_sensor.size());
-  return w;
+  ObservationSet w = window_trace(trace, kSecondsPerHour).at(index - 1);
+  for (AttrVec& p : w.rep_points) p[0] += offset;
+  return bench::make_window(index, kSecondsPerHour, std::move(w.rep_sensors),
+                            std::move(w.rep_points));
 }
 
 TEST(FleetParallel, RecordsAndWindowsApplyInCallerOrder) {
@@ -306,6 +289,46 @@ TEST(FleetParallel, RecordsAndWindowsApplyInCallerOrder) {
   };
   const std::string want = run(1);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(run(4), want) << "threads=4 run " << i;
+}
+
+TEST(FleetParallel, MalformedHandBuiltWindowQuarantinesOnlyItsRegion) {
+  // A pre-aggregated window whose rep arrays disagree in length makes
+  // process_window throw; the fleet quarantines that region at any thread
+  // count, and the other region's report is the one it gets alone.
+  const CycleEnvironment env;
+  const auto windows =
+      window_trace(simulate_region(env, 2.0 * kSecondsPerDay, 41), kSecondsPerHour);
+  ObservationSet malformed = windows[10];
+  malformed.rep_sums.pop_back();
+
+  const auto run = [&](std::size_t threads, bool with_bad) {
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("good", region_config());
+    if (with_bad) fleet.add_region("bad", region_config());
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      fleet.add_window("good", windows[i]);
+      if (with_bad) fleet.add_window("bad", i == 10 ? malformed : windows[i]);
+    }
+    fleet.finish();
+    if (with_bad) {
+      const RegionState& bad = fleet.region_health("bad");
+      EXPECT_EQ(bad.health, RegionHealth::kQuarantined) << "threads=" << threads;
+      EXPECT_TRUE(bad.error) << "threads=" << threads;
+      if (bad.error) {
+        EXPECT_THROW(std::rethrow_exception(bad.error), std::invalid_argument);
+      }
+    }
+    const FleetReport report = fleet.diagnose();
+    std::ostringstream checkpoint;
+    fleet.region("good").save_checkpoint(checkpoint);
+    return to_string(report.regions.at("good")) + checkpoint.str();
+  };
+  const std::string alone = run(1, false);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_EQ(run(threads, true), alone) << "threads=" << threads;
+  }
 }
 
 TEST(FleetParallel, MixedWidthBatchesKeepTheirArenaOffsets) {

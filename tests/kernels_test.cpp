@@ -248,71 +248,6 @@ TEST(KernelsTest, EmaScaleBumpRowsMatchesPerRowScaleThenBump) {
   }
 }
 
-TEST(KernelsTest, AccumRowsMatchesSequentialElementwiseAdds) {
-  // accum_rows is the windower's fused per-sensor accumulate: scattered
-  // destination rows, each += a source row. Repeated offsets in one batch
-  // must accumulate in batch order, exactly like the sequential loops.
-  for (const Level level : testable_levels()) {
-    const Kernels& k = table(level);
-    for (const std::size_t n : {1ul, 2ul, 4ul, 8ul, 12ul}) {
-      for (const std::size_t count : {0ul, 1ul, 2ul, 5ul, 17ul, 64ul}) {
-        const std::size_t arena_rows = 8;
-        auto arena = hostile(arena_rows * n, 70 + n);
-        const auto src_pool = hostile((count + 1) * n, 71 + count);
-        std::vector<std::size_t> offs(count);
-        std::vector<const double*> srcs(count);
-        std::mt19937_64 rng(123 + count);
-        for (std::size_t r = 0; r < count; ++r) {
-          offs[r] = (rng() % arena_rows) * n;  // repeats: same row hit twice
-          srcs[r] = src_pool.data() + (rng() % (count + 1)) * n;
-        }
-        const std::string tag = std::string(level_name(level)) + " n=" + std::to_string(n) +
-                                " count=" + std::to_string(count);
-
-        auto got = arena;
-        k.accum_rows(got.data(), offs.data(), srcs.data(), count, n);
-
-        auto want = arena;
-        for (std::size_t r = 0; r < count; ++r) {
-          for (std::size_t i = 0; i < n; ++i) want[offs[r] + i] += srcs[r][i];
-        }
-        expect_same_bits(got, want, "accum_rows " + tag);
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, SumRowsMatchesSequentialElementwiseAdds) {
-  // sum_rows is the windower's whole-window total: out += each source row,
-  // rows in order -- the accumulation order of vecn::mean_into, so per
-  // output element additions happen in row order at every level.
-  for (const Level level : testable_levels()) {
-    const Kernels& k = table(level);
-    for (const std::size_t n : {1ul, 3ul, 4ul, 8ul, 13ul}) {
-      for (const std::size_t count : {0ul, 1ul, 2ul, 9ul, 33ul}) {
-        const auto out0 = hostile(n, 80 + n);
-        const auto src_pool = hostile((count + 1) * n, 81 + count);
-        std::vector<const double*> srcs(count);
-        std::mt19937_64 rng(321 + count);
-        for (std::size_t r = 0; r < count; ++r) {
-          srcs[r] = src_pool.data() + (rng() % (count + 1)) * n;
-        }
-        const std::string tag = std::string(level_name(level)) + " n=" + std::to_string(n) +
-                                " count=" + std::to_string(count);
-
-        auto got = out0;
-        k.sum_rows(got.data(), srcs.data(), count, n);
-
-        auto want = out0;
-        for (std::size_t r = 0; r < count; ++r) {
-          for (std::size_t i = 0; i < n; ++i) want[i] += srcs[r][i];
-        }
-        expect_same_bits(got, want, "sum_rows " + tag);
-      }
-    }
-  }
-}
-
 TEST(KernelsTest, ElementwiseOpsBitIdenticalAcrossLevels) {
   const Kernels& ref = table(Level::scalar);
   for (const Level level : testable_levels()) {

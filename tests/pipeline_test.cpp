@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <random>
+#include <sstream>
 
+#include "common/scenario.h"
 #include "core/pipeline.h"
 #include "faults/fault_models.h"
 #include "faults/injection_plan.h"
@@ -148,13 +154,53 @@ TEST(Pipeline, SkipsWindowsBelowSensorMinimum) {
   cfg.min_sensors_per_window = 3;
   DetectionPipeline p(cfg);
   // Two sensors only: every window skipped.
-  ObservationSet w;
-  w.window_index = 1;
-  w.per_sensor = {{0, {10.0, 80.0}}, {1, {10.0, 80.0}}};
-  w.raw = {{10.0, 80.0}, {10.0, 80.0}};
-  p.process_window(w);
+  p.process_window(bench::make_window(1, cfg.window_seconds, {0, 1}, {{10.0, 80.0}, {10.0, 80.0}}));
   EXPECT_EQ(p.windows_processed(), 0u);
   EXPECT_EQ(p.windows_skipped(), 1u);
+}
+
+TEST(Pipeline, HandBuiltWindowMustMatchItsArrays) {
+  // The stages index rep_points and rep_sums by rep_sensors and rep_total by
+  // the window mean's width; a window that disagrees is rejected before any
+  // of them reads past an array.
+  const ObservationSet good = bench::make_window(
+      1, kSecondsPerHour, {0, 1, 2}, {{10.0, 80.0}, {10.5, 79.0}, {9.5, 81.0}});
+  std::vector<ObservationSet> bad(4, good);
+  bad[0].rep_points.pop_back();
+  bad[1].rep_sums.pop_back();
+  bad[2].rep_total.push_back(0.0);
+  bad[3].rep_sensors.push_back(3);
+  DetectionPipeline p(test_config());
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(p.process_window(bad[i]), std::invalid_argument) << i;
+  }
+  EXPECT_EQ(p.windows_processed() + p.windows_skipped(), 0u);
+  p.process_window(good);
+  EXPECT_EQ(p.windows_processed(), 1u);
+}
+
+TEST(Pipeline, NanTimeSortsFirstWhereverItSits) {
+  // A NaN time clamps into window 1. process_trace must sort it there from
+  // any position: `a.time < b.time` alone is no strict weak order with a
+  // NaN present, and a NaN left mid-trace turned later records late.
+  const CycleEnvironment env;
+  auto trace = simulate(env, 4.0 * kSecondsPerDay, nullptr);
+  std::shuffle(trace.begin(), trace.end(), std::mt19937_64(17));
+  const SensorRecord nan_rec{3, std::numeric_limits<double>::quiet_NaN(), {10.0, 80.0}};
+  const auto run = [&](std::size_t at) {
+    auto t = trace;
+    t.insert(t.begin() + static_cast<std::ptrdiff_t>(at), nan_rec);
+    DetectionPipeline p(test_config());
+    p.process_trace(t);
+    EXPECT_EQ(p.counters().late_records, 0u) << "NaN at " << at;
+    EXPECT_EQ(p.counters().clamped_records, 1u) << "NaN at " << at;
+    std::ostringstream os;
+    p.save_checkpoint(os);
+    return os.str();
+  };
+  const std::string first = run(0);
+  EXPECT_EQ(run(trace.size() / 2), first);
+  EXPECT_EQ(run(trace.size()), first);
 }
 
 TEST(Pipeline, ConfigValidation) {

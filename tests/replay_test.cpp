@@ -70,6 +70,13 @@ TEST(TraceEnvironmentTest, ClampsAndValidates) {
   const TraceEnvironment env(tiny);
   EXPECT_EQ(env.truth(-100.0), env.truth(0.0));   // clamp left
   EXPECT_EQ(env.truth(1e9), env.truth(100000.0));  // clamp right
+  // A window whose readings disagree in width is rejected, as the windower
+  // rejects it.
+  const std::vector<SensorRecord> mixed{{0, 100.0, {5.0}}, {1, 120.0, {7.0, 1.0}}};
+  EXPECT_THROW(TraceEnvironment{mixed}, std::invalid_argument);
+  // A far-future reading clamps into its own window instead of a gap walk.
+  const std::vector<SensorRecord> far{{0, 100.0, {5.0}}, {1, 1e300, {7.0}}};
+  EXPECT_EQ(TraceEnvironment(far).windows(), 2u);
 }
 
 TEST(InjectIntoTrace, OnlyTargetedSensorsRewritten) {

@@ -244,5 +244,28 @@ TEST(Robustness, FarFutureTimestampSkipsTheGapAtOnce) {
   }
 }
 
+TEST(Robustness, BatchPathSkipsAFarFutureGapAndCountsTheClamp) {
+  // The same jump through process_trace and window_trace: both run the
+  // streaming windower, so the gap is one step and the clamp is counted.
+  std::vector<SensorRecord> recs;
+  for (SensorId s = 0; s < 5; ++s) recs.push_back({s, 0.0, {0.0, 0.0}});
+  recs.push_back({0, 1e300, {0.0, 0.0}});
+  core::PipelineConfig cfg = small_config();
+  cfg.window_seconds = kSecondsPerHour;
+  cfg.min_sensors_per_window = 1;  // the far window is processed: skips = the gap
+  core::DetectionPipeline p(cfg);
+  std::vector<ObservationSet> windows;
+  run_with_deadline(std::chrono::seconds(10), [&] {
+    p.process_trace(recs);
+    windows = window_trace(recs, kSecondsPerHour);
+  });
+  EXPECT_EQ(p.windows_skipped(), std::size_t{8999999999999999998u});
+  EXPECT_EQ(p.windows_processed(), 2u);
+  EXPECT_EQ(p.counters().clamped_records, 1u);
+  EXPECT_EQ(p.counters().late_records, 0u);
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[1].window_index, std::size_t{9000000000000000000u});
+}
+
 }  // namespace
 }  // namespace sentinel

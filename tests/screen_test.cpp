@@ -11,9 +11,8 @@
 //    (the bank is handed each level's table directly) and across
 //    checkpoint/resume at any window boundary, including mid-escalation;
 //  - pipeline integration: screen_mode=off writes checkpoints with no
-//    screen section, the windower's precomputed rep_sums/rep_total fast
-//    path equals the recompute fallback byte-for-byte, and a screened
-//    fleet's report is bit-identical at threads 1 and 4.
+//    screen section, a screened pipeline resumes mid-escalation, and a
+//    screened fleet's report is bit-identical at threads 1 and 4.
 
 #include "screen/screen.h"
 
@@ -24,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/scenario.h"
 #include "core/fleet.h"
 #include "core/pipeline.h"
 #include "core/report.h"
@@ -276,35 +276,21 @@ TEST(ScreenBankTest, CheckpointRoundTripMidEscalation) {
 // --- Pipeline / fleet integration -----------------------------------------
 
 /// Hand-build a fleet-style window: per-sensor representatives around
-/// `center`, with `faulty` pinned to `center + offset`. When `line_rate` is
-/// set the screen-tier caches (rep_sums / rep_total) are filled exactly as
-/// Windower::finalize_current would.
+/// `center`, with `faulty` pinned to `center + offset`.
 ObservationSet make_window(std::size_t index, const AttrVec& center, std::size_t sensors,
-                           SensorId faulty, double offset, bool line_rate) {
-  ObservationSet os;
-  os.window_index = index;
-  os.window_start = kSecondsPerHour * static_cast<double>(index - 1);
-  os.window_end = kSecondsPerHour * static_cast<double>(index);
-  AttrVec mean(center.size(), 0.0);
+                           SensorId faulty, double offset) {
+  std::vector<SensorId> ids;
+  std::vector<AttrVec> points;
   for (std::size_t s = 0; s < sensors; ++s) {
     Rng rng(index * 131 + s, "screen-window");
     AttrVec p(center.size());
     for (std::size_t a = 0; a < p.size(); ++a) {
       p[a] = center[a] + rng.gaussian(0.0, 0.3) + (s == faulty ? offset : 0.0);
     }
-    for (std::size_t a = 0; a < p.size(); ++a) mean[a] += p[a];
-    os.rep_sensors.push_back(static_cast<SensorId>(s));
-    if (line_rate) {
-      os.rep_sums.push_back(vecn::scalar_sum(p));
-      if (os.rep_total.empty()) os.rep_total.assign(p.size(), 0.0);
-      for (std::size_t a = 0; a < p.size(); ++a) os.rep_total[a] += p[a];
-    }
-    os.per_sensor.emplace(static_cast<SensorId>(s), p);
-    os.rep_points.push_back(std::move(p));
+    ids.push_back(static_cast<SensorId>(s));
+    points.push_back(std::move(p));
   }
-  for (auto& a : mean) a /= static_cast<double>(sensors);
-  os.cached_mean = std::move(mean);
-  return os;
+  return bench::make_window(index, kSecondsPerHour, std::move(ids), std::move(points));
 }
 
 core::PipelineConfig screened_pipeline_config() {
@@ -326,28 +312,11 @@ TEST(ScreenPipelineTest, OffModeWritesNoScreenSection) {
   cfg.screen.mode = ScreenMode::kOff;
   core::DetectionPipeline p(cfg);
   for (std::size_t i = 1; i <= 6; ++i) {
-    p.process_window(make_window(i, cfg.initial_states[0], 6, 0, 0.0, true));
+    p.process_window(make_window(i, cfg.initial_states[0], 6, 0, 0.0));
   }
   EXPECT_EQ(checkpoint_text(p).find("sentinel-screen"), std::string::npos);
   EXPECT_EQ(p.screens(), nullptr);
   EXPECT_EQ(p.screen_stats().sensors, 0u);
-}
-
-TEST(ScreenPipelineTest, RepSumsFastPathMatchesRecomputeFallback) {
-  const core::PipelineConfig cfg = screened_pipeline_config();
-  core::DetectionPipeline fast(cfg);
-  core::DetectionPipeline slow(cfg);
-  for (std::size_t i = 1; i <= 48; ++i) {
-    // Same window content; `fast` gets the windower's precomputed scalar
-    // sums and attr-wise total, `slow` recomputes from the points. The
-    // residuals -- and everything downstream, including checkpoint bytes --
-    // must match bit-for-bit (scalar_residual is defined as a difference of
-    // scalar_sum values to make exactly this true).
-    fast.process_window(make_window(i, cfg.initial_states[0], 12, 3, i > 24 ? 9.0 : 0.0, true));
-    slow.process_window(make_window(i, cfg.initial_states[0], 12, 3, i > 24 ? 9.0 : 0.0, false));
-  }
-  EXPECT_EQ(checkpoint_text(fast), checkpoint_text(slow));
-  EXPECT_GT(fast.screen_stats().sensors, 0u);
 }
 
 TEST(ScreenPipelineTest, ScreenedPipelineCheckpointResumesMidEscalation) {
@@ -356,7 +325,7 @@ TEST(ScreenPipelineTest, ScreenedPipelineCheckpointResumesMidEscalation) {
   // Run past warmup, then introduce a fault and checkpoint *while the
   // sensor is escalated but not yet de-escalatable* (mid-escalation).
   for (std::size_t i = 1; i <= 30; ++i) {
-    live.process_window(make_window(i, cfg.initial_states[0], 8, 2, i > 26 ? 8.0 : 0.0, true));
+    live.process_window(make_window(i, cfg.initial_states[0], 8, 2, i > 26 ? 8.0 : 0.0));
   }
   ASSERT_TRUE(live.screens()->is_escalated(2));
 
@@ -365,7 +334,7 @@ TEST(ScreenPipelineTest, ScreenedPipelineCheckpointResumesMidEscalation) {
   EXPECT_EQ(checkpoint_text(restored), checkpoint_text(live));
 
   for (std::size_t i = 31; i <= 60; ++i) {
-    const auto w = make_window(i, cfg.initial_states[0], 8, 2, 0.0, true);
+    const auto w = make_window(i, cfg.initial_states[0], 8, 2, 0.0);
     live.process_window(w);
     restored.process_window(w);
   }
@@ -384,7 +353,7 @@ TEST(ScreenFleetTest, ScreenedReportIdenticalAtThreads1And4) {
       for (std::size_t r = 0; r < names.size(); ++r) {
         // Region "south" develops a stuck sensor mid-run.
         const double off = (r == 2 && i > 40) ? 10.0 : 0.0;
-        fleet.add_window(names[r], make_window(i, cfg.initial_states[0], 10, 4, off, true));
+        fleet.add_window(names[r], make_window(i, cfg.initial_states[0], 10, 4, off));
       }
     }
     fleet.finish();

@@ -5,6 +5,10 @@
 
 #include "core/state_ident.h"
 
+#include <map>
+
+#include "common/scenario.h"
+
 namespace sentinel::core {
 namespace {
 
@@ -15,14 +19,14 @@ ModelStateConfig cfg() {
   return c;
 }
 
-ObservationSet window_of(std::map<SensorId, AttrVec> per_sensor) {
-  ObservationSet w;
-  w.window_index = 1;
-  for (auto& [id, p] : per_sensor) {
-    w.raw.push_back(p);
-    w.per_sensor.emplace(id, std::move(p));
+ObservationSet window_of(const std::map<SensorId, AttrVec>& reps) {
+  std::vector<SensorId> ids;
+  std::vector<AttrVec> points;
+  for (const auto& [id, p] : reps) {
+    ids.push_back(id);
+    points.push_back(p);
   }
-  return w;
+  return bench::make_window(1, 3600.0, std::move(ids), std::move(points));
 }
 
 TEST(StateIdent, PaperFigureFourExample) {

@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/scenario.h"
 #include "trace/trace_io.h"
 #include "trace/windower.h"
 
@@ -101,16 +102,25 @@ TEST(TraceIo, ToSensorIdValidates) {
 }
 
 TEST(ObservationSetTest, OverallMeanAndRepresentatives) {
-  ObservationSet w;
-  w.raw = {{10.0, 20.0}, {30.0, 40.0}};
-  w.per_sensor = {{0, {10.0, 20.0}}, {1, {30.0, 40.0}}};
-  EXPECT_EQ(w.overall_mean(), (AttrVec{20.0, 30.0}));
-  const auto reps = w.representatives();
-  ASSERT_EQ(reps.size(), 2u);
-  EXPECT_EQ(reps[0].first, 0u);
+  // A hand-built window holds what the windower closes for one record per
+  // sensor: the records' mean and the rep-order caches.
+  const ObservationSet w = bench::make_window(1, 100.0, {0, 1}, {{10.0, 20.0}, {30.0, 40.0}});
+  EXPECT_EQ(w.cached_mean, (AttrVec{20.0, 30.0}));
+  EXPECT_EQ(w.rep_sums, (std::vector<double>{30.0, 70.0}));
+  EXPECT_EQ(w.rep_total, (AttrVec{40.0, 60.0}));
+  EXPECT_EQ(w.records, 2u);
+  EXPECT_EQ(w.window_end, 100.0);
 
-  ObservationSet empty;
-  EXPECT_THROW(empty.overall_mean(), std::logic_error);
+  Windower win(100.0);
+  win.add({1, 20.0, {30.0, 40.0}});
+  win.add({0, 10.0, {10.0, 20.0}});
+  const auto closed = win.flush();
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(closed->rep_sensors, w.rep_sensors);
+  EXPECT_EQ(closed->rep_points, w.rep_points);
+  EXPECT_EQ(closed->rep_sums, w.rep_sums);
+  EXPECT_EQ(closed->rep_total, w.rep_total);
+  EXPECT_EQ(closed->cached_mean, w.cached_mean);
 }
 
 TEST(Windower, AssignsWindowsPerEquationOne) {
@@ -123,7 +133,7 @@ TEST(Windower, AssignsWindowsPerEquationOne) {
   EXPECT_EQ(done[0].window_index, 1u);
   EXPECT_DOUBLE_EQ(done[0].window_start, 0.0);
   EXPECT_DOUBLE_EQ(done[0].window_end, 100.0);
-  EXPECT_EQ(done[0].raw.size(), 2u);
+  EXPECT_EQ(done[0].records, 2u);
 }
 
 TEST(Windower, PerSensorRepresentativeIsMeanOfSamples) {
@@ -133,8 +143,9 @@ TEST(Windower, PerSensorRepresentativeIsMeanOfSamples) {
   w.add({1, 3.0, {5.0}});
   const auto flushed = w.flush();
   ASSERT_TRUE(flushed.has_value());
-  EXPECT_EQ(flushed->per_sensor.at(0), (AttrVec{15.0}));
-  EXPECT_EQ(flushed->per_sensor.at(1), (AttrVec{5.0}));
+  EXPECT_EQ(flushed->records, 3u);
+  EXPECT_EQ(flushed->rep_sensors, (std::vector<SensorId>{0, 1}));
+  EXPECT_EQ(flushed->rep_points, (std::vector<AttrVec>{{15.0}, {5.0}}));
 }
 
 TEST(Windower, TimeGapEmitsEmptyWindows) {
@@ -143,10 +154,11 @@ TEST(Windower, TimeGapEmitsEmptyWindows) {
   const auto done = w.add({0, 350.0, {2.0}});  // jumps from window 1 to 4
   ASSERT_EQ(done.size(), 3u);
   EXPECT_EQ(done[0].window_index, 1u);
-  EXPECT_FALSE(done[0].empty());
+  EXPECT_EQ(done[0].records, 1u);
   EXPECT_EQ(done[1].window_index, 2u);
-  EXPECT_TRUE(done[1].empty());
-  EXPECT_TRUE(done[2].empty());
+  EXPECT_EQ(done[1].records, 0u);
+  EXPECT_TRUE(done[1].rep_sensors.empty());
+  EXPECT_EQ(done[2].records, 0u);
 }
 
 TEST(Windower, LateRecordsDropped) {
@@ -171,7 +183,7 @@ TEST(Windower, DegenerateTimesHaveDefinedWindows) {
   const auto done = w.add({0, 150.0, {3.0}});  // window 2: closes window 1
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].window_index, 1u);
-  EXPECT_EQ(done[0].raw.size(), 2u);  // both degenerate records landed there
+  EXPECT_EQ(done[0].records, 2u);  // both degenerate records landed there
 
   // Every clamp is counted: the pipeline surfaces them as a data-quality
   // signal (pipeline.clamped_records) instead of silently rewriting time.
@@ -192,8 +204,8 @@ TEST(WindowTrace, SortsAndFlushes) {
   };
   const auto windows = window_trace(recs, 100.0);
   ASSERT_EQ(windows.size(), 3u);
-  EXPECT_EQ(windows[0].raw.size(), 1u);
-  EXPECT_EQ(windows[2].raw[0], (AttrVec{3.0}));
+  EXPECT_EQ(windows[0].records, 1u);
+  EXPECT_EQ(windows[2].rep_points[0], (AttrVec{3.0}));
 }
 
 }  // namespace

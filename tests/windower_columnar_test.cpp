@@ -1,19 +1,15 @@
 // Tests: the columnar windower against the legacy map-based reference.
 //
-// PR "columnar windowing data plane" rebuilt Windower around slot-indexed
-// SoA accumulators and batched kernels; the contract is that every emitted
-// ObservationSet is *bit-identical* to what the old std::map-based
-// finalization produced. This file embeds that legacy implementation
-// verbatim (from the pre-columnar source) as an in-test reference and
+// The windower keeps per-sensor running sums in slot-indexed SoA arenas and
+// adds each record straight into its sensor's row and the window total; the
+// contract is that every emitted ObservationSet is *bit-identical* to what
+// the old std::map-based finalization produced. This file embeds that
+// legacy implementation (from the pre-columnar source; the raw samples it
+// averaged are now a local of its finalization) as an in-test reference and
 // property-tests the two against each other over hostile traces:
 // out-of-order timestamps within a window, sparse/absent sensors,
 // single-record windows, NaN/negative/huge times, multi-window gaps, and
 // special attribute values (inf, denormals, signed zero).
-//
-// Kernel-level coverage note: the accumulation kernels themselves are
-// cross-checked per level in kernels_test.cpp (AccumRows*/SumRows*), and the
-// CI scalar job re-runs this whole suite under SENTINEL_KERNELS=scalar, so
-// the bit-identity property here is exercised at every dispatch level.
 
 #include <gtest/gtest.h>
 
@@ -82,9 +78,11 @@ class Windower {
     set.window_index = current_index_;
     set.window_start = window_seconds_ * static_cast<double>(current_index_ - 1);
     set.window_end = window_seconds_ * static_cast<double>(current_index_);
+    set.records = pending_.size();
+    std::vector<AttrVec> raw;
     std::map<SensorId, std::vector<AttrVec>> by_sensor;
     for (auto& rec : pending_) {
-      set.raw.push_back(rec.attrs);
+      raw.push_back(rec.attrs);
       by_sensor[rec.sensor].push_back(std::move(rec.attrs));
     }
     set.rep_sensors.reserve(by_sensor.size());
@@ -92,7 +90,6 @@ class Windower {
     set.rep_sums.reserve(by_sensor.size());
     for (auto& [id, samples] : by_sensor) {
       auto rep = vecn::mean(samples);
-      set.per_sensor.emplace(id, rep);
       set.rep_sensors.push_back(id);
       set.rep_sums.push_back(vecn::scalar_sum(rep));
       if (set.rep_total.empty()) set.rep_total.assign(rep.size(), 0.0);
@@ -101,7 +98,7 @@ class Windower {
       }
       set.rep_points.push_back(std::move(rep));
     }
-    if (!set.raw.empty()) vecn::mean_into(set.raw, set.cached_mean);
+    if (!raw.empty()) vecn::mean_into(raw, set.cached_mean);
     return set;
   }
 
@@ -146,27 +143,11 @@ void expect_same_vec(const AttrVec& got, const AttrVec& want, const std::string&
 }
 
 void expect_same_window(const ObservationSet& got, const ObservationSet& want,
-                        const std::string& tag, bool expect_raw = true) {
+                        const std::string& tag) {
   EXPECT_EQ(got.window_index, want.window_index) << tag;
   EXPECT_EQ(bits(got.window_start), bits(want.window_start)) << tag;
   EXPECT_EQ(bits(got.window_end), bits(want.window_end)) << tag;
-  if (expect_raw) {
-    ASSERT_EQ(got.raw.size(), want.raw.size()) << tag;
-    for (std::size_t r = 0; r < got.raw.size(); ++r) {
-      expect_same_vec(got.raw[r], want.raw[r], tag + " raw[" + std::to_string(r) + "]");
-    }
-    ASSERT_EQ(got.per_sensor.size(), want.per_sensor.size()) << tag;
-    auto gi = got.per_sensor.begin();
-    auto wi = want.per_sensor.begin();
-    for (; gi != got.per_sensor.end(); ++gi, ++wi) {
-      EXPECT_EQ(gi->first, wi->first) << tag;
-      expect_same_vec(gi->second, wi->second,
-                      tag + " per_sensor[" + std::to_string(wi->first) + "]");
-    }
-  } else {
-    EXPECT_TRUE(got.raw.empty()) << tag << ": keep_raw=false must not retain raw";
-    EXPECT_TRUE(got.per_sensor.empty()) << tag << ": keep_raw=false must not build the map";
-  }
+  EXPECT_EQ(got.records, want.records) << tag;
   expect_same_vec(got.cached_mean, want.cached_mean, tag + " cached_mean");
   EXPECT_EQ(got.rep_sensors, want.rep_sensors) << tag;
   ASSERT_EQ(got.rep_points.size(), want.rep_points.size()) << tag;
@@ -244,10 +225,9 @@ std::vector<ObservationSet> run_legacy(const std::vector<SensorRecord>& trace, d
 }
 
 std::vector<ObservationSet> run_columnar(const std::vector<SensorRecord>& trace, double window,
-                                         std::size_t batch, bool keep_raw,
-                                         std::size_t* late = nullptr,
+                                         std::size_t batch, std::size_t* late = nullptr,
                                          std::size_t* clamped = nullptr) {
-  Windower w(WindowerConfig{window, keep_raw});
+  Windower w(window);
   std::vector<ObservationSet> out;
   const auto sink = [&](ObservationSet&& s) { out.push_back(std::move(s)); };
   for (std::size_t i = 0; i < trace.size(); i += batch) {
@@ -272,7 +252,7 @@ TEST(WindowerColumnar, BitIdenticalToLegacyOverHostileTraces) {
       const auto want = run_legacy(trace, window, &llate, &lclamped);
       for (const std::size_t batch : {1ul, 7ul, 64ul, trace.size()}) {
         std::size_t clate = 0, cclamped = 0;
-        const auto got = run_columnar(trace, window, batch, /*keep_raw=*/true, &clate, &cclamped);
+        const auto got = run_columnar(trace, window, batch, &clate, &cclamped);
         const std::string tag = "batch=" + std::to_string(batch);
         EXPECT_EQ(clate, llate) << tag;
         EXPECT_EQ(cclamped, lclamped) << tag;
@@ -281,25 +261,6 @@ TEST(WindowerColumnar, BitIdenticalToLegacyOverHostileTraces) {
           expect_same_window(got[k], want[k], tag + " window[" + std::to_string(k) + "]");
         }
       }
-    }
-  }
-}
-
-TEST(WindowerColumnar, KeepRawOffMatchesRepArraysWithEmptyHistory) {
-  const double window = 60.0;
-  const auto trace = hostile_trace(42, 600, 3, window);
-  const auto want = run_legacy(trace, window);
-  const auto got = run_columnar(trace, window, /*batch=*/32, /*keep_raw=*/false);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    expect_same_window(got[k], want[k], "window[" + std::to_string(k) + "]",
-                       /*expect_raw=*/false);
-    // The lean window must still report occupancy and the overall mean.
-    EXPECT_EQ(got[k].empty(), want[k].empty());
-    EXPECT_EQ(got[k].sensor_count(), want[k].sensor_count());
-    if (!got[k].empty()) {
-      expect_same_vec(got[k].overall_mean(), want[k].overall_mean(),
-                      "overall_mean[" + std::to_string(k) + "]");
     }
   }
 }
@@ -318,12 +279,11 @@ TEST(WindowerColumnar, SingleRecordWindowsAndExactBoundaries) {
   }
   const auto want = run_legacy(trace, window);
   for (const std::size_t batch : {1ul, 5ul, trace.size()}) {
-    const auto got = run_columnar(trace, window, batch, /*keep_raw=*/true);
+    const auto got = run_columnar(trace, window, batch);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t k = 0; k < got.size(); ++k) {
       expect_same_window(got[k], want[k],
                          "batch=" + std::to_string(batch) + " window[" + std::to_string(k) + "]");
-      EXPECT_EQ(got[k].empty(), want[k].empty());
     }
   }
 }
@@ -332,7 +292,7 @@ TEST(WindowerColumnar, DimensionMismatchThrowsLegacyMessage) {
   // A sensor whose samples disagree in width throws for the lowest such
   // sensor id (the legacy vecn::mean order); after the throw the columnar
   // windower is reset and usable, which the legacy one never guaranteed.
-  Windower w(WindowerConfig{60.0, true});
+  Windower w(60.0);
   const auto sink = [](ObservationSet&&) {};
   std::vector<SensorRecord> recs;
   recs.push_back({.sensor = 4, .time = 5.0, .attrs = {1.0, 2.0}});
@@ -359,7 +319,7 @@ TEST(WindowerColumnar, DimensionMismatchThrowsLegacyMessage) {
   auto last = w.flush();
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->window_index, 2u);
-  EXPECT_EQ(last->sensor_count(), 1u);
+  EXPECT_EQ(last->rep_sensors.size(), 1u);
 }
 
 TEST(WindowerColumnar, SaveLoadRoundTripContinuesBitIdentically) {
@@ -371,9 +331,9 @@ TEST(WindowerColumnar, SaveLoadRoundTripContinuesBitIdentically) {
   const auto trace = hostile_trace(7, 500, 3, window);
   const std::size_t cut = 217;  // deliberately mid-window, mid-batch
 
-  const auto want = run_columnar(trace, window, 16, /*keep_raw=*/true);
+  const auto want = run_columnar(trace, window, 16);
 
-  Windower first(WindowerConfig{window, true});
+  Windower first(window);
   std::vector<ObservationSet> got;
   const auto sink = [&](ObservationSet&& s) { got.push_back(std::move(s)); };
   first.add_batch(std::span<const SensorRecord>(trace.data(), cut), sink);
@@ -382,7 +342,7 @@ TEST(WindowerColumnar, SaveLoadRoundTripContinuesBitIdentically) {
   serialize::BinaryWriter sw(blob);
   first.save(sw);
 
-  Windower resumed(WindowerConfig{window, true});
+  Windower resumed(window);
   std::istringstream in(blob.str(), std::ios::binary);
   serialize::BinaryReader sr(in);
   resumed.load(sr);

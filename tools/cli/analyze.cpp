@@ -53,8 +53,8 @@ int cmd_analyze(const Args& args) {
     // Bootstrap the initial model states from the trace itself (offline
     // clustering over per-window means, paper section 4.1).
     std::vector<AttrVec> history;
-    for (const auto& w : window_trace(read.records, cfg.window_seconds)) {
-      if (!w.empty()) history.push_back(w.overall_mean());
+    for (auto& w : window_trace(read.records, cfg.window_seconds)) {
+      history.push_back(std::move(w.cached_mean));
     }
     if (history.size() < k) {
       std::fprintf(stderr, "trace too short: %zu windows for %zu initial states\n",

@@ -143,8 +143,8 @@ bool bootstrap_initial_states(const std::vector<std::string>& paths, core::Pipel
     try {
       const auto read = read_trace_file(path);
       std::vector<AttrVec> history;
-      for (const auto& w : window_trace(read.records, cfg.window_seconds)) {
-        if (!w.empty()) history.push_back(w.overall_mean());
+      for (auto& w : window_trace(read.records, cfg.window_seconds)) {
+        history.push_back(std::move(w.cached_mean));
       }
       if (history.size() < k) continue;
       cfg.initial_states = core::kmeans(history, k, rng).centroids;

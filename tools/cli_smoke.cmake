@@ -55,6 +55,16 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "stuck-at")
   message(FATAL_ERROR "auto-tuned analyze failed:\n${out}")
 endif()
 
+# One record at t = 1e300 clamps to window 9e18: the batch path must skip the
+# gap in one step, not walk it window by window.
+set(far ${WORK}/cli_smoke_far_future.csv)
+file(READ ${trace} body)
+file(WRITE ${far} "${body}0,1e300,20.0,50.0\n")
+execute_process(COMMAND ${CLI} analyze ${far} RESULT_VARIABLE rc OUTPUT_VARIABLE out TIMEOUT 30)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "stuck-at")
+  message(FATAL_ERROR "analyze with a far-future record failed (rc=${rc}):\n${out}")
+endif()
+
 # Crash-consistent checkpoint store (docs/RELIABILITY.md): analyze commits an
 # epoch on the first run, resumes from it on the second, and the printed
 # diagnosis must not change. A corrupted manifest must fail with a one-line
