@@ -75,6 +75,14 @@ void degrade(RegionState& st, util::Status status) {
   st.status = std::move(status);
 }
 
+/// Run `job` on the shared pool, or, for a fleet that runs inline
+/// (threads = 1), on the caller when it waits for the result.
+template <typename F>
+auto start_job(bool on_pool, F&& job) {
+  if (on_pool) return util::ThreadPool::shared().submit(std::forward<F>(job));
+  return std::async(std::launch::deferred, std::forward<F>(job));
+}
+
 }  // namespace
 
 bool models_structurally_similar(const hmm::MarkovChain& a, const CentroidLookup& lookup_a,
@@ -142,8 +150,8 @@ std::string to_string(const FleetReport& r) {
 /// exception and the dropped record count here under the lock; the
 /// producer folds them into the region's health record (absorb), so every
 /// health transition happens on the caller thread and is deterministic at
-/// any thread count. With one worker the producer calls run() itself and
-/// the queue stays empty. With more, the producer buffers records in
+/// any thread count. At threads = 1 the producer calls run() itself and
+/// the queue stays empty. Otherwise the producer buffers records in
 /// producer_buf, hands whole batches and windows to `queue` -- one FIFO, so
 /// they apply in the caller's order -- and only the single drain task in
 /// flight (`draining`) advances the pipeline: the single-writer invariant.
@@ -181,7 +189,7 @@ struct FleetMonitor::Shard {
   DetectionPipeline* const pipeline;
   RegionState* const state;                // the region's entry in health_
   std::uint64_t ckpt_anchor = 0;  // records_ingested at the last checkpoint
-  RecordBatch producer_buf;       // threads > 1: records not yet handed off
+  RecordBatch producer_buf;       // threads != 1: records not yet handed off
 
   // Guarded by mu.
   std::mutex mu;
@@ -291,8 +299,9 @@ FleetMonitor::FleetMonitor(FleetConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument(
         "FleetMonitor: malformed ratios must satisfy 0 <= degraded <= quarantine <= 1");
   }
-  pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
-  cfg_.threads = pool_->size();  // 0 resolved to the quota-aware default
+  // The shared pool has no worker thread on a 1-CPU quota, where every
+  // fleet applies its input in place.
+  if (cfg_.threads != 1 && util::ThreadPool::shared().runs_inline()) cfg_.threads = 1;
   if (!cfg_.checkpoint_dir.empty()) {
     store_ = std::make_unique<CheckpointStore>(cfg_.checkpoint_dir);
     committer_ = std::make_unique<Committer>(*this);
@@ -322,12 +331,18 @@ FleetMonitor::FleetMonitor(double state_match_tol)
         return c;
       }()) {}
 
-// Out of line so ~unique_ptr<Shard>/~unique_ptr<Committer> see the complete
-// types. Members destroy in reverse declaration order: committer_ first
-// among the moving parts (drains queued checkpoint commits and joins while
-// store_ is still alive), then store_, then pool_ (drains pending shard
-// tasks and joins the workers while regions_/shards_ are still alive).
-FleetMonitor::~FleetMonitor() = default;
+// Members then destroy in reverse declaration order: committer_ first among
+// the moving parts (drains queued checkpoint commits and joins while store_
+// is still alive), then store_, then shards_ and regions_.
+FleetMonitor::~FleetMonitor() {
+  // The shared pool outlives the fleet: wait out every drain task still
+  // queued or running on it, each of which applies its shard's queue and
+  // returns its batches to the shard before it clears `draining`.
+  for (const auto& [name, sh] : shards_) {
+    std::unique_lock<std::mutex> lock(sh->mu);
+    sh->cv.wait(lock, [&] { return !sh->draining; });
+  }
+}
 
 void FleetMonitor::register_region(const std::string& name, DetectionPipeline& pipeline) {
   RegionState& st = health_.emplace(name, RegionState{}).first->second;
@@ -706,7 +721,7 @@ void FleetMonitor::enqueue(Shard& sh, QueueItem item) const {
   }
   m_handoffs_->inc();
   if (!failed) m_enqueued_->add(weight);
-  if (start_drain) pool_->post([this, &sh] { drain_shard(sh); });
+  if (start_drain) util::ThreadPool::shared().post([this, &sh] { drain_shard(sh); });
   if (failed) absorb(sh);
 }
 
@@ -734,7 +749,7 @@ void FleetMonitor::drain_shard(Shard& sh) const {
     }
     sh.cv.notify_all();  // queue emptied; unblock backpressured producers
     // FIFO, so the pipeline sees record batches and windows in the caller's
-    // order -- the same sequence, hence the same report, as one worker.
+    // order -- the same sequence, hence the same report, as threads = 1.
     for (auto it = items.begin(); it != items.end(); ++it) {
       const QueueItem& item = *it;
       const bool ok = sh.run("pipeline", Shard::weight(item), [&] {
@@ -798,7 +813,7 @@ void FleetMonitor::finish() {
   std::vector<std::future<bool>> jobs;
   for (const auto& [name, shard] : shards_) {
     if (shard->state->health == RegionHealth::kQuarantined) continue;
-    jobs.push_back(pool_->submit([&sh = *shard] {
+    jobs.push_back(start_job(cfg_.threads != 1, [&sh = *shard] {
       return sh.run("finish", 0, [&] { sh.pipeline->finish(); });
     }));
   }
@@ -879,7 +894,7 @@ FleetReport FleetMonitor::diagnose() const {
   std::vector<std::future<RegionDiag>> diags;
   diags.reserve(live.size());
   for (const auto& [name, pipeline] : live) {
-    diags.push_back(pool_->submit([pipeline] {
+    diags.push_back(start_job(cfg_.threads != 1, [pipeline] {
       return RegionDiag{pipeline->diagnose(), pipeline->correct_model()};
     }));
   }
@@ -927,7 +942,7 @@ FleetReport FleetMonitor::diagnose() const {
     std::vector<std::future<bool>> votes;
     votes.reserve(live.size());
     for (const auto& [name, pipeline] : live) {
-      votes.push_back(pool_->submit([&is_outlier, name, pipeline] {
+      votes.push_back(start_job(cfg_.threads != 1, [&is_outlier, name, pipeline] {
         return is_outlier(*name, *pipeline);
       }));
     }

@@ -12,10 +12,11 @@
 // fleet parallelizes across them (FleetConfig::threads), on one code path
 // at every thread count: each region owns a shard, every pipeline call that
 // can throw runs through it, and finish()/diagnose() fan per-region jobs
-// out over the fleet's pool. Only the ingest handoff depends on the thread
-// count. With one worker the pool runs its tasks inline and a record span
-// or window is applied in place on the caller thread; with more, records
-// are batched into the region's bounded FIFO and drained by a pool worker.
+// out. Only where the work runs depends on the thread count. At threads = 1
+// every job runs on the caller thread and a record span or window is
+// applied in place; otherwise records are batched into the region's bounded
+// FIFO and drained, and the jobs run, on util::ThreadPool::shared() -- the
+// pool the CSV reader decodes ahead on. The fleet owns no pool.
 // Each region's pipeline is only ever touched by one thread at a time (the
 // single-writer invariant; see docs/CONCURRENCY.md) and sees its input in
 // the caller's order, so the FleetReport is bit-identical at any thread
@@ -53,7 +54,6 @@ class TraceReader;
 namespace sentinel::util {
 class Counter;
 class Histogram;
-class ThreadPool;
 }  // namespace sentinel::util
 
 namespace sentinel::core {
@@ -102,7 +102,7 @@ struct RegionState {
   /// Malformed-line causes accumulated from this region's readers.
   MalformedCounts malformed;
   std::size_t comment_lines = 0;
-  /// Backpressure attribution (always 0 with one worker, which applies
+  /// Backpressure attribution (always 0 at threads = 1, which applies
   /// input in place and never queues): how many producer handoffs found
   /// this region's queue at capacity, and the total wall-clock the producer
   /// spent blocked in those waits. Purely observational -- timing-dependent,
@@ -151,15 +151,15 @@ struct FleetConfig {
   /// Attribute distance within which two regions' model states count as the
   /// same physical state during the cross-region structural check.
   double state_match_tol = 6.0;
-  /// Pool workers for ingestion and diagnosis, shared by all regions; 0 =
-  /// util::default_concurrency() (hardware threads capped by the CPU
-  /// quota). With 1 the pool runs its tasks inline on the caller thread and
-  /// every record span or window is applied in place; with N > 1 records
-  /// are handed off in batches to per-region queues drained by the workers.
-  /// Any value produces bit-identical FleetReports -- threads only changes
-  /// wall-clock.
+  /// Where ingestion and diagnosis run. 1: inline on the caller thread,
+  /// every record span or window applied in place. 0 or any N > 1: records
+  /// are handed off in batches to per-region queues drained on
+  /// util::ThreadPool::shared(), which also runs finish() and diagnose()
+  /// jobs; N sizes nothing (the shared pool is sized by the CPU quota, and
+  /// on a 1-CPU quota the fleet runs inline, as at 1). Any value produces
+  /// bit-identical FleetReports -- threads only changes wall-clock.
   std::size_t threads = 1;
-  /// Per-region ingest queue bound (records; threads > 1). add_record and
+  /// Per-region ingest queue bound (records; threads != 1). add_record and
   /// add_window block once a region's queue is this deep -- backpressure
   /// instead of unbounded memory when producers outrun the pipelines.
   /// Deeper queues cost memory (a queued record takes 16 B plus 8 B per
@@ -168,7 +168,7 @@ struct FleetConfig {
   /// Backpressure is a documented-healthy state: the wait is counted
   /// (fleet.backpressure_waits), not a health transition.
   std::size_t max_queue_records = 16384;
-  /// Producer-side batch (threads > 1): add_record copies records into the
+  /// Producer-side batch (threads != 1): add_record copies records into the
   /// region's flat RecordBatch without the shard lock and hands the batch
   /// over once it holds `batch_records` records. The drain task clears each
   /// applied batch and returns it to the region, which starts its next
@@ -198,7 +198,7 @@ class FleetMonitor {
  public:
   explicit FleetMonitor(FleetConfig cfg);
 
-  /// Default-config monitor (one worker); tol as in
+  /// Default-config monitor (threads = 1); tol as in
   /// FleetConfig::state_match_tol.
   explicit FleetMonitor(double state_match_tol = 6.0);
 
@@ -263,8 +263,8 @@ class FleetMonitor {
     std::size_t records = 0;  // records accepted into the region
     util::Status status;      // region status after this ingest
     /// Producer block time attributable to *this* ingest call: how long the
-    /// caller sat in backpressure waits while feeding these records (0 with
-    /// one worker, which applies records in place).
+    /// caller sat in backpressure waits while feeding these records (0 at
+    /// threads = 1, which applies records in place).
     std::uint64_t backpressure_block_ns = 0;
   };
 
@@ -294,7 +294,7 @@ class FleetMonitor {
                             std::size_t expected_dims = 0, std::size_t skip_records = 0);
 
   /// Block until every record and window handed to the fleet has been
-  /// applied to its pipeline (already true with one worker, which applies
+  /// applied to its pipeline (already true at threads = 1, which applies
   /// input in place), and fold pipeline failures into the health records:
   /// a failure quarantines its region (error captured) rather than
   /// rethrowing.
@@ -305,7 +305,7 @@ class FleetMonitor {
   /// silent regions are flagged per RegionHealthConfig::flag_silent_regions.
   void finish();
 
-  /// Direct pipeline access. With threads > 1, call drain() first unless
+  /// Direct pipeline access. At threads != 1, call drain() first unless
   /// ingestion is quiescent -- a worker may still be applying records.
   DetectionPipeline& region(const std::string& name);
   const DetectionPipeline& region(const std::string& name) const;
@@ -325,8 +325,9 @@ class FleetMonitor {
   void checkpoint_now();
 
   /// Combined fleet diagnosis. Drains first, then runs per-region
-  /// diagnose()/correct_model() and the structural cross-check on the pool,
-  /// quarantined regions excluded throughout. Deterministic: identical at
+  /// diagnose()/correct_model() and the structural cross-check as one job
+  /// per region (on the shared pool unless threads = 1), quarantined
+  /// regions excluded throughout. Deterministic: identical at
   /// any thread count, and healthy regions' entries are identical to a
   /// fleet that never contained the quarantined ones.
   FleetReport diagnose() const;
@@ -358,7 +359,7 @@ class FleetMonitor {
   void finish_region(const std::string& name);
 
   /// Records currently queued for `region` (its shard queue plus the
-  /// producer-side buffer); always 0 with one worker, which applies input
+  /// producer-side buffer); always 0 at threads = 1, which applies input
   /// in place. Producer-thread only, like the ingestion API: this is
   /// the admission-control probe -- a service front end rejects a tenant's
   /// frame (instead of blocking inside ingest) when the shard is already at
@@ -380,7 +381,7 @@ class FleetMonitor {
   /// Account `weight` records offered to `region`: dropped when it is
   /// quarantined (returns null), else counted as ingested.
   Shard* admit(const std::string& region, std::size_t weight);
-  /// threads > 1 handoff: hand the producer buffer / `item` to the shard's
+  /// threads != 1 handoff: hand the producer buffer / `item` to the shard's
   /// FIFO (blocking while it is full) and make sure a drain task is running.
   /// Behind a parked failure the input is dropped instead.
   void flush_shard(Shard& shard) const;
@@ -405,7 +406,6 @@ class FleetMonitor {
   FleetConfig cfg_;
   std::map<std::string, DetectionPipeline> regions_;
   std::map<std::string, std::unique_ptr<Shard>> shards_;  // one per region
-  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<CheckpointStore> store_;  // null without checkpoint_dir
   /// Single dedicated thread owning every store commit; declared after
   /// store_ so its destructor drains the queue and joins while the store is

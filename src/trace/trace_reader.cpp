@@ -194,9 +194,17 @@ CsvTraceReader::Chunk* CsvTraceReader::head() {
   Chunk& c = *ring_[head_];
   if (c.claim()) {
     c.decode();  // no worker has started it: cheaper to decode than to wait
-  } else {
-    c.wait_decoded();
+    return &c;
   }
+  // A worker is decoding the head. Decode later chunks no worker has
+  // started meanwhile, rather than sleep: tallies replay by position at
+  // hand-out, so which thread decoded a chunk does not matter.
+  for (std::size_t i = 1; i < live_ && c.state.load(std::memory_order_acquire) != Chunk::kDone;
+       ++i) {
+    Chunk& later = *ring_[(head_ + i) % ring_.size()];
+    if (later.claim()) later.decode();
+  }
+  c.wait_decoded();
   return &c;
 }
 

@@ -9,9 +9,10 @@
 //  - CsvTraceReader: decode-ahead CSV. It cuts its input (a read-only
 //    mapping, or a buffered stream where mapping is unavailable) into
 //    line-aligned chunks and decodes a few chunks ahead on
-//    util::ThreadPool::shared(), straight into flat RecordBatch columns;
-//    read_batch copies decoded records out. See the class comment for the
-//    threads, the memory bound and the tally contract.
+//    util::ThreadPool::shared() -- and on the caller, rather than wait for
+//    a worker -- straight into flat RecordBatch columns; read_batch copies
+//    decoded records out. See the class comment for the threads, the
+//    memory bound and the tally contract.
 //  - BinaryTraceReader (trace/binary_trace.h): fixed-width records decoded
 //    by offset; no parsing at all.
 //
@@ -99,9 +100,11 @@ class TraceReader {
 /// util::ThreadPool::shared(). Whichever thread starts a chunk claims it
 /// atomically; read_batch decodes a chunk no worker has started itself, so
 /// it never waits on a queued task and still finishes when every pool
-/// worker is busy or the pool has one worker (a 1-CPU quota reads
-/// serially). While the dimensionality is still unknown, chunks decode
-/// serially on the caller. The constructor starts no decode; the destructor
+/// worker is busy or the pool has no worker thread (a 1-CPU quota reads
+/// serially). When a worker is decoding the chunk it needs next, read_batch
+/// decodes later chunks no worker has started before it waits, so the
+/// caller works instead of sleeping. While the dimensionality is still
+/// unknown, chunks decode serially on the caller. The constructor starts no decode; the destructor
 /// claims every queued chunk and waits out running ones before it unmaps.
 /// One reader is used by one thread at a time.
 ///

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/metrics.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <pthread.h>
 #endif
@@ -73,17 +75,32 @@ std::size_t default_concurrency() {
   return n;
 }
 
-ThreadPool::ThreadPool(std::size_t threads) : fork_generation_(fork_generation()) {
-  if (threads == 0) threads = default_concurrency();
-  logical_size_ = threads;
-  if (threads == 1) {
-    // A single worker serializes every task anyway: skip the thread and the
-    // queue handoff entirely and run tasks inline at post() (see header).
-    inline_mode_ = true;
-    return;
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+std::size_t shared_pool_workers(std::size_t usable_cpus) {
+  return usable_cpus > 1 ? usable_cpus - 1 : 0;
+}
+
+namespace {
+
+/// Worker threads of a ThreadPool(threads). A single worker serializes every
+/// task anyway, so that pool skips the thread and the queue handoff and runs
+/// tasks inline at post().
+std::size_t worker_threads(std::size_t threads) {
+  const std::size_t n = threads == 0 ? default_concurrency() : threads;
+  return n == 1 ? 0 : n;
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads) : ThreadPool(Workers{worker_threads(threads)}) {}
+
+ThreadPool::ThreadPool(Workers workers)
+    : logical_size_(std::max<std::size_t>(1, workers.count)),
+      inline_mode_(workers.count == 0),
+      fork_generation_(fork_generation()),
+      posted_(&metrics().counter("threadpool.tasks_posted")),
+      wakeups_(&metrics().counter("threadpool.worker_wakeups")) {
+  workers_.reserve(workers.count);
+  for (std::size_t i = 0; i < workers.count; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -99,6 +116,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::post(std::function<void()> task) {
   if (!task) throw std::invalid_argument("ThreadPool::post: null task");
+  posted_->inc();
   if (g_fork_generation.load(std::memory_order_relaxed) != fork_generation_) {
     task();  // a forked child: no workers here, and the locks may be stale
     return;
@@ -114,12 +132,19 @@ void ThreadPool::post(std::function<void()> task) {
     task();
     return;
   }
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) throw std::runtime_error("ThreadPool::post on stopping pool");
     tasks_.push_back(std::move(task));
+    // A worker that is not parked checks the queue under mu_ before it
+    // parks, so only a parked one needs waking.
+    wake = parked_ > 0;
   }
-  cv_.notify_one();
+  if (wake) {
+    wakeups_->inc();
+    cv_.notify_one();
+  }
 }
 
 void ThreadPool::worker_loop() {
@@ -127,7 +152,11 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      while (!stopping_ && tasks_.empty()) {
+        ++parked_;
+        cv_.wait(lock);
+        --parked_;
+      }
       if (tasks_.empty()) return;  // stopping and drained
       task = std::move(tasks_.front());
       tasks_.pop_front();
@@ -139,7 +168,8 @@ void ThreadPool::worker_loop() {
 ThreadPool& ThreadPool::shared() {
   // Leaked on purpose: destroying it at exit would join workers that a
   // forked child does not have.
-  static ThreadPool* const pool = new ThreadPool(0);
+  static ThreadPool* const pool =
+      new ThreadPool(Workers{shared_pool_workers(default_concurrency())});
   return *pool;
 }
 

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -27,6 +28,7 @@
 #include "faults/injection_plan.h"
 #include "sim/simulator.h"
 #include "trace/trace_reader.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace sentinel::core {
@@ -398,6 +400,36 @@ TEST(FleetParallel, DrainIsQuiescencePoint) {
   EXPECT_GE(fleet.region("r").windows_processed(), before_finish);
 }
 
+TEST(FleetParallel, DestroyedWithDrainsInFlight) {
+  // Drain tasks run on the shared pool, which outlives the fleet: the
+  // destructor must wait out the queued and running ones before the shards
+  // they apply to go away (ASan and TSan watch this loop).
+  const CycleEnvironment env;
+  const auto trace = simulate_region(env, 5.0 * kSecondsPerDay, 41);
+  constexpr std::size_t kCall = 1024;
+  ASSERT_GE(trace.size(), 6 * kCall);
+  const std::span<const SensorRecord> recs(trace);
+  std::vector<std::string> names;
+  for (int r = 0; r < 16; ++r) names.push_back("region-" + std::to_string(r));
+  util::Counter& enqueued = util::metrics().counter("fleet.records_enqueued");
+  util::Counter& drained = util::metrics().counter("fleet.records_drained");
+  for (int rep = 0; rep < 40; ++rep) {
+    const std::uint64_t enqueued0 = enqueued.total();
+    const std::uint64_t drained0 = drained.total();
+    {
+      FleetConfig fc;
+      fc.threads = 4;
+      FleetMonitor fleet(fc);
+      for (const auto& name : names) fleet.add_region(name, region_config());
+      for (std::size_t call = 0; call < 6; ++call) {
+        for (const auto& name : names) fleet.add_records(name, recs.subspan(call * kCall, kCall));
+      }
+    }  // no drain(): batches are still queued or being applied
+    // Once the fleet is gone no drain task of its is left.
+    EXPECT_EQ(drained.total() - drained0, enqueued.total() - enqueued0) << "rep " << rep;
+  }
+}
+
 TEST(FleetParallel, ConfigValidation) {
   FleetConfig bad_tol;
   bad_tol.state_match_tol = 0.0;
@@ -497,7 +529,7 @@ TEST(FleetParallel, HostileCsvHealthIsThreadCountInvariant) {
       EXPECT_EQ(want.state.records_ingested, recs.size());
     }
     for (const auto mode : {CsvTraceReader::Mode::kAuto, CsvTraceReader::Mode::kForceStream}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         const std::string what = *path + " threads=" + std::to_string(threads) +
                                  (mode == CsvTraceReader::Mode::kAuto ? " mapped" : " stream");
         const HostileRun got = run_hostile(threads, clean_path, *path, mode);

@@ -1,11 +1,13 @@
 // Tests: util::ThreadPool -- task execution, future results, exception
-// propagation, and drain-on-destruction.
+// propagation, drain-on-destruction, the shared pool's sizing rule and the
+// post/wake-up counters.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace sentinel::util {
@@ -159,6 +162,42 @@ TEST(ThreadPool, SharedPoolIsUsable) {
   int sum = 0;
   for (auto& f : futs) sum += f.get();
   EXPECT_EQ(sum, 28);
+}
+
+TEST(ThreadPool, SharedPoolLeavesTheFeedingThreadACore) {
+  EXPECT_EQ(shared_pool_workers(1), 0u);  // a 1-CPU quota runs tasks inline
+  EXPECT_EQ(shared_pool_workers(2), 1u);  // one real worker, not inline
+  EXPECT_EQ(shared_pool_workers(4), 3u);
+  EXPECT_EQ(shared_pool_workers(64), 63u);
+  auto& pool = ThreadPool::shared();
+  const std::size_t workers = shared_pool_workers(default_concurrency());
+  EXPECT_EQ(pool.runs_inline(), workers == 0);
+  EXPECT_EQ(pool.size(), std::max<std::size_t>(1, workers));
+}
+
+TEST(ThreadPool, CountsPostsAndWakeups) {
+  Counter& posted = metrics().counter("threadpool.tasks_posted");
+  Counter& wakeups = metrics().counter("threadpool.worker_wakeups");
+  {
+    ThreadPool inline_pool(1);
+    const std::uint64_t p0 = posted.total(), w0 = wakeups.total();
+    for (int i = 0; i < 5; ++i) inline_pool.post([] {});
+    EXPECT_EQ(posted.total() - p0, 5u);
+    EXPECT_EQ(wakeups.total() - w0, 0u);  // no worker to wake
+  }
+  ThreadPool pool(2);
+  const std::uint64_t p0 = posted.total(), w0 = wakeups.total();
+  // A worker parks once its task is done and the queue is empty, so some
+  // later post finds it parked and wakes it.
+  int posts = 0;
+  while (wakeups.total() == w0 && posts < 2000) {
+    pool.submit([] {}).get();
+    ++posts;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(posted.total() - p0, static_cast<std::uint64_t>(posts));
+  EXPECT_GT(wakeups.total() - w0, 0u);
+  EXPECT_LE(wakeups.total() - w0, posted.total() - p0);
 }
 
 TEST(ThreadPool, ForkedChildRunsPostInline) {

@@ -416,13 +416,13 @@ TEST(CsvTraceReader, SkipThenReadMatchesAStraightRead) {
   std::remove(path.c_str());
 }
 
-/// Occupies every worker of the shared pool until release() (a one-worker
-/// pool runs tasks inline, so there is nothing to occupy).
+/// Occupies every worker of the shared pool until release() (a pool that
+/// runs tasks inline has no worker to occupy).
 class BlockedPool {
  public:
   BlockedPool() {
     auto& pool = util::ThreadPool::shared();
-    if (pool.size() == 1) return;
+    if (pool.runs_inline()) return;
     for (std::size_t i = 0; i < pool.size(); ++i) {
       pool.post([this, gate = gate_] {
         blocked_.fetch_add(1);

@@ -65,6 +65,21 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "stuck-at")
   message(FATAL_ERROR "analyze with a far-future record failed (rc=${rc}):\n${out}")
 endif()
 
+# A threads = 4 fleet runs on the shared pool, whose post and wake-up
+# counters the metrics export must carry.
+set(fleet_metrics ${WORK}/cli_smoke_fleet_metrics.json)
+execute_process(COMMAND ${CLI} fleet ${trace} ${trace} --threads 4 --metrics-json ${fleet_metrics}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "fleet --threads 4 --metrics-json failed:\n${out}\n${err}")
+endif()
+file(READ ${fleet_metrics} metrics)
+foreach(name threadpool.tasks_posted threadpool.worker_wakeups)
+  if(NOT metrics MATCHES "\"${name}\"")
+    message(FATAL_ERROR "fleet metrics export lacks ${name}:\n${metrics}")
+  endif()
+endforeach()
+
 # Crash-consistent checkpoint store (docs/RELIABILITY.md): analyze commits an
 # epoch on the first run, resumes from it on the second, and the printed
 # diagnosis must not change. A corrupted manifest must fail with a one-line
