@@ -130,12 +130,11 @@ struct PipelineConfig {
   /// Detection and diagnosis results are unaffected either way.
   bool record_history = true;
 
-  /// First-tier screening (screen/screen.h). The default mode (off) takes
-  /// exactly the historical code path: no screen state is allocated, no
-  /// screen work runs per window, and checkpoints carry no screen section --
-  /// reports and checkpoint bytes are identical to a build without the tier.
-  /// kScreen gates the per-sensor mapping/alarm/HMM stages behind the cheap
-  /// screens.
+  /// First-tier screening (screen/screen.h). The default mode (off) runs
+  /// the same procedure with every sensor escalated, no screen state and no
+  /// screen checkpoint section -- reports and checkpoint bytes are identical
+  /// to a build without the tier. kScreen gates the per-sensor
+  /// mapping/alarm/HMM stages behind the cheap screens.
   screen::ScreenConfig screen;
 
   /// Record coarse per-stage wall-clock histograms (spawn scan, state

@@ -191,15 +191,22 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
     return;
   }
 
+  // Per-sensor representatives drive the stages: each sensor gets one vote
+  // per window, so a chatty sensor cannot outvote the rest. Screens
+  // partition the window: escalated sensors take the per-sensor stages, and
+  // the screened rest vote and EMA-step as one bloc through their mean, with
+  // the bloc's weight. Without screens every sensor is escalated and the
+  // bloc is empty.
+  std::span<const SensorId> sensors = window.rep_sensors;
+  std::span<const AttrVec> points = window.rep_points;
+  std::size_t bloc_n = 0;
+  std::span<const double> bloc_mean;
   if (screens_ != nullptr) {
-    process_window_screened(window);
-    return;
+    bloc_n = screen_window(window);
+    sensors = esc_sensors_;
+    points = {esc_points_.data(), esc_sensors_.size()};
+    if (bloc_n > 0) bloc_mean = esc_points_[esc_sensors_.size()];
   }
-
-  // Per-sensor representatives drive every step: each sensor gets one vote
-  // per window, so a chatty sensor cannot outvote the rest.
-  const std::span<const AttrVec> points = window.rep_points;
-  const std::span<const SensorId> sensors = window.rep_sensors;
   const AttrVec& window_mean = window.cached_mean;
 
   // (1) Make fresh regimes representable before mapping (section 3.1's
@@ -209,26 +216,27 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
   // fabricated state of a Dynamic Creation attack must become a model state
   // for B^CO to expose it. Two calls, same candidate order as one. The spawn
   // scan doubles as the eq. (3) mapping scan: when nothing spawned, the
-  // recorded slots are exact under the final centroids.
-  bool spawned_points = false;
-  bool spawned_mean = false;
+  // recorded slots are exact under the final centroids. The screened bloc is
+  // no candidate: its sensors sit near the mean by construction.
+  bool spawned = false;
   {
     util::ScopedTimerNs t(t_spawn_);
-    spawned_points = !states_.maybe_spawn_mapped(points, spawn_slots_).empty();
-    spawned_mean = !states_.maybe_spawn(std::span<const AttrVec>(&window_mean, 1)).empty();
+    spawned = !states_.maybe_spawn_mapped(points, spawn_slots_).empty();
+    spawned |= !states_.maybe_spawn(std::span<const AttrVec>(&window_mean, 1)).empty();
   }
 
-  // (2) o_i, c_i, l_j over the window's rep arrays.
+  // (2) o_i, c_i, l_j over the escalated representatives and the bloc.
   WindowStates& ws = window_states_;
   {
     util::ScopedTimerNs t(t_identify_);
     identify_states_into(sensors, points, states_, window_mean, ws, ident_scratch_,
-                         (spawned_points || spawned_mean)
-                             ? std::span<const std::size_t>{}
-                             : std::span<const std::size_t>(spawn_slots_));
+                         spawned ? std::span<const std::size_t>{}
+                                 : std::span<const std::size_t>(spawn_slots_),
+                         bloc_mean, bloc_n);
   }
 
-  // (3) Alarms and tracks.
+  // (3) Alarms and tracks, for the escalated sensors; each one's screen
+  // hysteresis resolves with this window's verdict.
   WindowSummary summary;
   if (cfg_.record_history) {
     summary.window_index = window.window_index;
@@ -242,7 +250,8 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
 
   {
     util::ScopedTimerNs t(t_hmm_);
-    // (4) Network HMM M_CO.
+    // (4) Network HMM M_CO: the network-level (c_i, o_i) evidence exposes
+    // mean-steering attacks even with every individual sensor screened.
     m_co_.observe(ws.correct, ws.observable);
     ++hmm_updates_;
 
@@ -262,10 +271,14 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
   }
 
   // (6) Centroid EMA update + merge, reusing the eq. (3) labels: nothing
-  // moved a centroid since identify_states_into, so the slots are exact.
+  // moved a centroid since identify_states_into, so the slots are exact. A
+  // nonempty bloc's slot follows the representatives', and its mean follows
+  // them in esc_points_, so the environment keeps tracking drift without a
+  // per-sensor pass.
   {
     util::ScopedTimerNs t(t_centroid_);
-    states_.update_labeled(points, ident_scratch_.point_slots);
+    const auto& slots = ident_scratch_.point_slots;
+    states_.update_labeled({points.data(), slots.size()}, slots);
   }
 
   ++windows_processed_;
@@ -289,16 +302,40 @@ void DetectionPipeline::commit_history(WindowSummary& summary) {
   history_.push_back(summary);
 }
 
-void DetectionPipeline::fill_residuals(const ObservationSet& window) {
-  const std::size_t n = window.rep_sums.size();
+std::size_t DetectionPipeline::screen_window(const ObservationSet& window) {
+  util::ScopedTimerNs t(t_screen_);
+  const std::size_t n = window.rep_sensors.size();
+  // Three passes, each a tight loop: residuals (the windower cached each
+  // representative's scalar_sum, so a healthy sensor costs one double read),
+  // one batched bank update (independent per-sensor chains overlap), then
+  // the partition on the decisions.
   resid_.resize(n);
   screen_dec_.resize(n);
   const double mean_sum = vecn::scalar_sum(window.cached_mean);
-  // The windower caches each representative's scalar_sum at finalization,
-  // while the samples are still cache-hot, so a healthy sensor costs one
-  // double read here.
-  const double* sums = window.rep_sums.data();
-  for (std::size_t j = 0; j < n; ++j) resid_[j] = sums[j] - mean_sum;
+  for (std::size_t j = 0; j < n; ++j) resid_[j] = window.rep_sums[j] - mean_sum;
+  screens_->observe_block(window.rep_sensors.data(), resid_.data(), n, screen_dec_.data());
+  esc_sensors_.clear();
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!screen_dec_[j].full_path) continue;
+    if (esc_points_.size() <= esc_sensors_.size()) esc_points_.emplace_back();
+    esc_points_[esc_sensors_.size()].assign(window.rep_points[j].begin(),
+                                            window.rep_points[j].end());
+    esc_sensors_.push_back(window.rep_sensors[j]);
+  }
+  const std::size_t esc_n = esc_sensors_.size();
+  const std::size_t bloc_n = n - esc_n;
+  if (bloc_n == 0) return 0;
+  // A screened sensor's representative is never read: the bloc's sum is
+  // rep_total minus the escalated points.
+  if (esc_points_.size() <= esc_n) esc_points_.emplace_back();
+  AttrVec& bloc = esc_points_[esc_n];
+  bloc.assign(window.rep_total.begin(), window.rep_total.end());
+  for (std::size_t k = 0; k < esc_n; ++k) {
+    const AttrVec& p = esc_points_[k];
+    for (std::size_t a = 0; a < bloc.size() && a < p.size(); ++a) bloc[a] -= p[a];
+  }
+  for (double& a : bloc) a /= static_cast<double>(bloc_n);
+  return bloc_n;
 }
 
 void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window) {
@@ -358,160 +395,6 @@ void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window) {
     }
   }
   tracks_.flush_window();
-}
-
-void DetectionPipeline::process_window_screened(const ObservationSet& window) {
-  const std::vector<AttrVec>& points = window.rep_points;
-  const std::vector<SensorId>& sensors = window.rep_sensors;
-  const AttrVec& window_mean = window.cached_mean;
-  const std::size_t n = sensors.size();
-
-  // Screens partition the window: escalated representatives go through the
-  // full per-sensor stages; the screened majority is folded into one bloc
-  // mean that votes (and EMA-updates) with the bloc's weight. One residual
-  // push per screened sensor is the whole per-sensor cost.
-  std::size_t esc_n = 0;
-  std::size_t screened_n = 0;
-  esc_sensors_.clear();
-  {
-    util::ScopedTimerNs t(t_screen_);
-    // Three passes, each a tight loop: residuals (one cached scalar per
-    // sensor), one batched bank update (independent per-sensor chains
-    // overlap), then the partition on the decisions. A healthy sensor's full
-    // representative is never read at all -- the screened bloc's sum comes
-    // from rep_total minus the escalated points.
-    fill_residuals(window);
-    screens_->observe_block(sensors.data(), resid_.data(), n, screen_dec_.data());
-    screened_mean_.assign(window.rep_total.begin(), window.rep_total.end());
-    for (std::size_t j = 0; j < n; ++j) {
-      if (screen_dec_[j].full_path) {
-        if (esc_points_.size() <= esc_n) esc_points_.emplace_back();
-        const AttrVec& p = points[j];
-        esc_points_[esc_n].assign(p.begin(), p.end());
-        esc_sensors_.push_back(sensors[j]);
-        ++esc_n;
-        for (std::size_t a = 0; a < screened_mean_.size() && a < p.size(); ++a) {
-          screened_mean_[a] -= p[a];
-        }
-      } else {
-        ++screened_n;
-      }
-    }
-  }
-  if (screened_n > 0) {
-    for (double& a : screened_mean_) a /= static_cast<double>(screened_n);
-  }
-  const std::span<const AttrVec> esc(esc_points_.data(), esc_n);
-
-  // (1) Spawn scan over the escalated representatives plus the window mean
-  // (the full path's candidates, minus the screened sensors -- which sit
-  // near the mean by construction and cannot need a fresh state).
-  bool spawned = false;
-  {
-    util::ScopedTimerNs t(t_spawn_);
-    spawned = !states_.maybe_spawn_mapped(esc, spawn_slots_).empty();
-    spawned |= !states_.maybe_spawn(std::span<const AttrVec>(&window_mean, 1)).empty();
-  }
-
-  // (2) o_i from the window mean (eq. 2 unchanged); l_j for escalated
-  // sensors; c_i by majority where the screened bloc votes through its mean
-  // with weight screened_n. Same tie-breaks as identify_states_into: largest
-  // cluster, ties toward the observable's cluster, then the smaller id.
-  WindowStates& ws = window_states_;
-  std::size_t screened_slot = 0;
-  {
-    util::ScopedTimerNs t(t_identify_);
-    const std::size_t slots = states_.size();
-    ident_scratch_.cluster_sizes.assign(slots, 0);
-    ident_scratch_.point_slots.resize(esc_n);
-    ws.mapping.clear();
-    ws.sensors = n;
-    for (std::size_t j = 0; j < esc_n; ++j) {
-      const std::size_t s = spawned ? states_.map_slot(esc_points_[j]) : spawn_slots_[j];
-      ident_scratch_.point_slots[j] = s;
-      ++ident_scratch_.cluster_sizes[s];
-      ws.mapping.emplace_back(esc_sensors_[j], states_.ids()[s]);
-    }
-    const std::size_t obs_slot = states_.map_slot(window_mean);
-    screened_slot = obs_slot;
-    if (screened_n > 0) {
-      screened_slot = states_.map_slot(screened_mean_);
-      ident_scratch_.cluster_sizes[screened_slot] += screened_n;
-    }
-    std::size_t best = slots;
-    std::size_t best_count = 0;
-    for (std::size_t s = 0; s < slots; ++s) {
-      const std::size_t c = ident_scratch_.cluster_sizes[s];
-      if (c == 0) continue;
-      if (best == slots || c > best_count || (c == best_count && s == obs_slot)) {
-        best = s;
-        best_count = c;
-      }
-    }
-    ws.observable = states_.ids()[obs_slot];
-    ws.correct = states_.ids()[best];
-    ws.majority_size = best_count;
-  }
-
-  // (3) Alarms and tracks for escalated sensors only; each one's hysteresis
-  // resolves with the full tier's verdict for this window.
-  WindowSummary summary;
-  if (cfg_.record_history) {
-    summary.window_index = window.window_index;
-    summary.window_start = window.window_start;
-    summary.observable = ws.observable;
-    summary.correct = ws.correct;
-    summary.majority_size = ws.majority_size;
-    hist_scratch_.clear();
-  }
-  run_alarm_track_stage(window);
-
-  {
-    util::ScopedTimerNs t(t_hmm_);
-    // (4) Network HMM M_CO -- unchanged: the network-level (c_i, o_i)
-    // evidence is what exposes mean-steering attacks even with every
-    // individual sensor screened.
-    m_co_.observe(ws.correct, ws.observable);
-    ++hmm_updates_;
-
-    // (5) Markov models M_C and M_O.
-    if (prev_correct_) {
-      m_c_.add_transition(*prev_correct_, ws.correct);
-    } else {
-      m_c_.add_visit(ws.correct);
-    }
-    if (prev_observable_) {
-      m_o_.add_transition(*prev_observable_, ws.observable);
-    } else {
-      m_o_.add_visit(ws.observable);
-    }
-    prev_correct_ = ws.correct;
-    prev_observable_ = ws.observable;
-  }
-
-  // (6) Centroid EMA: escalated representatives plus one step for the
-  // screened bloc's mean, so the environment keeps tracking drift without a
-  // per-sensor pass. Slots were recorded in (2) and nothing moved since.
-  {
-    util::ScopedTimerNs t(t_centroid_);
-    if (screened_n > 0) {
-      if (esc_points_.size() <= esc_n) esc_points_.emplace_back();
-      esc_points_[esc_n].assign(screened_mean_.begin(), screened_mean_.end());
-      ident_scratch_.point_slots.push_back(screened_slot);
-      states_.update_labeled(std::span<const AttrVec>(esc_points_.data(), esc_n + 1),
-                             ident_scratch_.point_slots);
-    } else {
-      states_.update_labeled(esc, ident_scratch_.point_slots);
-    }
-  }
-
-  ++windows_processed_;
-  if (cfg_.record_history) commit_history(summary);
-
-  {
-    std::lock_guard<std::mutex> lock(diag_mu_.get());
-    diag_cache_.reset();
-  }
 }
 
 screen::ScreenStats DetectionPipeline::screen_stats() const {

@@ -159,11 +159,15 @@ class DetectionPipeline {
   /// Close the final partial window.
   void finish();
 
-  /// Batch entry point used by experiments: process one pre-built window.
-  /// Throws std::invalid_argument unless rep_points and rep_sums match
-  /// rep_sensors in length and rep_total matches cached_mean in width (the
-  /// windower's output always does; see bench::make_window for hand-built
-  /// windows).
+  /// Process one completed window: the six stages above, run once. With
+  /// screens (PipelineConfig::screen) only the escalated sensors take the
+  /// per-sensor stages, and the screened rest vote in eq. (4) and step the
+  /// eq. (6) EMA as one bloc through their mean, weighted by their count.
+  /// Screen-off is the same procedure with every sensor escalated and an
+  /// empty bloc. Also the batch entry point used by experiments. Throws
+  /// std::invalid_argument unless rep_points and rep_sums match rep_sensors
+  /// in length and rep_total matches cached_mean in width (the windower's
+  /// output always does; see bench::make_window for hand-built windows).
   void process_window(const ObservationSet& window);
 
   /// Convenience: a copy of `records` sorted with sort_by_time, then
@@ -234,15 +238,13 @@ class DetectionPipeline {
   /// step (each would fail the min_sensors_per_window >= 1 gate).
   struct WindowSink;
 
-  /// The kScreen per-window path: per-sensor screens decide who takes the
-  /// full mapping/alarm/HMM stages; screened sensors vote as a bloc through
-  /// their collective mean.
-  void process_window_screened(const ObservationSet& window);
-
-  /// Fill resid_ (and size screen_dec_) for the screen tier: one scalar per
-  /// sensor, from the window's cached rep_sums (without touching the
-  /// representative vectors).
-  void fill_residuals(const ObservationSet& window);
+  /// The screen tier's partition of a window: runs every sensor's screen on
+  /// one residual scalar (its cached rep_sums entry minus the window mean's),
+  /// copies the escalated representatives into esc_sensors_/esc_points_,
+  /// and, when any sensor stayed screened, writes the screened bloc's mean
+  /// into the esc_points_ entry after them. Returns the bloc's weight, the
+  /// number of screened sensors.
+  std::size_t screen_window(const ObservationSet& window);
 
   /// Stage (3): alarms and tracks over window_states_.mapping, iterated in
   /// cache-sized sensor blocks as four passes (alarm updates, track edges,
@@ -311,12 +313,11 @@ class DetectionPipeline {
   WindowStates window_states_;
   StateIdentScratch ident_scratch_;
 
-  // kScreen-path scratch: escalated representatives and the screened bloc's
-  // mean (appended to esc_points_ for the combined centroid update), plus
-  // the batched-screen buffers (residuals in, decisions out).
+  // Screen-tier scratch (see screen_window): escalated representatives with
+  // the screened bloc's mean after them, so the centroid update reads one
+  // span, plus the batched-screen buffers (residuals in, decisions out).
   std::vector<AttrVec> esc_points_;
   std::vector<SensorId> esc_sensors_;
-  AttrVec screened_mean_;
   std::vector<double> resid_;
   std::vector<screen::ScreenDecision> screen_dec_;
   std::vector<AlarmUpdate> blk_updates_;  // per-block alarm-stage scratch

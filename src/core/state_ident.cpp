@@ -23,7 +23,8 @@ namespace {
 // the same (id, size) sequence the original std::map iteration produced.
 void pick_correct_state(const ModelStateSet& states, WindowStates& out,
                         const StateIdentScratch& scratch) {
-  StateId best = out.mapping.front().second;
+  // Some cluster is nonempty, and the first one seen replaces this seed.
+  StateId best = out.observable;
   std::size_t best_size = 0;
   for (std::size_t slot = 0; slot < states.size(); ++slot) {
     const std::size_t size = scratch.cluster_sizes[slot];
@@ -49,8 +50,9 @@ void pick_correct_state(const ModelStateSet& states, WindowStates& out,
 void identify_states_into(std::span<const SensorId> sensors, std::span<const AttrVec> points,
                           const ModelStateSet& states, std::span<const double> window_mean,
                           WindowStates& out, StateIdentScratch& scratch,
-                          std::span<const std::size_t> precomputed_slots) {
-  if (sensors.empty()) {
+                          std::span<const std::size_t> precomputed_slots,
+                          std::span<const double> bloc_mean, std::size_t bloc_weight) {
+  if (sensors.empty() && bloc_weight == 0) {
     throw std::invalid_argument("identify_states: empty window");
   }
   if (sensors.size() != points.size()) {
@@ -61,7 +63,7 @@ void identify_states_into(std::span<const SensorId> sensors, std::span<const Att
   }
 
   out.mapping.clear();
-  out.sensors = sensors.size();
+  out.sensors = sensors.size() + bloc_weight;
 
   // eq. (2): o_i = argmin_k || s_k - mean(all observations) ||.
   out.observable = states.ids()[states.map_slot(window_mean)];
@@ -76,6 +78,12 @@ void identify_states_into(std::span<const SensorId> sensors, std::span<const Att
     out.mapping.emplace_back(sensors[j], states.ids()[slot]);
     scratch.point_slots.push_back(slot);
     ++scratch.cluster_sizes[slot];
+  }
+  // The bloc votes once, with its weight, from its mean's cluster.
+  if (bloc_weight > 0) {
+    const std::size_t slot = states.map_slot(bloc_mean);
+    scratch.point_slots.push_back(slot);
+    scratch.cluster_sizes[slot] += bloc_weight;
   }
 
   pick_correct_state(states, out, scratch);

@@ -27,7 +27,7 @@ struct WindowStates {
   /// l_j per sensor, ascending by sensor id (the windower's natural order).
   std::vector<std::pair<SensorId, StateId>> mapping;
   std::size_t majority_size = 0;  // |largest cluster|
-  std::size_t sensors = 0;        // representatives in the window
+  std::size_t sensors = 0;        // sensors in the window, a bloc's included
 
   /// l_j of one sensor (binary search); throws if the sensor had no
   /// representative this window.
@@ -38,9 +38,10 @@ struct WindowStates {
 /// the per-window identification allocation-free in steady state.
 struct StateIdentScratch {
   /// Storage slot (see ModelStateSet::map_slot) of each per-sensor
-  /// representative, in mapping[] order. Valid until the model-state set is
-  /// next mutated -- the pipeline hands these to update_labeled so eq. (5)
-  /// reuses the eq. (3) labels instead of recomputing every distance.
+  /// representative, in mapping[] order, then the bloc mean's slot when a
+  /// bloc voted. Valid until the model-state set is next mutated -- the
+  /// pipeline hands these to update_labeled so eq. (5) reuses the eq. (3)
+  /// labels instead of recomputing every distance.
   std::vector<std::size_t> point_slots;
   std::vector<std::size_t> cluster_sizes;  // per-slot representative counts
 };
@@ -63,9 +64,19 @@ WindowStates identify_states(const ObservationSet& window, const ModelStateSet& 
 /// from ModelStateSet::maybe_spawn_mapped when it created no states -- and
 /// lets eq. (3) skip its distance scans entirely. Throws if its size
 /// disagrees with the representative count.
+///
+/// A bloc is `bloc_weight` further sensors known only through their mean,
+/// `bloc_mean` (the pipeline's screened sensors; see
+/// PipelineConfig::screen). When the weight is nonzero, the bloc's mean is
+/// mapped once, its cluster gains `bloc_weight` votes in eq. (4), its slot
+/// is appended to scratch.point_slots for the eq. (5) update, and it adds no
+/// mapping[] entry; `sensors` may then be empty. A zero weight ignores
+/// `bloc_mean`.
 void identify_states_into(std::span<const SensorId> sensors, std::span<const AttrVec> points,
                           const ModelStateSet& states, std::span<const double> window_mean,
                           WindowStates& out, StateIdentScratch& scratch,
-                          std::span<const std::size_t> precomputed_slots = {});
+                          std::span<const std::size_t> precomputed_slots = {},
+                          std::span<const double> bloc_mean = {},
+                          std::size_t bloc_weight = 0);
 
 }  // namespace sentinel::core

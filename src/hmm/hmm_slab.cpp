@@ -160,15 +160,10 @@ void OnlineHmmSlab::observe(std::uint32_t lane, StateId hidden, StateId symbol) 
     a_row_counts_[lane * h_cap_ + i] += 1.0;
   }
 
-  std::size_t emit_row = j;
-  if (cfg_.update_previous_row && has_last_[lane] != 0) {
-    emit_row = index_of_hidden(lane, last_hidden_[lane]);
-  }
-  pending_b_.push_back(
-      {lane, static_cast<std::uint32_t>(emit_row), static_cast<std::uint32_t>(l)});
+  pending_b_.push_back({lane, static_cast<std::uint32_t>(j), static_cast<std::uint32_t>(l)});
   ++pending_in_lane_[lane];
-  b_avg_[lane * b_tile() + emit_row * ss_ + l] += 1.0;
-  b_row_counts_[lane * h_cap_ + emit_row] += 1.0;
+  b_avg_[lane * b_tile() + j * ss_ + l] += 1.0;
+  b_row_counts_[lane * h_cap_ + j] += 1.0;
   symbol_totals_[lane * s_cap_ + l] += 1.0;
 
   last_hidden_[lane] = hidden;

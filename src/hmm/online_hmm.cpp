@@ -67,15 +67,12 @@ void OnlineHmm::observe(StateId hidden, StateId symbol) {
     a_row_counts_[i] += 1.0;
   }
 
-  // Emission update. Row j (current) by default; row i (previous) under the
-  // literal reading -- identical whenever the state did not change.
-  std::size_t emit_row = j;
-  if (cfg_.update_previous_row && last_hidden_) emit_row = hidden_index_.at(*last_hidden_);
-  auto brow = b_.row(emit_row);
+  // Emission update on the current state's row j.
+  auto brow = b_.row(j);
   kk.scale(brow.data(), brow.size(), 1.0 - cfg_.gamma);
   brow[l] += cfg_.gamma;
-  b_avg_(emit_row, l) += 1.0;
-  b_row_counts_[emit_row] += 1.0;
+  b_avg_(j, l) += 1.0;
+  b_row_counts_[j] += 1.0;
   symbol_totals_[l] += 1.0;
 
   last_hidden_ = hidden;

@@ -14,8 +14,7 @@
 // *previous* state; since B is updated every step and the environment dwells
 // in a state for many windows, i == j at almost every update and the two
 // readings coincide -- we update the current state's row, which is the one
-// that makes the emission semantics of the tables in section 4 come out, and
-// offer `update_previous_row` for the literal reading.)
+// that makes the emission semantics of the tables in section 4 come out.)
 //
 // Hidden states and symbols are dynamic: the clusterer can spawn model states
 // at any time, and M_CE has the fictitious bottom symbol for windows where a
@@ -46,7 +45,6 @@ inline constexpr StateId kBottomSymbol = std::numeric_limits<StateId>::max();
 struct OnlineHmmConfig {
   double beta = 0.9;   // transition learning factor (paper Table 1)
   double gamma = 0.9;  // emission learning factor (paper Table 1)
-  bool update_previous_row = false;  // literal reading of the paper's B update
 };
 
 class OnlineHmm {

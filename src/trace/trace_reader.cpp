@@ -1,5 +1,9 @@
 #include "trace/trace_reader.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -275,16 +279,22 @@ std::size_t CsvTraceReader::skip_records(std::size_t n) { return take(nullptr, n
 
 std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
                                                std::size_t expected_dims) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) throw std::runtime_error("open_trace_reader: cannot open " + path);
-  char magic[sizeof kBinaryTraceMagic] = {};
-  probe.read(magic, sizeof magic);
-  if (probe.gcount() == static_cast<std::streamsize>(sizeof magic) &&
-      std::memcmp(magic, kBinaryTraceMagic, sizeof magic) == 0) {
-    probe.close();
-    return std::make_unique<BinaryTraceReader>(path, expected_dims);
+  // The magic probe and the chosen reader each open the path, so a source
+  // that can be read only once (a FIFO, a process substitution) would lose
+  // the probe's bytes to it; and opening a FIFO with no writer blocks.
+  // Refuse such a path before opening it. The probe reads just the magic
+  // with read(2): a buffered stream would read a whole block.
+  struct stat st{};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    throw std::runtime_error("open_trace_reader: not a regular file: " + path);
   }
-  probe.close();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("open_trace_reader: cannot open " + path);
+  char magic[sizeof kBinaryTraceMagic] = {};
+  const bool binary = ::read(fd, magic, sizeof magic) == static_cast<ssize_t>(sizeof magic) &&
+                      std::memcmp(magic, kBinaryTraceMagic, sizeof magic) == 0;
+  ::close(fd);
+  if (binary) return std::make_unique<BinaryTraceReader>(path, expected_dims);
   return std::make_unique<CsvTraceReader>(path, expected_dims);
 }
 

@@ -178,8 +178,10 @@ class CsvTraceReader final : public TraceReader {
 };
 
 /// Open a trace file for streaming, auto-detecting CSV vs binary by magic
-/// bytes. Throws std::runtime_error if the file cannot be opened (or a
-/// binary header is corrupt).
+/// bytes. Throws std::runtime_error if the file cannot be opened, if the
+/// path exists but is not a regular file (a FIFO, a device, a directory:
+/// detection reads the head of the file and the reader opens it again), or
+/// if a binary header is corrupt.
 std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
                                                std::size_t expected_dims = 0);
 

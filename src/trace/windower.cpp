@@ -244,12 +244,6 @@ void Windower::finalize_into(ObservationSet& out) {
   reset_window_state();
 }
 
-std::vector<ObservationSet> Windower::add(const SensorRecord& rec) {
-  std::vector<ObservationSet> completed;
-  add(rec, [&completed](ObservationSet&& w) { completed.push_back(std::move(w)); });
-  return completed;
-}
-
 std::optional<ObservationSet> Windower::flush() {
   if (current_index_ == 0 || log_.empty()) return std::nullopt;
   ObservationSet set;

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -90,35 +89,23 @@ class Windower {
   /// 1 hour). Must be > 0.
   explicit Windower(double window_seconds);
 
-  /// A run of `count` consecutive empty windows, handed to a callback that
-  /// accepts one instead of `count` empty ObservationSets. A timestamp far in
-  /// the future (clamped to window 9e18) opens a gap no per-window loop
+  /// A run of `count` consecutive empty windows: how a gap in time reaches
+  /// the callback, in one call however long it is. A timestamp far in the
+  /// future (clamped to window 9e18) opens a gap no per-window loop
   /// finishes.
   struct EmptyWindows {
     std::size_t count = 0;
   };
 
-  /// Add a record. Returns any windows completed by this record's arrival
-  /// (possibly more than one if time jumped; empty windows are emitted so the
-  /// caller sees gaps explicitly -- the pipeline skips them).
-  std::vector<ObservationSet> add(const SensorRecord& rec);
-
-  /// Allocation-free variant: invokes `on_window(ObservationSet&&)` for each
-  /// completed window instead of materializing a result vector.
-  template <typename Fn>
-  void add(const SensorRecord& rec, Fn&& on_window) {
-    add_batch(std::span<const SensorRecord>(&rec, 1), std::forward<Fn>(on_window));
-  }
-
-  /// Bulk entry: the fused decode -> window -> screen-cache pass. The trace
-  /// readers and FleetMonitor feed whole decoded batches here; per record the
-  /// window bookkeeping and the adds into the sensor's sum row and the
-  /// window total run inline, so the common no-window-closed case touches no
-  /// allocator and no map. Completed windows are delivered to
+  /// The fused decode -> window -> screen-cache pass. The trace readers and
+  /// FleetMonitor feed whole decoded batches here; per record the window
+  /// bookkeeping and the adds into the sensor's sum row and the window total
+  /// run inline, so the common no-window-closed case touches no allocator
+  /// and no map. Completed windows are delivered to
   /// `on_window(ObservationSet&&)` in order; the emission object is recycled
   /// across windows when the callback reads it in place (the pipeline does).
-  /// A gap of empty windows arrives as one `on_window(EmptyWindows)` when the
-  /// callback accepts that, else as one empty ObservationSet per window.
+  /// A gap of empty windows after a completed window arrives as one
+  /// `on_window(EmptyWindows)`, so the callback must accept both.
   template <typename Fn>
   void add_batch(std::span<const SensorRecord> recs, Fn&& on_window) {
     for (const SensorRecord& rec : recs) step(rec.sensor, rec.time, rec.attrs, on_window);
@@ -173,18 +160,8 @@ class Windower {
     } else if (idx > current_index_) {
       finalize_into(out_);
       on_window(std::move(out_));
-      // Emit empty windows for any gap so downstream sees time holes.
-      if constexpr (std::is_invocable_v<Fn&, EmptyWindows>) {
-        if (idx - current_index_ > 1) on_window(EmptyWindows{idx - current_index_ - 1});
-      } else {
-        for (std::size_t i = current_index_ + 1; i < idx; ++i) {
-          ObservationSet empty;
-          empty.window_index = i;
-          empty.window_start = window_seconds_ * static_cast<double>(i - 1);
-          empty.window_end = window_seconds_ * static_cast<double>(i);
-          on_window(std::move(empty));
-        }
-      }
+      // Hand over any gap so downstream sees the time hole.
+      if (idx - current_index_ > 1) on_window(EmptyWindows{idx - current_index_ - 1});
       current_index_ = idx;
     }
     accumulate(sensor, time, attrs);

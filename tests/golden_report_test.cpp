@@ -1,7 +1,9 @@
 // Golden-identity test guarding the hot-path rework: a fixed 7-day injected
-// scenario streamed through a fresh single-threaded pipeline must produce a
-// DiagnosisReport rendering and checkpoint bytes identical to the committed
-// golden files, which were generated by the pre-optimization implementation.
+// scenario streamed through a fresh single-threaded pipeline, with the screen
+// tier off and with it on, must produce a DiagnosisReport rendering and
+// checkpoint bytes identical to the committed golden files, which were
+// generated by the pre-optimization implementation (the screened pair by the
+// implementation that still had a separate screened per-window path).
 // Any change to the per-window arithmetic (state identification, centroid
 // EMA, HMM updates, serialization order) shows up here as a byte diff.
 //
@@ -26,6 +28,7 @@
 #include "trace/trace_io.h"
 #include "trace/trace_reader.h"
 #include "util/metrics.h"
+#include "util/serialize.h"
 
 #ifndef SENTINEL_GOLDEN_DIR
 #define SENTINEL_GOLDEN_DIR "tests/golden"
@@ -78,43 +81,63 @@ struct GoldenRun {
   std::string checkpoint;
 };
 
-GoldenRun run_golden_scenario() {
+/// `screen_mode` is PipelineConfig::screen's mode and `scope` the
+/// checkpoint's.
+GoldenRun run_golden_scenario(screen::ScreenMode screen_mode = screen::ScreenMode::kOff,
+                              core::CheckpointScope scope = core::CheckpointScope::kModel) {
   sim::GdiEnvironmentConfig ec;
   ec.duration_seconds = 7.0 * kSecondsPerDay;
   ec.seed = 20260806;
   const sim::GdiEnvironment env(ec);
   const auto trace = golden_trace(env);
 
-  core::DetectionPipeline p(golden_config(env));
+  core::PipelineConfig cfg = golden_config(env);
+  cfg.screen.mode = screen_mode;
+  core::DetectionPipeline p(cfg);
   for (const auto& rec : trace) p.add_record(rec);
   p.finish();
 
   GoldenRun out;
   out.report = core::to_string(p.diagnose());
   std::ostringstream ckpt;
-  p.save_checkpoint(ckpt);
+  p.save_checkpoint(ckpt, serialize::Format::kText, scope);
   out.checkpoint = ckpt.str();
   return out;
 }
 
-TEST(GoldenReport, ScenarioReportAndCheckpointBytesUnchanged) {
-  const GoldenRun got = run_golden_scenario();
+/// Compare a run with the committed `<stem>.report.txt` and
+/// `<stem>.checkpoint.txt`, or rewrite them under SENTINEL_REGEN_GOLDEN.
+void check_golden(const GoldenRun& got, const std::string& stem) {
   ASSERT_FALSE(got.report.empty());
   ASSERT_FALSE(got.checkpoint.empty());
 
+  const std::string report_path = golden_path(stem + ".report.txt");
+  const std::string ckpt_path = golden_path(stem + ".checkpoint.txt");
   if (std::getenv("SENTINEL_REGEN_GOLDEN") != nullptr) {
-    std::ofstream(golden_path("scenario7d.report.txt"), std::ios::binary) << got.report;
-    std::ofstream(golden_path("scenario7d.checkpoint.txt"), std::ios::binary) << got.checkpoint;
+    std::ofstream(report_path, std::ios::binary) << got.report;
+    std::ofstream(ckpt_path, std::ios::binary) << got.checkpoint;
     GTEST_SKIP() << "golden files regenerated at " << SENTINEL_GOLDEN_DIR;
   }
 
-  const std::string want_report = read_file(golden_path("scenario7d.report.txt"));
-  const std::string want_ckpt = read_file(golden_path("scenario7d.checkpoint.txt"));
+  const std::string want_report = read_file(report_path);
+  const std::string want_ckpt = read_file(ckpt_path);
   ASSERT_FALSE(want_report.empty()) << "missing golden file; run with SENTINEL_REGEN_GOLDEN=1";
   ASSERT_FALSE(want_ckpt.empty()) << "missing golden file; run with SENTINEL_REGEN_GOLDEN=1";
 
   EXPECT_EQ(got.report, want_report);
   EXPECT_EQ(got.checkpoint, want_ckpt);
+}
+
+TEST(GoldenReport, ScenarioReportAndCheckpointBytesUnchanged) {
+  check_golden(run_golden_scenario(), "scenario7d");
+}
+
+TEST(GoldenReport, ScreenedScenarioBytesUnchanged) {
+  // The same scenario with the screen tier on, so the screened bloc's vote,
+  // its mean and its EMA step are pinned too; the resumable checkpoint
+  // carries the screen bank's state.
+  check_golden(run_golden_scenario(screen::ScreenMode::kScreen, core::CheckpointScope::kResumable),
+               "scenario7d.screened");
 }
 
 TEST(GoldenReport, BytesUnchangedWithStageTimersAndMetrics) {

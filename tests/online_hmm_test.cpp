@@ -114,22 +114,5 @@ TEST(OnlineHmmTest, UnknownLookupsReturnZeroOrNullopt) {
   EXPECT_EQ(m.last_hidden(), 1u);
 }
 
-TEST(OnlineHmmTest, LiteralPreviousRowModeDiffersAtTransitions) {
-  OnlineHmmConfig literal;
-  literal.update_previous_row = true;
-  OnlineHmm a(literal), b;
-  // Identical dwell phases: both modes agree.
-  for (int i = 0; i < 10; ++i) {
-    a.observe(1, 1);
-    b.observe(1, 1);
-  }
-  // At a transition the literal mode updates the previous row.
-  a.observe(2, 2);
-  b.observe(2, 2);
-  EXPECT_GT(a.emission(1, 2), 0.5);  // previous state's row moved
-  EXPECT_DOUBLE_EQ(b.emission(1, 2), 0.0);
-  EXPECT_DOUBLE_EQ(b.emission(2, 2), 1.0);
-}
-
 }  // namespace
 }  // namespace sentinel::hmm

@@ -4,13 +4,17 @@
 // injection plans.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/fleet.h"
@@ -20,6 +24,7 @@
 #include "faults/injection_plan.h"
 #include "sim/simulator.h"
 #include "trace/trace_io.h"
+#include "trace/trace_reader.h"
 #include "util/rng.h"
 
 namespace sentinel {
@@ -265,6 +270,21 @@ TEST(Robustness, BatchPathSkipsAFarFutureGapAndCountsTheClamp) {
   EXPECT_EQ(p.counters().late_records, 0u);
   ASSERT_EQ(windows.size(), 2u);
   EXPECT_EQ(windows[1].window_index, std::size_t{9000000000000000000u});
+}
+
+TEST(Robustness, FifoTracePathIsRefusedWithoutOpening) {
+  // A FIFO can be read once, so the format probe would eat the head of the
+  // stream before the chosen reader opened it again. open_trace_reader
+  // refuses it before opening: with no writer, the open would block.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("sentinel_robustness_" + std::to_string(::getpid()) + ".fifo"))
+          .string();
+  std::filesystem::remove(path);
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  run_with_deadline(std::chrono::seconds(10),
+                    [&] { EXPECT_THROW(open_trace_reader(path), std::runtime_error); });
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //    (the bank is handed each level's table directly) and across
 //    checkpoint/resume at any window boundary, including mid-escalation;
 //  - pipeline integration: screen_mode=off writes checkpoints with no
-//    screen section, a screened pipeline resumes mid-escalation, and a
+//    screen section, a screened pipeline resumes mid-escalation, screens
+//    that escalate every sensor learn exactly what screen-off learns, and a
 //    screened fleet's report is bit-identical at threads 1 and 4.
 
 #include "screen/screen.h"
@@ -339,6 +340,37 @@ TEST(ScreenPipelineTest, ScreenedPipelineCheckpointResumesMidEscalation) {
     restored.process_window(w);
   }
   EXPECT_EQ(checkpoint_text(restored), checkpoint_text(live));
+}
+
+TEST(ScreenPipelineTest, EveryoneEscalatedMatchesScreenOff) {
+  // Screen-off is the screened partition with every sensor escalated and an
+  // empty bloc. Screens that never de-escalate anyone must therefore learn
+  // the same models and reach the same diagnosis as no screens at all.
+  const auto run = [](bench::InjectionKind kind, bool screened) {
+    bench::ScenarioConfig sc;
+    sc.duration_days = 7.0;
+    sc.seed = 11;
+    if (screened) {
+      sc.screen.mode = ScreenMode::kScreen;
+      sc.screen.deescalate_after = 0xffff;
+    }
+    return bench::run_scenario({}, sc, bench::make_injection(kind, sc.seed));
+  };
+  const auto model_bytes = [](const core::DetectionPipeline& p) {
+    std::ostringstream os;
+    p.save_checkpoint(os, serialize::Format::kText, core::CheckpointScope::kModel);
+    return os.str();
+  };
+  for (const auto kind : bench::all_injection_kinds()) {
+    SCOPED_TRACE(bench::to_string(kind));
+    const auto off = run(kind, false);
+    const auto on = run(kind, true);
+    ASSERT_NE(on.pipeline->screens(), nullptr);
+    EXPECT_EQ(on.pipeline->screen_stats().screened_windows, 0u);
+    EXPECT_EQ(model_bytes(*on.pipeline), model_bytes(*off.pipeline));
+    EXPECT_EQ(core::to_string(on.pipeline->diagnose()),
+              core::to_string(off.pipeline->diagnose()));
+  }
 }
 
 TEST(ScreenFleetTest, ScreenedReportIdenticalAtThreads1And4) {

@@ -1,11 +1,13 @@
 // Unit tests: observable / correct state identification (paper eqs. (2)-(4))
-// including the worked example of the paper's Figs. 3 and 4.
+// including the worked example of the paper's Figs. 3 and 4, and the vote of
+// a screened bloc.
 
 #include <gtest/gtest.h>
 
 #include "core/state_ident.h"
 
 #include <map>
+#include <vector>
 
 #include "common/scenario.h"
 
@@ -106,6 +108,50 @@ TEST(StateIdent, SingleSensorWindow) {
   EXPECT_EQ(ws.correct, 1u);
   EXPECT_EQ(ws.observable, 1u);
   EXPECT_EQ(ws.mapped(3), 1u);
+}
+
+TEST(StateIdent, BlocVotesWithItsWeight) {
+  // A screened bloc is known only by its mean: it is mapped once, its
+  // cluster gains the bloc's weight in eq. (4), it adds no l_j, and its slot
+  // follows the representatives' for the eq. (5) update. Two escalated
+  // sensors at s1 lose to a bloc of three at s0 and beat a bloc of one.
+  ModelStateSet states(cfg(), {{0.0, 0.0}, {10.0, 0.0}});
+  const std::vector<SensorId> sensors{4, 7};
+  const std::vector<AttrVec> points{{10.2, 0.0}, {9.9, 0.0}};
+  const AttrVec bloc{0.1, 0.0};
+  WindowStates ws;
+  StateIdentScratch scratch;
+
+  identify_states_into(sensors, points, states, AttrVec{4.08, 0.0}, ws, scratch, {}, bloc, 3);
+  EXPECT_EQ(ws.correct, 0u);
+  EXPECT_EQ(ws.observable, 0u);
+  EXPECT_EQ(ws.majority_size, 3u);
+  EXPECT_EQ(ws.sensors, 5u);
+  ASSERT_EQ(ws.mapping.size(), 2u);
+  EXPECT_EQ(ws.mapped(4), 1u);
+  EXPECT_EQ(ws.mapped(7), 1u);
+  EXPECT_EQ(scratch.point_slots, (std::vector<std::size_t>{1, 1, 0}));
+
+  identify_states_into(sensors, points, states, AttrVec{6.73, 0.0}, ws, scratch, {}, bloc, 1);
+  EXPECT_EQ(ws.correct, 1u);
+  EXPECT_EQ(ws.majority_size, 2u);
+  EXPECT_EQ(ws.sensors, 3u);
+}
+
+TEST(StateIdent, EveryoneScreenedVotesThroughTheBloc) {
+  // With every sensor screened there is no representative and no l_j; the
+  // bloc alone decides c_i.
+  ModelStateSet states(cfg(), {{0.0, 0.0}, {10.0, 0.0}});
+  const AttrVec mean{9.5, 0.0};
+  WindowStates ws;
+  StateIdentScratch scratch;
+  identify_states_into({}, {}, states, mean, ws, scratch, {}, mean, 6);
+  EXPECT_TRUE(ws.mapping.empty());
+  EXPECT_EQ(ws.correct, 1u);
+  EXPECT_EQ(ws.observable, 1u);
+  EXPECT_EQ(ws.majority_size, 6u);
+  EXPECT_EQ(ws.sensors, 6u);
+  EXPECT_EQ(scratch.point_slots, (std::vector<std::size_t>{1}));
 }
 
 }  // namespace

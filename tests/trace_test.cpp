@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <sstream>
+#include <variant>
+#include <vector>
 
 #include "common/scenario.h"
 #include "trace/trace_io.h"
@@ -12,6 +15,16 @@
 
 namespace sentinel {
 namespace {
+
+// One record through the windower; returns what it handed over, in order:
+// completed windows and gaps of empty windows.
+using Handover = std::variant<ObservationSet, Windower::EmptyWindows>;
+std::vector<Handover> add(Windower& w, const SensorRecord& rec) {
+  std::vector<Handover> out;
+  w.add_batch(std::span<const SensorRecord>(&rec, 1),
+              [&out](auto&& h) { out.emplace_back(std::forward<decltype(h)>(h)); });
+  return out;
+}
 
 TEST(TraceIo, RoundTrip) {
   std::vector<SensorRecord> recs{
@@ -112,8 +125,8 @@ TEST(ObservationSetTest, OverallMeanAndRepresentatives) {
   EXPECT_EQ(w.window_end, 100.0);
 
   Windower win(100.0);
-  win.add({1, 20.0, {30.0, 40.0}});
-  win.add({0, 10.0, {10.0, 20.0}});
+  add(win, {1, 20.0, {30.0, 40.0}});
+  add(win, {0, 10.0, {10.0, 20.0}});
   const auto closed = win.flush();
   ASSERT_TRUE(closed.has_value());
   EXPECT_EQ(closed->rep_sensors, w.rep_sensors);
@@ -125,22 +138,23 @@ TEST(ObservationSetTest, OverallMeanAndRepresentatives) {
 
 TEST(Windower, AssignsWindowsPerEquationOne) {
   Windower w(100.0);
-  EXPECT_TRUE(w.add({0, 10.0, {1.0}}).empty());
-  EXPECT_TRUE(w.add({1, 50.0, {2.0}}).empty());
+  EXPECT_TRUE(add(w, {0, 10.0, {1.0}}).empty());
+  EXPECT_TRUE(add(w, {1, 50.0, {2.0}}).empty());
   // Crossing into window 2 closes window 1.
-  const auto done = w.add({0, 120.0, {3.0}});
+  const auto done = add(w, {0, 120.0, {3.0}});
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].window_index, 1u);
-  EXPECT_DOUBLE_EQ(done[0].window_start, 0.0);
-  EXPECT_DOUBLE_EQ(done[0].window_end, 100.0);
-  EXPECT_EQ(done[0].records, 2u);
+  const auto& w1 = std::get<ObservationSet>(done[0]);
+  EXPECT_EQ(w1.window_index, 1u);
+  EXPECT_DOUBLE_EQ(w1.window_start, 0.0);
+  EXPECT_DOUBLE_EQ(w1.window_end, 100.0);
+  EXPECT_EQ(w1.records, 2u);
 }
 
 TEST(Windower, PerSensorRepresentativeIsMeanOfSamples) {
   Windower w(100.0);
-  w.add({0, 1.0, {10.0}});
-  w.add({0, 2.0, {20.0}});
-  w.add({1, 3.0, {5.0}});
+  add(w, {0, 1.0, {10.0}});
+  add(w, {0, 2.0, {20.0}});
+  add(w, {1, 3.0, {5.0}});
   const auto flushed = w.flush();
   ASSERT_TRUE(flushed.has_value());
   EXPECT_EQ(flushed->records, 3u);
@@ -150,22 +164,21 @@ TEST(Windower, PerSensorRepresentativeIsMeanOfSamples) {
 
 TEST(Windower, TimeGapEmitsEmptyWindows) {
   Windower w(100.0);
-  w.add({0, 10.0, {1.0}});
-  const auto done = w.add({0, 350.0, {2.0}});  // jumps from window 1 to 4
-  ASSERT_EQ(done.size(), 3u);
-  EXPECT_EQ(done[0].window_index, 1u);
-  EXPECT_EQ(done[0].records, 1u);
-  EXPECT_EQ(done[1].window_index, 2u);
-  EXPECT_EQ(done[1].records, 0u);
-  EXPECT_TRUE(done[1].rep_sensors.empty());
-  EXPECT_EQ(done[2].records, 0u);
+  add(w, {0, 10.0, {1.0}});
+  const auto done = add(w, {0, 350.0, {2.0}});  // jumps from window 1 to 4
+  ASSERT_EQ(done.size(), 2u);
+  const auto& w1 = std::get<ObservationSet>(done[0]);
+  EXPECT_EQ(w1.window_index, 1u);
+  EXPECT_EQ(w1.records, 1u);
+  // Windows 2 and 3 arrive as one gap.
+  EXPECT_EQ(std::get<Windower::EmptyWindows>(done[1]).count, 2u);
 }
 
 TEST(Windower, LateRecordsDropped) {
   Windower w(100.0);
-  w.add({0, 10.0, {1.0}});
-  w.add({0, 150.0, {2.0}});  // closes window 1
-  w.add({0, 20.0, {3.0}});   // late for window 1
+  add(w, {0, 10.0, {1.0}});
+  add(w, {0, 150.0, {2.0}});  // closes window 1
+  add(w, {0, 20.0, {3.0}});   // late for window 1
   EXPECT_EQ(w.late_records(), 1u);
 }
 
@@ -178,12 +191,13 @@ TEST(Windower, DegenerateTimesHaveDefinedWindows) {
   // Negative and NaN times clamp into window 1 (before-deployment noise must
   // not reach the negative-double-to-size_t cast, which would be UB).
   Windower w(100.0);
-  EXPECT_TRUE(w.add({0, -250.0, {1.0}}).empty());
-  EXPECT_TRUE(w.add({0, std::numeric_limits<double>::quiet_NaN(), {2.0}}).empty());
-  const auto done = w.add({0, 150.0, {3.0}});  // window 2: closes window 1
+  EXPECT_TRUE(add(w, {0, -250.0, {1.0}}).empty());
+  EXPECT_TRUE(add(w, {0, std::numeric_limits<double>::quiet_NaN(), {2.0}}).empty());
+  const auto done = add(w, {0, 150.0, {3.0}});  // window 2: closes window 1
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].window_index, 1u);
-  EXPECT_EQ(done[0].records, 2u);  // both degenerate records landed there
+  const auto& w1 = std::get<ObservationSet>(done[0]);
+  EXPECT_EQ(w1.window_index, 1u);
+  EXPECT_EQ(w1.records, 2u);  // both degenerate records landed there
 
   // Every clamp is counted: the pipeline surfaces them as a data-quality
   // signal (pipeline.clamped_records) instead of silently rewriting time.
@@ -191,7 +205,7 @@ TEST(Windower, DegenerateTimesHaveDefinedWindows) {
 
   // A huge time clamps instead of overflowing the cast.
   Windower w2(100.0);
-  (void)w2.add({0, 1e300, {1.0}});
+  add(w2, {0, 1e300, {1.0}});
   EXPECT_TRUE(w2.flush().has_value());
   EXPECT_EQ(w2.clamped_records(), 1u);
 }

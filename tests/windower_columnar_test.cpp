@@ -212,29 +212,54 @@ std::vector<SensorRecord> hostile_trace(std::uint64_t seed, std::size_t n, std::
   return trace;
 }
 
-std::vector<ObservationSet> run_legacy(const std::vector<SensorRecord>& trace, double window,
-                                       std::size_t* late = nullptr,
-                                       std::size_t* clamped = nullptr) {
+/// A windowing run's output: the completed windows in order, and how many
+/// empty windows the gaps between them held. The columnar windower hands a
+/// gap over as one Windower::EmptyWindows; the legacy one emitted an empty
+/// ObservationSet per window, which run_legacy counts here instead.
+struct Windows {
+  std::vector<ObservationSet> windows;
+  std::size_t gap_windows = 0;
+  void operator()(ObservationSet&& s) { windows.push_back(std::move(s)); }
+  void operator()(Windower::EmptyWindows gap) { gap_windows += gap.count; }
+};
+
+void expect_same_windows(const Windows& got, const Windows& want, const std::string& tag) {
+  EXPECT_EQ(got.gap_windows, want.gap_windows) << tag;
+  ASSERT_EQ(got.windows.size(), want.windows.size()) << tag;
+  for (std::size_t k = 0; k < got.windows.size(); ++k) {
+    expect_same_window(got.windows[k], want.windows[k],
+                       tag + " window[" + std::to_string(k) + "]");
+  }
+}
+
+Windows run_legacy(const std::vector<SensorRecord>& trace, double window,
+                   std::size_t* late = nullptr, std::size_t* clamped = nullptr) {
   legacy::Windower w(window);
-  std::vector<ObservationSet> out;
-  for (const auto& rec : trace) w.add(rec, [&](ObservationSet&& s) { out.push_back(std::move(s)); });
-  if (auto last = w.flush()) out.push_back(std::move(*last));
+  Windows out;
+  for (const auto& rec : trace) {
+    w.add(rec, [&](ObservationSet&& s) {
+      if (s.records == 0) {
+        ++out.gap_windows;
+      } else {
+        out(std::move(s));
+      }
+    });
+  }
+  if (auto last = w.flush()) out(std::move(*last));
   if (late) *late = w.late_records();
   if (clamped) *clamped = w.clamped_records();
   return out;
 }
 
-std::vector<ObservationSet> run_columnar(const std::vector<SensorRecord>& trace, double window,
-                                         std::size_t batch, std::size_t* late = nullptr,
-                                         std::size_t* clamped = nullptr) {
+Windows run_columnar(const std::vector<SensorRecord>& trace, double window, std::size_t batch,
+                     std::size_t* late = nullptr, std::size_t* clamped = nullptr) {
   Windower w(window);
-  std::vector<ObservationSet> out;
-  const auto sink = [&](ObservationSet&& s) { out.push_back(std::move(s)); };
+  Windows out;
   for (std::size_t i = 0; i < trace.size(); i += batch) {
     const std::size_t n = std::min(batch, trace.size() - i);
-    w.add_batch(std::span<const SensorRecord>(trace.data() + i, n), sink);
+    w.add_batch(std::span<const SensorRecord>(trace.data() + i, n), out);
   }
-  if (auto last = w.flush()) out.push_back(std::move(*last));
+  if (auto last = w.flush()) out(std::move(*last));
   if (late) *late = w.late_records();
   if (clamped) *clamped = w.clamped_records();
   return out;
@@ -256,10 +281,7 @@ TEST(WindowerColumnar, BitIdenticalToLegacyOverHostileTraces) {
         const std::string tag = "batch=" + std::to_string(batch);
         EXPECT_EQ(clate, llate) << tag;
         EXPECT_EQ(cclamped, lclamped) << tag;
-        ASSERT_EQ(got.size(), want.size()) << tag;
-        for (std::size_t k = 0; k < got.size(); ++k) {
-          expect_same_window(got[k], want[k], tag + " window[" + std::to_string(k) + "]");
-        }
+        expect_same_windows(got, want, tag);
       }
     }
   }
@@ -278,13 +300,10 @@ TEST(WindowerColumnar, SingleRecordWindowsAndExactBoundaries) {
     trace.push_back(std::move(rec));
   }
   const auto want = run_legacy(trace, window);
+  EXPECT_GT(want.gap_windows, 0u);
   for (const std::size_t batch : {1ul, 5ul, trace.size()}) {
-    const auto got = run_columnar(trace, window, batch);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      expect_same_window(got[k], want[k],
-                         "batch=" + std::to_string(batch) + " window[" + std::to_string(k) + "]");
-    }
+    expect_same_windows(run_columnar(trace, window, batch), want,
+                        "batch=" + std::to_string(batch));
   }
 }
 
@@ -293,7 +312,7 @@ TEST(WindowerColumnar, DimensionMismatchThrowsLegacyMessage) {
   // sensor id (the legacy vecn::mean order); after the throw the columnar
   // windower is reset and usable, which the legacy one never guaranteed.
   Windower w(60.0);
-  const auto sink = [](ObservationSet&&) {};
+  Windows sink;
   std::vector<SensorRecord> recs;
   recs.push_back({.sensor = 4, .time = 5.0, .attrs = {1.0, 2.0}});
   recs.push_back({.sensor = 4, .time = 6.0, .attrs = {1.0, 2.0, 3.0}});
@@ -313,9 +332,8 @@ TEST(WindowerColumnar, DimensionMismatchThrowsLegacyMessage) {
     EXPECT_EQ(std::string(e.what()), want);
   }
   // Still usable: the poisoned window was discarded, window 2 accumulates.
-  std::size_t emitted = 0;
   SensorRecord ok{.sensor = 1, .time = 75.0, .attrs = {1.0, 1.0}};
-  w.add(ok, [&](ObservationSet&&) { ++emitted; });
+  w.add_batch(std::span<const SensorRecord>(&ok, 1), sink);
   auto last = w.flush();
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->window_index, 2u);
@@ -334,9 +352,8 @@ TEST(WindowerColumnar, SaveLoadRoundTripContinuesBitIdentically) {
   const auto want = run_columnar(trace, window, 16);
 
   Windower first(window);
-  std::vector<ObservationSet> got;
-  const auto sink = [&](ObservationSet&& s) { got.push_back(std::move(s)); };
-  first.add_batch(std::span<const SensorRecord>(trace.data(), cut), sink);
+  Windows got;
+  first.add_batch(std::span<const SensorRecord>(trace.data(), cut), got);
 
   std::ostringstream blob(std::ios::binary);
   serialize::BinaryWriter sw(blob);
@@ -347,13 +364,10 @@ TEST(WindowerColumnar, SaveLoadRoundTripContinuesBitIdentically) {
   serialize::BinaryReader sr(in);
   resumed.load(sr);
 
-  resumed.add_batch(std::span<const SensorRecord>(trace.data() + cut, trace.size() - cut), sink);
-  if (auto last = resumed.flush()) got.push_back(std::move(*last));
+  resumed.add_batch(std::span<const SensorRecord>(trace.data() + cut, trace.size() - cut), got);
+  if (auto last = resumed.flush()) got(std::move(*last));
 
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    expect_same_window(got[k], want[k], "window[" + std::to_string(k) + "]");
-  }
+  expect_same_windows(got, want, "resumed");
 }
 
 // --- fleet determinism over a hostile stream -------------------------------

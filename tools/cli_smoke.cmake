@@ -65,6 +65,22 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "stuck-at")
   message(FATAL_ERROR "analyze with a far-future record failed (rc=${rc}):\n${out}")
 endif()
 
+# A FIFO is refused before it is opened: the format probe would eat the head
+# of the stream, and with no writer the open would block. A timeout is a
+# failure too, so the exit code must be a number.
+set(fifo ${WORK}/cli_smoke_trace.fifo)
+file(REMOVE ${fifo})
+execute_process(COMMAND mkfifo ${fifo} RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mkfifo failed (rc=${rc})")
+endif()
+execute_process(COMMAND ${CLI} analyze ${fifo} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err TIMEOUT 30)
+file(REMOVE ${fifo})
+if(NOT rc MATCHES "^[0-9]+$" OR rc EQUAL 0 OR NOT err MATCHES "not a regular file")
+  message(FATAL_ERROR "analyze on a FIFO was not refused (rc=${rc}):\n${out}\n${err}")
+endif()
+
 # A threads = 4 fleet runs on the shared pool, whose post and wake-up
 # counters the metrics export must carry.
 set(fleet_metrics ${WORK}/cli_smoke_fleet_metrics.json)
