@@ -27,6 +27,10 @@ namespace {
 /// serves tenants round-robin.
 constexpr std::size_t kRecvChunk = 256u << 10;
 
+/// How long the listener stays out of the poll set after accept(2) ran out
+/// of descriptors, unless a connection ends first.
+constexpr std::chrono::milliseconds kAcceptPause{100};
+
 void close_fd(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -115,16 +119,23 @@ void Server::run() {
   const auto interval = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(cfg_.checkpoint_interval_seconds));
   auto next_checkpoint = Clock::now() + interval;
+  // A connection accept(2) found no descriptor for stays pending, so the
+  // listener stays readable: poll without it until a connection ends or
+  // kAcceptPause passes, rather than spin on the failing accept.
+  auto accept_paused_until = Clock::time_point::min();
 
   std::vector<pollfd> fds;
   while (!stop_requested_.load()) {
-    fds.assign({{listen_fd_, POLLIN, 0}, {wake_r_, POLLIN, 0}});
+    const auto now = Clock::now();
+    const bool paused = now < accept_paused_until;
+    fds.assign({{paused ? -1 : listen_fd_, POLLIN, 0}, {wake_r_, POLLIN, 0}});
     for (const Conn& c : conns_) fds.push_back({c.fd, POLLIN, 0});
-    int timeout_ms = -1;  // timed checkpoints are the loop's only deadline
-    if (timed) {
-      const auto wait = next_checkpoint - Clock::now();
-      timeout_ms = static_cast<int>(
-          std::max<std::int64_t>(std::chrono::ceil<std::chrono::milliseconds>(wait).count(), 0));
+    auto deadline = paused ? accept_paused_until : Clock::time_point::max();
+    if (timed) deadline = std::min(deadline, next_checkpoint);
+    int timeout_ms = -1;
+    if (deadline != Clock::time_point::max()) {
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(
+          std::chrono::ceil<std::chrono::milliseconds>(deadline - now).count(), 0));
     }
     if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR) break;
     if (timed && Clock::now() >= next_checkpoint) {
@@ -142,7 +153,9 @@ void Server::run() {
         close_fd(conns_[i].fd);
       }
     }
-    std::erase_if(conns_, [](const Conn& c) { return c.fd < 0; });
+    if (std::erase_if(conns_, [](const Conn& c) { return c.fd < 0; }) > 0) {
+      accept_paused_until = Clock::time_point::min();
+    }
 
     if ((fds[0].revents & POLLIN) != 0) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -152,6 +165,8 @@ void Server::run() {
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &reply_timeout, sizeof reply_timeout);
         conns_.emplace_back().fd = fd;
+      } else if (errno == EMFILE || errno == ENFILE) {
+        accept_paused_until = Clock::now() + kAcceptPause;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "trace/binary_trace.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -138,35 +139,11 @@ void write_trace_binary_file(const std::string& path, const std::vector<SensorRe
 // ---------------------------------------------------------------------------
 // BinaryTraceReader
 
-BinaryTraceReader::BinaryTraceReader(const std::string& path, std::size_t expected_dims) {
-  map_ = util::MappedFile::map(path);
-  std::size_t file_size = 0;
-  unsigned char header[kBinaryTraceHeaderBytes];
-  if (map_) {
-    file_size = map_->size();
-    if (file_size < kBinaryTraceHeaderBytes) corrupt(path, "truncated header");
-    std::memcpy(header, map_->view().data(), sizeof header);
-  } else {
-    in_.open(path, std::ios::binary);
-    if (!in_) throw std::runtime_error("binary trace: cannot open " + path);
-    in_.seekg(0, std::ios::end);
-    file_size = static_cast<std::size_t>(in_.tellg());
-    in_.seekg(0);
-    if (file_size < kBinaryTraceHeaderBytes) corrupt(path, "truncated header");
-    in_.read(reinterpret_cast<char*>(header), sizeof header);
-    if (in_.gcount() != static_cast<std::streamsize>(sizeof header)) {
-      corrupt(path, "truncated header");
-    }
-  }
-  parse_header(header, file_size, path);
-  if (expected_dims != 0 && dims_ != expected_dims) {
-    corrupt(path, "has " + std::to_string(dims_) + " attribute dims, expected " +
-                      std::to_string(expected_dims));
-  }
-}
-
-void BinaryTraceReader::parse_header(const unsigned char* header, std::size_t file_size,
-                                     const std::string& path) {
+BinaryTraceReader::BinaryTraceReader(util::MappedFile file, std::size_t expected_dims)
+    : map_(std::move(file)) {
+  const std::string& path = map_.path();
+  if (map_.size() < kBinaryTraceHeaderBytes) corrupt(path, "truncated header");
+  const auto* header = reinterpret_cast<const unsigned char*>(map_.view().data());
   if (std::memcmp(header, kBinaryTraceMagic, sizeof kBinaryTraceMagic) != 0) {
     corrupt(path, "bad magic (not an SNTRB1 trace)");
   }
@@ -180,76 +157,21 @@ void BinaryTraceReader::parse_header(const unsigned char* header, std::size_t fi
     corrupt(path, "record size " + std::to_string(record_bytes_) + " too small for " +
                       std::to_string(dims_) + " dims");
   }
+  if (expected_dims != 0 && dims_ != expected_dims) {
+    corrupt(path, "has " + std::to_string(dims_) + " attribute dims, expected " +
+                      std::to_string(expected_dims));
+  }
   // Truncation is deferred, not thrown: serve the complete records, then
   // surface the shortfall through status(). The consumer (fleet ingest)
   // quarantines the feed; the partial prefix is still usable for forensics.
-  const std::uint64_t payload = file_size - kBinaryTraceHeaderBytes;
-  avail_ = count_;
-  if (count_ > payload / record_bytes_) {
-    avail_ = payload / record_bytes_;
-  }
+  avail_ = std::min<std::uint64_t>(count_, (map_.size() - kBinaryTraceHeaderBytes) / record_bytes_);
 }
 
-void BinaryTraceReader::decode(const unsigned char* p, SensorRecord& rec) const {
-  decode_binary_record(p, dims_, rec);
-}
+BinaryTraceReader::BinaryTraceReader(const std::string& path, std::size_t expected_dims)
+    : BinaryTraceReader(util::MappedFile::open(path), expected_dims) {}
 
-std::size_t BinaryTraceReader::skip_records(std::size_t n) {
-  const std::uint64_t remaining = avail_ - next_;
-  const std::uint64_t take =
-      remaining < n ? remaining : static_cast<std::uint64_t>(n);
-  if (take == 0) return 0;
-  if (!map_) {
-    in_.seekg(static_cast<std::streamoff>(take * record_bytes_), std::ios::cur);
-    if (!in_) {
-      // Seek past a shrunken file: end the stream like a mid-batch failure.
-      avail_ = next_;
-      status_ = util::Status(util::StatusCode::kDataLoss,
-                             "binary trace: unexpected end of stream");
-      return 0;
-    }
-  }
-  next_ += take;
-  // Skipping exactly to the torn edge of a truncated file surfaces the same
-  // sticky status a straight read would.
-  if (next_ == avail_ && avail_ < count_ && status_.is_ok()) {
-    status_ = util::Status(
-        util::StatusCode::kDataLoss,
-        "binary trace: truncated: header promises " + std::to_string(count_) +
-            " records, file holds " + std::to_string(avail_));
-  }
-  return static_cast<std::size_t>(take);
-}
-
-std::size_t BinaryTraceReader::read_batch(std::vector<SensorRecord>& out,
-                                          std::size_t max_records) {
-  const std::uint64_t remaining = avail_ - next_;
-  std::size_t n = static_cast<std::size_t>(
-      remaining < max_records ? remaining : static_cast<std::uint64_t>(max_records));
-  if (out.size() < n) out.resize(n);
-  if (map_) {
-    const std::size_t begin = kBinaryTraceHeaderBytes + next_ * record_bytes_;
-    const auto* base = reinterpret_cast<const unsigned char*>(map_->view().data()) + begin;
-    for (std::size_t i = 0; i < n; ++i) decode(base + i * record_bytes_, out[i]);
-    map_->release_prefix(begin + n * record_bytes_);
-  } else {
-    chunk_.resize(n * record_bytes_);
-    in_.read(chunk_.data(), static_cast<std::streamsize>(chunk_.size()));
-    const auto got_records =
-        static_cast<std::size_t>(in_.gcount()) / record_bytes_;  // whole records only
-    if (got_records < n) {
-      // Mid-batch stream failure (file shrank under us, device error):
-      // serve the complete records we got, end the stream with a status.
-      n = got_records;
-      avail_ = next_ + n;
-      status_ = util::Status(util::StatusCode::kDataLoss,
-                             "binary trace: unexpected end of stream");
-    }
-    const auto* base = reinterpret_cast<const unsigned char*>(chunk_.data());
-    for (std::size_t i = 0; i < n; ++i) decode(base + i * record_bytes_, out[i]);
-  }
+std::size_t BinaryTraceReader::advance(std::size_t n) {
   next_ += n;
-  out.resize(n);
   if (next_ == avail_ && avail_ < count_ && status_.is_ok()) {
     status_ = util::Status(
         util::StatusCode::kDataLoss,
@@ -257,6 +179,23 @@ std::size_t BinaryTraceReader::read_batch(std::vector<SensorRecord>& out,
             " records, file holds " + std::to_string(avail_));
   }
   return n;
+}
+
+std::size_t BinaryTraceReader::skip_records(std::size_t n) {
+  // Skipping exactly to the torn edge of a truncated file surfaces the same
+  // sticky status a straight read would.
+  return advance(static_cast<std::size_t>(std::min<std::uint64_t>(avail_ - next_, n)));
+}
+
+std::size_t BinaryTraceReader::read_batch(std::vector<SensorRecord>& out,
+                                          std::size_t max_records) {
+  const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(avail_ - next_, max_records));
+  out.resize(n);
+  const std::size_t begin = kBinaryTraceHeaderBytes + next_ * record_bytes_;
+  const auto* base = reinterpret_cast<const unsigned char*>(map_.view().data()) + begin;
+  for (std::size_t i = 0; i < n; ++i) decode_binary_record(base + i * record_bytes_, dims_, out[i]);
+  map_.release_prefix(begin + n * record_bytes_);
+  return advance(n);
 }
 
 }  // namespace sentinel

@@ -87,21 +87,23 @@ class BinaryTraceWriter {
 /// Convenience: write a whole trace to `path` in one call.
 void write_trace_binary_file(const std::string& path, const std::vector<SensorRecord>& records);
 
-/// Batch reader for SNTRB1 files; mmap with buffered-stream fallback, same
-/// interface as CsvTraceReader. Mapped pages behind the records handed out
-/// are released as the reader goes (util::MappedFile::release_prefix).
-/// Structural header problems (wrong magic, impossible dims/record_bytes,
-/// dims mismatch) throw std::runtime_error
-/// from the constructor with a message naming the file and the defect --
-/// such a file was never a readable trace. A *truncated* file (header
-/// promises more records than the bytes hold: a writer crash, a partial
-/// upload) is data loss, not misuse: the reader serves every complete
-/// record, then ends the stream with a non-fatal status() so the consumer
-/// can count, attribute, and keep its other feeds alive.
+/// Batch reader for SNTRB1 files over a mapped file, same interface as
+/// CsvTraceReader. Mapped pages behind the records handed out are released
+/// as the reader goes (util::MappedFile::release_prefix). Structural header
+/// problems (wrong magic, impossible dims/record_bytes, dims mismatch)
+/// throw std::runtime_error from the constructor with a message naming the
+/// file and the defect -- such a file was never a readable trace. A
+/// *truncated* file (header promises more records than the bytes hold: a
+/// writer crash, a partial upload) is data loss, not misuse: the reader
+/// serves every complete record, then ends the stream with a non-fatal
+/// status() so the consumer can count, attribute, and keep its other feeds
+/// alive.
 class BinaryTraceReader final : public TraceReader {
  public:
   /// `expected_dims` = 0 accepts the file's dimensionality; nonzero must
   /// match or the constructor throws.
+  explicit BinaryTraceReader(util::MappedFile file, std::size_t expected_dims = 0);
+  /// Maps `path` with util::MappedFile::open, which throws when it cannot.
   explicit BinaryTraceReader(const std::string& path, std::size_t expected_dims = 0);
 
   std::size_t read_batch(std::vector<SensorRecord>& out, std::size_t max_records) override;
@@ -116,14 +118,11 @@ class BinaryTraceReader final : public TraceReader {
   std::size_t total_records() const { return count_; }
 
  private:
-  void parse_header(const unsigned char* header, std::size_t file_size, const std::string& path);
-  /// Decode one record from `p` (record_bytes_ valid bytes) into `rec`.
-  void decode(const unsigned char* p, SensorRecord& rec) const;
+  /// Hand out the next `n` (<= avail_ - next_) records; reaching the torn
+  /// edge of a truncated file sets the sticky data-loss status.
+  std::size_t advance(std::size_t n);
 
-  std::optional<util::MappedFile> map_;
-  std::ifstream in_;         // fallback stream, positioned after the header
-  std::vector<char> chunk_;  // fallback read buffer (whole batches)
-
+  util::MappedFile map_;
   std::size_t dims_ = 0;
   std::size_t record_bytes_ = 0;
   std::uint64_t count_ = 0;  // header's promise

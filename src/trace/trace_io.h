@@ -7,9 +7,10 @@
 // the methodology is expected to tolerate them.
 //
 // Two readers share the per-line grammar below, so they accept identical
-// record sets: read_trace (istream + getline, the simple path) and the
-// decode-ahead batch reader in trace/trace_reader.h (mmap + string_view
-// slicing on the shared pool, the fast path). read_trace_file()
+// record sets: read_trace (istream + getline, the simple path, and the
+// serial reference the reader tests compare against) and the decode-ahead
+// batch reader in trace/trace_reader.h (string_view slicing of the file's
+// mapping on the shared pool, the fast path). read_trace_file()
 // auto-detects the binary trace format (trace/binary_trace.h) by its magic,
 // so every file-path entry point takes either format.
 
@@ -33,9 +34,9 @@ namespace sentinel {
 std::optional<SensorId> to_sensor_id(double v);
 
 /// Per-line parse outcome. The malformed variants attribute the *cause*, so
-/// every reader (getline, mmap, buffered-stream) reports identical per-cause
-/// drop counts on the same bytes -- a feed that is 90% bad-sensor-ids is a
-/// different operational problem than one that is 90% short lines.
+/// both readers (getline, mapped) report identical per-cause drop counts on
+/// the same bytes -- a feed that is 90% bad-sensor-ids is a different
+/// operational problem than one that is 90% short lines.
 enum class LineParse {
   kRecord,
   kComment,
@@ -119,8 +120,9 @@ LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, Re
 TraceReadResult read_trace(std::istream& in, std::size_t expected_dims = 0);
 
 /// Convenience: read a whole trace file, CSV or binary (auto-detected by
-/// magic). Throws std::runtime_error if the file cannot be opened or a
-/// binary header is structurally invalid; a file that turns out truncated
+/// magic). Throws std::runtime_error as open_trace_reader does: the path is
+/// not a regular file, the file cannot be opened or mapped, or a binary
+/// header is structurally invalid. A file that turns out truncated
 /// mid-stream yields the readable prefix with a non-ok result.status.
 TraceReadResult read_trace_file(const std::string& path, std::size_t expected_dims = 0);
 

@@ -1,13 +1,7 @@
 #include "trace/trace_reader.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <stdexcept>
 
 #include "trace/binary_trace.h"
 #include "trace/trace_io.h"
@@ -51,8 +45,7 @@ struct CsvTraceReader::Chunk {
   std::atomic<int> refs{1};
 
   // Decode input, written by the reader before the chunk is queued.
-  std::string_view text;   // bytes of the mapping, or of `own`
-  std::vector<char> own;   // stream source: the bytes read for this chunk
+  std::string_view text;   // bytes of the mapping
   std::size_t offset = 0;  // mapping offset of `text`
   std::size_t dims = 0;    // 0: fixed by the first line wide enough
 
@@ -103,17 +96,15 @@ struct CsvTraceReader::Chunk {
   }
 };
 
-CsvTraceReader::CsvTraceReader(const std::string& path, std::size_t expected_dims, Mode mode)
-    : dims_(expected_dims) {
-  if (mode == Mode::kAuto) map_ = util::MappedFile::map(path);
-  if (map_) return;
-  in_.open(path, std::ios::binary);
-  if (!in_) throw std::runtime_error("CsvTraceReader: cannot open " + path);
-}
+CsvTraceReader::CsvTraceReader(util::MappedFile file, std::size_t expected_dims)
+    : map_(std::move(file)), dims_(expected_dims) {}
+
+CsvTraceReader::CsvTraceReader(const std::string& path, std::size_t expected_dims)
+    : CsvTraceReader(util::MappedFile::open(path), expected_dims) {}
 
 CsvTraceReader::~CsvTraceReader() {
   // A queued chunk is claimed so no worker starts it; a running one is
-  // waited out, since it reads the mapping and the stream buffers.
+  // waited out, since it reads the mapping.
   for (Chunk* c : ring_) {
     if (c == nullptr) continue;
     if (!c->claim()) c->wait_decoded();
@@ -122,46 +113,16 @@ CsvTraceReader::~CsvTraceReader() {
 }
 
 bool CsvTraceReader::cut(Chunk& c) {
-  if (map_) {
-    const std::string_view all = map_->view();
-    if (map_pos_ == all.size()) return false;
-    std::size_t end = all.size();
-    if (end - map_pos_ > kChunkBytes) {
-      end = std::min(all.find('\n', map_pos_ + kChunkBytes - 1), all.size() - 1) + 1;
-    }
-    c.offset = map_pos_;
-    c.text = all.substr(map_pos_, end - map_pos_);
-    map_pos_ = end;
-    return true;
+  const std::string_view all = map_.view();
+  if (map_pos_ == all.size()) return false;
+  std::size_t end = all.size();
+  if (end - map_pos_ > kChunkBytes) {
+    end = std::min(all.find('\n', map_pos_ + kChunkBytes - 1), all.size() - 1) + 1;
   }
-  // Stream: the partial line left by the last cut, then whole reads until
-  // one holds a line end. Bytes after the last line end carry over.
-  std::vector<char>& b = c.own;
-  b.assign(carry_.begin(), carry_.end());
-  carry_.clear();
-  for (;;) {
-    const std::size_t have = b.size();
-    b.resize(have + kChunkBytes);
-    in_.read(b.data() + have, static_cast<std::streamsize>(kChunkBytes));
-    const auto got = static_cast<std::size_t>(in_.gcount());
-    b.resize(have + got);
-    if (got < kChunkBytes) {
-      // End of file -- or a device-level read failure, which is mid-stream
-      // data loss the consumer must see as a Status, not as a short trace.
-      if (in_.bad()) {
-        end_status_ = util::Status(util::StatusCode::kDataLoss, "csv trace: read error mid-stream");
-      }
-      break;
-    }
-    const std::size_t nl = std::string_view(b.data() + have, got).rfind('\n');
-    if (nl != std::string_view::npos) {
-      carry_.assign(b.begin() + static_cast<std::ptrdiff_t>(have + nl + 1), b.end());
-      b.resize(have + nl + 1);
-      break;
-    }
-  }
-  c.text = {b.data(), b.size()};
-  return !b.empty();
+  c.offset = map_pos_;
+  c.text = all.substr(map_pos_, end - map_pos_);
+  map_pos_ = end;
+  return true;
 }
 
 void CsvTraceReader::top_up() {
@@ -228,10 +189,7 @@ std::size_t CsvTraceReader::take(std::vector<SensorRecord>* out, std::size_t max
   std::size_t n = 0;
   while (n < max) {
     Chunk* const c = head();
-    if (c == nullptr) {
-      status_ = end_status_;
-      break;
-    }
+    if (c == nullptr) break;
     const RecordBatch& recs = c->records;
     const std::size_t k = std::min(max - n, recs.size() - c->next);
     if (out != nullptr && out->size() < n + k) out->resize(n + k);
@@ -261,7 +219,7 @@ std::size_t CsvTraceReader::take(std::vector<SensorRecord>* out, std::size_t max
     tally(*c, recs.size() + 1);  // spent, and the read goes on
     head_ = (head_ + 1) % ring_.size();
     --live_;
-    if (map_) map_->release_prefix(live_ > 0 ? ring_[head_]->offset : map_pos_);
+    map_.release_prefix(live_ > 0 ? ring_[head_]->offset : map_pos_);
   }
   return n;
 }
@@ -279,23 +237,13 @@ std::size_t CsvTraceReader::skip_records(std::size_t n) { return take(nullptr, n
 
 std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
                                                std::size_t expected_dims) {
-  // The magic probe and the chosen reader each open the path, so a source
-  // that can be read only once (a FIFO, a process substitution) would lose
-  // the probe's bytes to it; and opening a FIFO with no writer blocks.
-  // Refuse such a path before opening it. The probe reads just the magic
-  // with read(2): a buffered stream would read a whole block.
-  struct stat st{};
-  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
-    throw std::runtime_error("open_trace_reader: not a regular file: " + path);
+  util::MappedFile file = util::MappedFile::open(path);
+  const std::string_view magic(reinterpret_cast<const char*>(kBinaryTraceMagic),
+                               sizeof kBinaryTraceMagic);
+  if (file.view().starts_with(magic)) {
+    return std::make_unique<BinaryTraceReader>(std::move(file), expected_dims);
   }
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw std::runtime_error("open_trace_reader: cannot open " + path);
-  char magic[sizeof kBinaryTraceMagic] = {};
-  const bool binary = ::read(fd, magic, sizeof magic) == static_cast<ssize_t>(sizeof magic) &&
-                      std::memcmp(magic, kBinaryTraceMagic, sizeof magic) == 0;
-  ::close(fd);
-  if (binary) return std::make_unique<BinaryTraceReader>(path, expected_dims);
-  return std::make_unique<CsvTraceReader>(path, expected_dims);
+  return std::make_unique<CsvTraceReader>(std::move(file), expected_dims);
 }
 
 }  // namespace sentinel

@@ -5,9 +5,11 @@
 // continuous sensor streams (paper section 3.1's "on-the-fly" requirement)
 // at file sizes that dwarf RAM.
 //
-// Implementations:
-//  - CsvTraceReader: decode-ahead CSV. It cuts its input (a read-only
-//    mapping, or a buffered stream where mapping is unavailable) into
+// Both readers read a util::MappedFile, the one byte source for trace
+// files, and release the mapped pages they have read
+// (util::MappedFile::release_prefix), so a trace does not stay resident
+// behind the reader:
+//  - CsvTraceReader: decode-ahead CSV. It cuts the mapping into
 //    line-aligned chunks and decodes a few chunks ahead on
 //    util::ThreadPool::shared() -- and on the caller, rather than wait for
 //    a worker -- straight into flat RecordBatch columns; read_batch copies
@@ -16,20 +18,14 @@
 //  - BinaryTraceReader (trace/binary_trace.h): fixed-width records decoded
 //    by offset; no parsing at all.
 //
-// Both readers release the mapped pages they have read
-// (util::MappedFile::release_prefix), so a mapped trace does not stay
-// resident behind the reader.
-//
-// open_trace_reader() auto-detects the format by magic bytes, so callers
-// never branch on file extension.
+// open_trace_reader() maps the path once and picks the reader by the
+// file's magic bytes, so callers never branch on file extension.
 
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,10 +65,11 @@ class TraceReader {
 
   /// Terminal stream condition. Ok while records are flowing and after a
   /// clean end of stream; non-ok (and sticky) once the source fails
-  /// mid-stream -- a truncated binary payload, an I/O error. Data-dependent
-  /// failure is a *value*, never an exception, so one rotten feed cannot
-  /// abort a fleet sharing the process (constructors still throw on caller
-  /// misuse: missing file, structurally invalid header).
+  /// mid-stream -- a truncated binary payload. Data-dependent failure is a
+  /// *value*, never an exception, so one rotten feed cannot abort a fleet
+  /// sharing the process (constructors still throw on caller misuse:
+  /// missing file, structurally invalid header). A CSV source cannot fail
+  /// mid-stream: a malformed line is tallied, not fatal.
   virtual util::Status status() const { return util::Status::ok(); }
 
   /// Malformed-line tally by cause (all zero for binary traces).
@@ -89,9 +86,8 @@ class TraceReader {
   virtual std::size_t dims() const = 0;
 };
 
-/// Decode-ahead CSV reader. `expected_dims` as in read_trace: 0 = fixed by
-/// the first line with at least three fields. Throws std::runtime_error if
-/// the file cannot be opened.
+/// Decode-ahead CSV reader over a mapped file. `expected_dims` as in
+/// read_trace: 0 = fixed by the first line with at least three fields.
 ///
 /// Threads. The input is cut, on the caller's thread, into line-aligned
 /// chunks of about kChunkBytes (a chunk ends at the first newline at or
@@ -109,16 +105,15 @@ class TraceReader {
 /// One reader is used by one thread at a time.
 ///
 /// Memory. kDepth + 1 chunks of decoded columns (recycled, so a warm reader
-/// allocates nothing), plus, when mapped, the pages from the oldest chunk
-/// still in flight onward: the prefix behind it is released in
+/// allocates nothing), plus the mapped pages from the oldest chunk still in
+/// flight onward: the prefix behind it is released in
 /// util::MappedFile::kReleaseStep steps.
 ///
 /// Tallies. Each chunk records where among its records its comments and
 /// malformed lines fell, and read_batch replays them at those positions, so
-/// malformed(), comment_lines() and status() after every call equal those
-/// of a serial line-by-line read that stops right after its last record.
-/// The mapped and stream sources feed the same chunk decoder, so records
-/// and per-cause tallies are identical either way (test-enforced).
+/// malformed() and comment_lines() after every call equal those of a serial
+/// line-by-line read that stops right after its last record (test-enforced
+/// against read_trace).
 class CsvTraceReader final : public TraceReader {
  public:
   /// Target bytes per decode chunk.
@@ -126,13 +121,9 @@ class CsvTraceReader final : public TraceReader {
   /// Chunks decoding ahead of the one read_batch is handing out.
   static constexpr std::size_t kDepth = 3;
 
-  /// kAuto memory-maps when the platform allows and falls back to a
-  /// buffered stream; kForceStream always takes the stream path, so the
-  /// parity of the two sources is provable where mmap succeeds.
-  enum class Mode { kAuto, kForceStream };
-
-  explicit CsvTraceReader(const std::string& path, std::size_t expected_dims = 0,
-                          Mode mode = Mode::kAuto);
+  explicit CsvTraceReader(util::MappedFile file, std::size_t expected_dims = 0);
+  /// Maps `path` with util::MappedFile::open, which throws when it cannot.
+  explicit CsvTraceReader(const std::string& path, std::size_t expected_dims = 0);
   ~CsvTraceReader() override;
   CsvTraceReader(const CsvTraceReader&) = delete;
   CsvTraceReader& operator=(const CsvTraceReader&) = delete;
@@ -140,13 +131,9 @@ class CsvTraceReader final : public TraceReader {
   std::size_t read_batch(std::vector<SensorRecord>& out, std::size_t max_records) override;
   /// Advances through decoded chunks without copying records out.
   std::size_t skip_records(std::size_t n) override;
-  util::Status status() const override { return status_; }
   const MalformedCounts& malformed() const override { return malformed_; }
   std::size_t comment_lines() const override { return comments_; }
   std::size_t dims() const override { return dims_; }
-
-  /// True when the file is memory-mapped (false = buffered-stream fallback).
-  bool mapped() const { return map_.has_value(); }
 
  private:
   struct Chunk;
@@ -160,12 +147,9 @@ class CsvTraceReader final : public TraceReader {
   /// Fill `c` with the next line-aligned bytes; false at end of input.
   bool cut(Chunk& c);
 
-  std::optional<util::MappedFile> map_;
+  util::MappedFile map_;
   std::size_t map_pos_ = 0;   // mapping offset of the next cut
-  std::ifstream in_;          // fallback stream
-  std::vector<char> carry_;   // stream: the partial line after the last cut
   bool input_done_ = false;   // every byte has been cut into a chunk
-  util::Status end_status_;   // stream read failure, surfaced at end of input
 
   std::array<Chunk*, kDepth + 1> ring_{};  // co-owned with queued decode tasks
   std::size_t head_ = 0;                   // ring index of the oldest live chunk
@@ -174,14 +158,13 @@ class CsvTraceReader final : public TraceReader {
   std::size_t dims_ = 0;
   MalformedCounts malformed_;
   std::size_t comments_ = 0;
-  util::Status status_;
 };
 
-/// Open a trace file for streaming, auto-detecting CSV vs binary by magic
-/// bytes. Throws std::runtime_error if the file cannot be opened, if the
-/// path exists but is not a regular file (a FIFO, a device, a directory:
-/// detection reads the head of the file and the reader opens it again), or
-/// if a binary header is corrupt.
+/// Open a trace file for streaming: map it once (util::MappedFile::open)
+/// and pick CSV or binary by its first bytes. Throws std::runtime_error if
+/// the path exists but is not a regular file (a FIFO, a device, a
+/// directory), if the file cannot be opened or mapped, or if a binary
+/// header is corrupt.
 std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
                                                std::size_t expected_dims = 0);
 

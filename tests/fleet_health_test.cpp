@@ -142,28 +142,34 @@ TEST(FleetHealth, UnopenableTraceQuarantinesOnlyItsRegion) {
     out.write(reinterpret_cast<const char*>(kBinaryTraceMagic), 8);
   }
 
-  // A FIFO is refused before it is opened: the format probe would eat the
-  // head of the stream, and with no writer the open would block.
+  // A FIFO and a directory are refused before they are opened: a trace is
+  // read through a mapping, and with no writer a FIFO's open would block.
   const auto fifo_path = temp_path("fh_open_fifo.csv");
   std::remove(fifo_path.c_str());
   ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0);
+  const auto dir_path = temp_path("fh_open_dir.csv");
+  std::remove(dir_path.c_str());
+  ASSERT_EQ(::mkdir(dir_path.c_str(), 0700), 0);
 
   FleetMonitor fleet;
   fleet.add_region("good", region_config());
   fleet.add_region("garbage", region_config());
   fleet.add_region("missing", region_config());
   fleet.add_region("fifo", region_config());
+  fleet.add_region("dir", region_config());
 
   EXPECT_TRUE(fleet.ingest_file("good", good_path).status.is_ok());
   const auto garbage_sum = fleet.ingest_file("garbage", garbage_path);
   const auto missing_sum = fleet.ingest_file("missing", "/nonexistent/trace.csv");
   const auto fifo_sum = fleet.ingest_file("fifo", fifo_path);
+  const auto dir_sum = fleet.ingest_file("dir", dir_path);
   EXPECT_EQ(garbage_sum.records, 0u);
   EXPECT_EQ(missing_sum.records, 0u);
   EXPECT_EQ(fifo_sum.records, 0u);
+  EXPECT_EQ(dir_sum.records, 0u);
   fleet.finish();
 
-  for (const char* name : {"garbage", "missing", "fifo"}) {
+  for (const char* name : {"garbage", "missing", "fifo", "dir"}) {
     const RegionState& st = fleet.region_health(name);
     EXPECT_EQ(st.health, RegionHealth::kQuarantined) << name;
     EXPECT_EQ(st.status.code(), util::StatusCode::kInvalidArgument) << name;
@@ -182,6 +188,7 @@ TEST(FleetHealth, UnopenableTraceQuarantinesOnlyItsRegion) {
   std::remove(good_path.c_str());
   std::remove(garbage_path.c_str());
   std::remove(fifo_path.c_str());
+  std::remove(dir_path.c_str());
 }
 
 TEST(FleetHealth, MalformedRateQuarantinesHostileFeed) {

@@ -478,17 +478,15 @@ struct HostileRun {
   std::string report;
 };
 
-/// A clean region and the hostile one, read in 512-record batches, through
-/// the mapped source or the buffered-stream one.
-HostileRun run_hostile(std::size_t threads, const std::string& clean, const std::string& hostile,
-                       CsvTraceReader::Mode mode) {
+/// A clean region and the hostile one, read in 512-record batches.
+HostileRun run_hostile(std::size_t threads, const std::string& clean, const std::string& hostile) {
   FleetConfig fc;
   fc.threads = threads;
   FleetMonitor fleet(fc);
   fleet.add_region("clean", region_config());
   fleet.add_region("hostile", region_config());
   fleet.ingest_file("clean", clean);
-  CsvTraceReader reader(hostile, 0, mode);
+  CsvTraceReader reader(hostile);
   fleet.ingest("hostile", reader, 512);
   fleet.finish();
   return {fleet.region_health("hostile"), to_string(fleet.diagnose())};
@@ -511,7 +509,7 @@ TEST(FleetParallel, HostileCsvHealthIsThreadCountInvariant) {
   ASSERT_GT(std::filesystem::file_size(quarantined_path), 5 * CsvTraceReader::kChunkBytes);
 
   for (const auto* path : {&degraded_path, &quarantined_path}) {
-    const HostileRun want = run_hostile(1, clean_path, *path, CsvTraceReader::Mode::kAuto);
+    const HostileRun want = run_hostile(1, clean_path, *path);
     const bool burst = path == &quarantined_path;
     EXPECT_EQ(want.state.health, burst ? RegionHealth::kQuarantined : RegionHealth::kDegraded);
     EXPECT_NE(want.state.status.message().find(burst ? "rate too high" : "elevated"),
@@ -528,14 +526,11 @@ TEST(FleetParallel, HostileCsvHealthIsThreadCountInvariant) {
     } else {
       EXPECT_EQ(want.state.records_ingested, recs.size());
     }
-    for (const auto mode : {CsvTraceReader::Mode::kAuto, CsvTraceReader::Mode::kForceStream}) {
-      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-        const std::string what = *path + " threads=" + std::to_string(threads) +
-                                 (mode == CsvTraceReader::Mode::kAuto ? " mapped" : " stream");
-        const HostileRun got = run_hostile(threads, clean_path, *path, mode);
-        expect_same_state(got.state, want.state, what);
-        EXPECT_EQ(got.report, want.report) << what;
-      }
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      const std::string what = *path + " threads=" + std::to_string(threads);
+      const HostileRun got = run_hostile(threads, clean_path, *path);
+      expect_same_state(got.state, want.state, what);
+      EXPECT_EQ(got.report, want.report) << what;
     }
   }
   std::remove(clean_path.c_str());

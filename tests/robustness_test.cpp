@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "faults/fault_models.h"
 #include "faults/injection_plan.h"
 #include "sim/simulator.h"
+#include "trace/binary_trace.h"
 #include "trace/trace_io.h"
 #include "trace/trace_reader.h"
 #include "util/rng.h"
@@ -273,18 +275,37 @@ TEST(Robustness, BatchPathSkipsAFarFutureGapAndCountsTheClamp) {
 }
 
 TEST(Robustness, FifoTracePathIsRefusedWithoutOpening) {
-  // A FIFO can be read once, so the format probe would eat the head of the
-  // stream before the chosen reader opened it again. open_trace_reader
-  // refuses it before opening: with no writer, the open would block.
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("sentinel_robustness_" + std::to_string(::getpid()) + ".fifo"))
-          .string();
-  std::filesystem::remove(path);
-  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
-  run_with_deadline(std::chrono::seconds(10),
-                    [&] { EXPECT_THROW(open_trace_reader(path), std::runtime_error); });
-  std::filesystem::remove(path);
+  // A trace is read through a mapping, so a path that is not a regular file
+  // is refused before it is opened -- with no writer, opening a FIFO would
+  // block -- by open_trace_reader and by either reader built on it directly.
+  // A directory is refused the same way.
+  const std::string stem = (std::filesystem::temp_directory_path() /
+                            ("sentinel_robustness_" + std::to_string(::getpid())))
+                               .string();
+  const std::string fifo = stem + ".fifo";
+  const std::string dir = stem + ".dir";
+  std::filesystem::remove(fifo);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const auto expect_refused = [](const std::function<void()>& open, const std::string& what) {
+    try {
+      open();
+      ADD_FAILURE() << what << " was opened";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("not a regular file"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  run_with_deadline(std::chrono::seconds(10), [&] {
+    for (const std::string& path : {fifo, dir}) {
+      expect_refused([&] { open_trace_reader(path); }, "open_trace_reader " + path);
+      expect_refused([&] { CsvTraceReader{path}; }, "CsvTraceReader " + path);
+      expect_refused([&] { BinaryTraceReader{path}; }, "BinaryTraceReader " + path);
+    }
+  });
+  std::filesystem::remove(fifo);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -7,11 +7,16 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -174,6 +179,27 @@ bool raw_hello(int fd, const std::string& region) {
 void set_timeout(int fd, int option, int ms) {
   const timeval tv{ms / 1000, (ms % 1000) * 1000};
   ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
+}
+
+/// Read `n` bytes from `fd`, waiting at most `timeout_ms` for each read;
+/// false on a timeout, EOF or error.
+bool read_within(int fd, void* buf, std::size_t n, int timeout_ms) {
+  auto* p = static_cast<unsigned char*>(buf);
+  while (n > 0) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
+    const ssize_t got = ::read(fd, p, n);
+    if (got <= 0) return false;
+    p += got;
+    n -= static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
+/// User plus system CPU time in `ru`, in microseconds.
+std::int64_t cpu_micros(const rusage& ru) {
+  return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * std::int64_t{1000000} +
+         ru.ru_utime.tv_usec + ru.ru_stime.tv_usec;
 }
 
 /// Entries in /proc/self/fd: this process's open file descriptors.
@@ -674,6 +700,76 @@ TEST(ServiceLoop, CheckpointIntervalCommitsWhileTheLoopIsIdle) {
   EXPECT_GE(commits.total() - before, 2u);
   server.stop();
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceLoop, OutOfDescriptorsDoesNotSpin) {
+  // A forked child runs the loop, on its only thread, with its descriptor
+  // limit four above its highest open descriptor, and the parent opens more
+  // connections than that leaves room for: accept(2) fails with EMFILE
+  // while the rest wait in the backlog, keeping the listener readable. The
+  // loop must sleep through 2 s of that, not spin, and accept again once
+  // the parent hangs up. The child reports its CPU time through a pipe.
+  int report[2];
+  ASSERT_EQ(::pipe(report), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(report[0]);
+    service::ServerConfig sc;
+    sc.region = golden_config();
+    service::Server server(std::move(sc));
+    const std::uint16_t port = server.port();
+    int highest = 0;
+    for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+      highest = std::max(highest, std::stoi(entry.path().filename().string()));
+    }
+    rlimit lim{};
+    ::getrlimit(RLIMIT_NOFILE, &lim);
+    lim.rlim_cur = static_cast<rlim_t>(highest) + 5;
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0 ||
+        ::write(report[1], &port, sizeof port) != sizeof port) {
+      std::_Exit(2);
+    }
+    rusage before{};
+    rusage after{};
+    ::getrusage(RUSAGE_SELF, &before);
+    server.run();  // until the parent's SHUTDOWN
+    ::getrusage(RUSAGE_SELF, &after);
+    const std::int64_t cpu_us = cpu_micros(after) - cpu_micros(before);
+    std::_Exit(::write(report[1], &cpu_us, sizeof cpu_us) == sizeof cpu_us ? 0 : 3);
+  }
+  ::close(report[1]);
+  std::uint16_t port = 0;
+  bool acked = false;
+  std::int64_t cpu_us = -1;
+  if (read_within(report[0], &port, sizeof port, 10000)) {
+    std::vector<int> clients;
+    for (int i = 0; i < 12; ++i) clients.push_back(connect_raw(port));
+    std::this_thread::sleep_for(std::chrono::seconds(2));
+    for (const int fd : clients) {
+      if (fd >= 0) ::close(fd);
+    }
+    // The listener must come back: a fresh tenant is acked within 10 s.
+    const int fresh = connect_raw(port);
+    if (fresh >= 0) {
+      set_timeout(fresh, SO_RCVTIMEO, 10000);
+      acked = raw_hello(fresh, "tenant0");
+      service::Frame ack;
+      if (acked &&
+          service::write_frame(fresh, service::FrameType::kShutdown, nullptr, 0).is_ok() &&
+          service::read_frame(fresh, ack).is_ok()) {
+        (void)read_within(report[0], &cpu_us, sizeof cpu_us, 10000);
+      }
+      ::close(fresh);
+    }
+  }
+  ::close(report[0]);
+  ::kill(pid, SIGKILL);  // a child that already exited is only reaped
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_TRUE(acked) << "no HELLO ack after the connections hung up";
+  ASSERT_GE(cpu_us, 0) << "the child did not report its CPU time";
+  EXPECT_LT(cpu_us, 500000) << "the loop spun while accept(2) had no descriptor";
 }
 
 }  // namespace

@@ -124,24 +124,13 @@ TEST(CsvTraceReader, BatchSizeOneStreamsEveryRecord) {
   std::remove(path.c_str());
 }
 
-TEST(CsvTraceReader, UsesMmapWhenAvailable) {
-  const auto path = temp_path("reader_mmap.csv");
-  write_file(path, "0,0,1,2\n");
-  CsvTraceReader reader(path);
-#if defined(__unix__) || defined(__APPLE__)
-  EXPECT_TRUE(reader.mapped());
-#endif
-  std::vector<SensorRecord> batch;
-  EXPECT_EQ(reader.read_batch(batch, 16), 1u);
-  std::remove(path.c_str());
-}
-
 TEST(CsvTraceReader, MmapAndStreamPathsAgreeOnHostileCorpus) {
-  // The mmap fast path and the buffered-istream fallback share one per-line
-  // grammar; this pins the contract where it matters most -- not just the
-  // accepted record set but the *per-cause* malformed accounting, over a
-  // corpus built to hit every LineParse variant (plus shapes that historically
-  // diverge between the two: no trailing newline, CRLF-ish junk, long lines).
+  // The mapped reader and the getline reader (read_trace on an istream, the
+  // serial reference) share one per-line grammar; this pins the contract
+  // where it matters most -- not just the accepted record set but the
+  // *per-cause* malformed accounting, over a corpus built to hit every
+  // LineParse variant (plus shapes that historically diverge between the
+  // two: no trailing newline, CRLF-ish junk, long lines).
   std::string content =
       "# leading comment\n"
       "0,0,21.5,70\n"
@@ -165,19 +154,14 @@ TEST(CsvTraceReader, MmapAndStreamPathsAgreeOnHostileCorpus) {
   write_file(path, content);
 
   CsvTraceReader mmap_reader(path);
-  CsvTraceReader stream_reader(path, 0, CsvTraceReader::Mode::kForceStream);
-#if defined(__unix__) || defined(__APPLE__)
-  ASSERT_TRUE(mmap_reader.mapped());
-#endif
-  ASSERT_FALSE(stream_reader.mapped());
+  std::istringstream in(content);
+  const TraceReadResult via_stream = read_trace(in);
 
-  const auto via_mmap = drain(mmap_reader, 3);
-  const auto via_stream = drain(stream_reader, 3);
-  EXPECT_EQ(via_mmap, via_stream);
-  EXPECT_EQ(mmap_reader.malformed(), stream_reader.malformed());
-  EXPECT_EQ(mmap_reader.comment_lines(), stream_reader.comment_lines());
-  EXPECT_EQ(mmap_reader.dims(), stream_reader.dims());
-  EXPECT_EQ(mmap_reader.status(), stream_reader.status());
+  EXPECT_EQ(drain(mmap_reader, 3), via_stream.records);
+  EXPECT_EQ(mmap_reader.malformed(), via_stream.malformed);
+  EXPECT_EQ(mmap_reader.comment_lines(), via_stream.comment_lines);
+  EXPECT_EQ(mmap_reader.dims(), 2u);
+  EXPECT_EQ(mmap_reader.status(), via_stream.status);
 
   // The corpus exercises every cause, with the exact counts pinned so a
   // reader that misattributes (right total, wrong bucket) still fails.
@@ -223,16 +207,16 @@ std::string record_line(std::size_t i) {
 }
 
 /// About `chunks` chunks of CSV with a dense run of hostile lines around
-/// every multiple of kChunkBytes, where the stream source cuts (it reads
-/// kChunkBytes at a time). At even multiples a hostile line's newline is
-/// the last byte before the multiple (blank lines pad up to it), so the cut
-/// falls right after it and the next chunk opens with another; at odd ones
-/// a hostile line straddles the multiple and is carried into the next
-/// chunk. The mapped source's cuts (the first newline at or after a
-/// chunk's start plus kChunkBytes) land in those runs or, once the long
-/// lines have shifted them, among hostile lines sprinkled one in ten. The
-/// long lines are two lines longer than a chunk (a record and a malformed
-/// one); the file ends with a record without a newline.
+/// every multiple of kChunkBytes. At even multiples a hostile line's
+/// newline is the last byte before the multiple (blank lines pad up to
+/// it); at odd ones a hostile line straddles the multiple. The reader cuts
+/// a chunk at the first newline at or after its start plus kChunkBytes, so
+/// its first cut falls on the hostile line across the first multiple, and
+/// later cuts, each late by however far its chunk ran past kChunkBytes,
+/// land in those runs or, once the long lines have shifted them, among
+/// hostile lines sprinkled one in ten. The long lines are two lines longer
+/// than a chunk (a record and a malformed one); the file ends with a record
+/// without a newline.
 std::string hostile_corpus(std::size_t chunks) {
   const auto& hostile = hostile_lines();
   std::string s;
@@ -324,37 +308,24 @@ TEST(CsvTraceReader, HostileCorpusMatchesSerialReadAfterEveryCall) {
   for (const std::size_t dims : {std::size_t{0}, std::size_t{2}}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{1024}}) {
       const std::string what = "dims " + std::to_string(dims) + ", batch " + std::to_string(batch);
-      CsvTraceReader mapped(path, dims);
-      CsvTraceReader streamed(path, dims, CsvTraceReader::Mode::kForceStream);
-#if defined(__unix__) || defined(__APPLE__)
-      ASSERT_TRUE(mapped.mapped());
-#endif
-      ASSERT_FALSE(streamed.mapped());
+      CsvTraceReader reader(path, dims);
       SerialRead serial{content, dims};
-      std::vector<SensorRecord> all, a, b;
+      std::vector<SensorRecord> all, got;
       for (std::size_t call = 0;; ++call) {
         const auto want = serial.read(batch);
-        const std::size_t na = mapped.read_batch(a, batch);
-        const std::size_t nb = streamed.read_batch(b, batch);
-        ASSERT_EQ(na, want.size()) << what << ", call " << call;
-        ASSERT_EQ(nb, want.size()) << what << ", call " << call;
-        if (na > 0) {
-          expect_same_bits(a, want, what);
-          expect_same_bits(b, want, what);
-        }
-        ASSERT_EQ(mapped.malformed(), serial.malformed) << what << ", call " << call;
-        ASSERT_EQ(streamed.malformed(), serial.malformed) << what << ", call " << call;
-        ASSERT_EQ(mapped.comment_lines(), serial.comments) << what << ", call " << call;
-        ASSERT_EQ(streamed.comment_lines(), serial.comments) << what << ", call " << call;
-        ASSERT_TRUE(mapped.status().is_ok() && streamed.status().is_ok()) << what;
-        if (na == 0) break;
+        const std::size_t n = reader.read_batch(got, batch);
+        ASSERT_EQ(n, want.size()) << what << ", call " << call;
+        if (n > 0) expect_same_bits(got, want, what);
+        ASSERT_EQ(reader.malformed(), serial.malformed) << what << ", call " << call;
+        ASSERT_EQ(reader.comment_lines(), serial.comments) << what << ", call " << call;
+        ASSERT_TRUE(reader.status().is_ok()) << what;
+        if (n == 0) break;
         all.insert(all.end(), want.begin(), want.end());
       }
       expect_same_bits(all, whole.records, what);
-      EXPECT_EQ(mapped.malformed(), whole.malformed) << what;
-      EXPECT_EQ(mapped.comment_lines(), whole.comment_lines) << what;
-      EXPECT_EQ(mapped.dims(), 2u) << what;
-      EXPECT_EQ(streamed.dims(), 2u) << what;
+      EXPECT_EQ(reader.malformed(), whole.malformed) << what;
+      EXPECT_EQ(reader.comment_lines(), whole.comment_lines) << what;
+      EXPECT_EQ(reader.dims(), 2u) << what;
     }
   }
   std::remove(path.c_str());
@@ -378,14 +349,12 @@ TEST(CsvTraceReader, WidthFixedByAFirstRecordInTheThirdChunk) {
   ASSERT_EQ(whole.records.size(), 3000u);
   ASSERT_EQ(whole.malformed.dims_mismatch, 1u);
 
-  for (const auto mode : {CsvTraceReader::Mode::kAuto, CsvTraceReader::Mode::kForceStream}) {
-    CsvTraceReader reader(path, 0, mode);
-    EXPECT_EQ(reader.dims(), 0u);
-    expect_same_bits(drain(reader, 1024), whole.records, "late width");
-    EXPECT_EQ(reader.dims(), 3u);
-    EXPECT_EQ(reader.malformed(), whole.malformed);
-    EXPECT_EQ(reader.comment_lines(), whole.comment_lines);
-  }
+  CsvTraceReader reader(path);
+  EXPECT_EQ(reader.dims(), 0u);
+  expect_same_bits(drain(reader, 1024), whole.records, "late width");
+  EXPECT_EQ(reader.dims(), 3u);
+  EXPECT_EQ(reader.malformed(), whole.malformed);
+  EXPECT_EQ(reader.comment_lines(), whole.comment_lines);
   std::remove(path.c_str());
 }
 
@@ -398,20 +367,18 @@ TEST(CsvTraceReader, SkipThenReadMatchesAStraightRead) {
   const std::size_t total = whole.records.size();
   for (const std::size_t skip : {std::size_t{0}, std::size_t{1}, std::size_t{1000},
                                  std::size_t{4097}, total - 1, total, total + 5}) {
-    for (const auto mode : {CsvTraceReader::Mode::kAuto, CsvTraceReader::Mode::kForceStream}) {
-      const std::string what = "skip " + std::to_string(skip);
-      CsvTraceReader reader(path, 0, mode);
-      SerialRead serial{content};
-      (void)serial.read(skip);
-      EXPECT_EQ(reader.skip_records(skip), std::min(skip, total)) << what;
-      EXPECT_EQ(reader.malformed(), serial.malformed) << what;
-      EXPECT_EQ(reader.comment_lines(), serial.comments) << what;
-      const std::vector<SensorRecord> tail(
-          whole.records.begin() + static_cast<std::ptrdiff_t>(std::min(skip, total)),
-          whole.records.end());
-      expect_same_bits(drain(reader, 1024), tail, what);
-      EXPECT_EQ(reader.malformed(), whole.malformed) << what;
-    }
+    const std::string what = "skip " + std::to_string(skip);
+    CsvTraceReader reader(path);
+    SerialRead serial{content};
+    (void)serial.read(skip);
+    EXPECT_EQ(reader.skip_records(skip), std::min(skip, total)) << what;
+    EXPECT_EQ(reader.malformed(), serial.malformed) << what;
+    EXPECT_EQ(reader.comment_lines(), serial.comments) << what;
+    const std::vector<SensorRecord> tail(
+        whole.records.begin() + static_cast<std::ptrdiff_t>(std::min(skip, total)),
+        whole.records.end());
+    expect_same_bits(drain(reader, 1024), tail, what);
+    EXPECT_EQ(reader.malformed(), whole.malformed) << what;
   }
   std::remove(path.c_str());
 }
@@ -489,8 +456,7 @@ TEST(CsvTraceReader, DestroyedWithDecodesQueuedAndRunning) {
   }
   // Running: free workers pick the chunks up while the reader is destroyed.
   for (int i = 0; i < 50; ++i) {
-    CsvTraceReader reader(path, 0, i % 2 == 0 ? CsvTraceReader::Mode::kAuto
-                                              : CsvTraceReader::Mode::kForceStream);
+    CsvTraceReader reader(path);
     ASSERT_EQ(reader.read_batch(batch, 1 + static_cast<std::size_t>(i) * 97), 1u + i * 97u);
   }
   std::istringstream in(content);

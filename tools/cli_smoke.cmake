@@ -27,6 +27,30 @@ if(NOT out MATCHES "\"kind\":\"stuck-at\"")
   message(FATAL_ERROR "resumed analyze lost the diagnosis:\n${out}")
 endif()
 
+# SNTRB1: convert the trace to binary and that back to CSV. analyze of
+# either must print what analyze of the original prints (stdout, not the
+# files: convert drops the schema comment).
+set(snt ${WORK}/cli_smoke_trace.snt)
+set(back ${WORK}/cli_smoke_trace_back.csv)
+execute_process(COMMAND ${CLI} analyze ${trace} RESULT_VARIABLE rc OUTPUT_VARIABLE want)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "analyze failed: ${want}")
+endif()
+foreach(pair "${trace};${snt}" "${snt};${back}")
+  list(GET pair 0 from)
+  list(GET pair 1 to)
+  execute_process(COMMAND ${CLI} convert ${from} ${to} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "convert ${from} -> ${to} failed (rc=${rc}):\n${out}\n${err}")
+  endif()
+  execute_process(COMMAND ${CLI} analyze ${to} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out STREQUAL want)
+    message(FATAL_ERROR "analyze of ${to} differs from the original's (rc=${rc}):\n${out}\n${err}")
+  endif()
+endforeach()
+
 execute_process(COMMAND ${CLI} scenarios RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "dynamic-creation")
   message(FATAL_ERROR "scenarios listing failed:\n${out}")
