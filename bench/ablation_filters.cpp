@@ -33,11 +33,10 @@ int main() {
     sc.filter = f.kind;
     const auto r = bench::run_scenario(
         {}, sc, bench::make_injection(bench::InjectionKind::kStuckAt, sc.seed, fault_start));
-    const auto& p = *r.pipeline;
 
     std::optional<double> latency;
     std::size_t healthy_filtered = 0, healthy_raw = 0, healthy_n = 0;
-    for (const auto& hist : p.history()) {
+    for (const auto& hist : r.windows) {
       const auto it6 = hist.sensors.find(6);
       if (!latency && it6 != hist.sensors.end() && it6->second.filtered_alarm &&
           hist.window_start >= fault_start) {
@@ -73,11 +72,11 @@ int main() {
     pc.alarm_filter.k = k;
     pc.alarm_filter.n = n;
     core::DetectionPipeline p(pc);
-    p.process_trace(r.sim.trace);
+    const auto windows = bench::collect_windows(p, r.sim.trace);
 
     std::optional<double> latency;
     std::size_t healthy_filtered = 0, healthy_n = 0;
-    for (const auto& hist : p.history()) {
+    for (const auto& hist : windows) {
       const auto it6 = hist.sensors.find(6);
       if (!latency && it6 != hist.sensors.end() && it6->second.filtered_alarm &&
           hist.window_start >= fault_start) {

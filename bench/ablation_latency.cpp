@@ -40,8 +40,8 @@ int main() {
     double first_right_day = -1.0;  // -1 = not (or no longer) correct
     for (const auto& w : windows) {
       p.process_window(w);
-      if (!p.history().empty() && alarm_latency < 0.0) {
-        const auto& h = p.history().back();
+      if (p.windows_processed() > 0 && alarm_latency < 0.0) {
+        const auto& h = p.last_window();
         for (const auto& [sensor, info] : h.sensors) {
           if (info.filtered_alarm && injected.count(sensor) && h.window_start >= onset) {
             alarm_latency = (h.window_start - onset) / kSecondsPerHour;

@@ -35,7 +35,7 @@ int main() {
     // Detection latency: first window where sensor 6's filtered alarm is on.
     std::optional<double> detect_time;
     std::size_t healthy_raw = 0, healthy_n = 0;
-    for (const auto& hist : p.history()) {
+    for (const auto& hist : r.windows) {
       const auto it6 = hist.sensors.find(6);
       if (!detect_time && it6 != hist.sensors.end() && it6->second.filtered_alarm &&
           hist.window_start >= fault_start) {

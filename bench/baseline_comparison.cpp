@@ -26,9 +26,9 @@ namespace {
 
 using namespace sentinel;
 
-std::vector<hmm::StateId> observable_sequence(const core::DetectionPipeline& p) {
+std::vector<hmm::StateId> observable_sequence(const std::vector<core::WindowSummary>& windows) {
   std::vector<hmm::StateId> seq;
-  for (const auto& w : p.history()) seq.push_back(w.observable);
+  for (const auto& w : windows) seq.push_back(w.observable);
   return seq;
 }
 
@@ -42,7 +42,7 @@ int main() {
   bench::ScenarioConfig clean_sc;
   clean_sc.duration_days = 14.0;
   const auto clean = bench::run_scenario({}, clean_sc, nullptr);
-  const auto train_seq = observable_sequence(*clean.pipeline);
+  const auto train_seq = observable_sequence(clean.windows);
 
   baseline::WarrenderDetector warrender(baseline::WarrenderConfig{});
   const auto t0 = std::chrono::steady_clock::now();
@@ -82,11 +82,11 @@ int main() {
                 "no training phase");
 
     // Warrender on the attacked observable sequence.
-    const auto test_seq = observable_sequence(p);
+    const auto test_seq = observable_sequence(r.windows);
     const auto flags = warrender.detect(test_seq);
     std::size_t flagged = 0, post = 0;
     for (std::size_t i = 0; i < flags.size(); ++i) {
-      if (p.history()[i].window_start < onset) continue;
+      if (r.windows[i].window_start < onset) continue;
       ++post;
       flagged += flags[i];
     }
@@ -100,7 +100,7 @@ int main() {
     const auto mflags = markov.detect(test_seq);
     std::size_t mflagged = 0, mpost = 0;
     for (std::size_t i = 0; i < mflags.size(); ++i) {
-      if (p.history()[i].window_start < onset) continue;
+      if (r.windows[i].window_start < onset) continue;
       ++mpost;
       mflagged += mflags[i];
     }

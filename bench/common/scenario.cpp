@@ -63,8 +63,28 @@ ScenarioResult run_scenario(const sim::GdiEnvironmentConfig& env_cfg, const Scen
   result.sim = simulator.run(ec.duration_seconds, util::ThreadPool::shared());
   result.pipeline_config = make_pipeline_config(env, cfg);
   result.pipeline = std::make_unique<core::DetectionPipeline>(result.pipeline_config);
-  result.pipeline->process_trace(result.sim.trace);
+  result.windows = collect_windows(*result.pipeline, result.sim.trace);
   return result;
+}
+
+std::vector<core::WindowSummary> collect_windows(core::DetectionPipeline& p,
+                                                 const std::vector<SensorRecord>& trace) {
+  std::vector<SensorRecord> sorted = trace;
+  sort_by_time(sorted);
+  std::vector<core::WindowSummary> out;
+  std::size_t seen = p.windows_processed();
+  const auto take = [&] {
+    if (p.windows_processed() == seen) return;
+    seen = p.windows_processed();
+    out.push_back(p.last_window());
+  };
+  for (const SensorRecord& rec : sorted) {
+    p.add_record(rec);
+    take();
+  }
+  p.finish();
+  take();
+  return out;
 }
 
 ObservationSet make_window(std::size_t index, double window_seconds,

@@ -9,6 +9,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "faults/injection_plan.h"
@@ -40,7 +41,16 @@ struct ScenarioResult {
   std::unique_ptr<core::DetectionPipeline> pipeline;  // already fed the trace
   sim::SimulationResult sim;
   core::PipelineConfig pipeline_config;
+  std::vector<core::WindowSummary> windows;  // every processed window, in order
 };
+
+/// Feed `trace` to `p` in process_trace's own steps -- a copy sorted with
+/// sort_by_time, add_record on each record, then finish() -- and return a
+/// copy of last_window() for every window that processes, in order. A record
+/// closes at most one window, so checking windows_processed() after each
+/// call sees them all.
+std::vector<core::WindowSummary> collect_windows(core::DetectionPipeline& p,
+                                                 const std::vector<SensorRecord>& trace);
 
 /// Initial model states via offline k-means on the environment's own
 /// history (paper section 4.1: "an off-line clustering algorithm on the
@@ -55,7 +65,8 @@ core::PipelineConfig make_pipeline_config(const sim::Environment& env,
                                           const ScenarioConfig& cfg);
 
 /// Simulate the deployment with `inject` populating the fault/attack plan
-/// (may be null for a clean run), then run the pipeline over the trace.
+/// (may be null for a clean run), then run the pipeline over the trace
+/// through collect_windows.
 using InjectFn = std::function<void(faults::InjectionPlan&, const sim::Environment&)>;
 ScenarioResult run_scenario(const sim::GdiEnvironmentConfig& env_cfg, const ScenarioConfig& cfg,
                             const InjectFn& inject);

@@ -28,7 +28,7 @@ int main() {
   std::size_t raw6 = 0, raw9 = 0, n6 = 0, n9 = 0;
   std::size_t raw9_prefault = 0, n9_prefault = 0;
   std::string row6, row9;
-  for (const auto& w : p.history()) {
+  for (const auto& w : r.windows) {
     const auto render = [&](SensorId id, std::string& row, std::size_t& raw, std::size_t& n) {
       const auto it = w.sensors.find(id);
       if (it == w.sensors.end()) {

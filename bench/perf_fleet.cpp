@@ -175,9 +175,8 @@ void BM_FleetIngestDiagnose(benchmark::State& state) {
 /// through warm state. Both passes end with drain(), so at threads > 1
 /// every queued batch is applied and recycled inside the pass that queued
 /// it. The contract -- zero allocations per record at steady state -- is
-/// asserted in-bench (a tiny epsilon absorbs the amortized history-arena
-/// slabs, alarm-edge track churn and queue nodes, which are per window or
-/// per batch, not per record).
+/// asserted in-bench (a tiny epsilon absorbs alarm-edge track churn and
+/// queue nodes, which are per window or per batch, not per record).
 void BM_FleetIngestSteadyState(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   const bool frames = state.range(1) != 0;

@@ -123,14 +123,6 @@ void BM_PipelineWindow(benchmark::State& state) {
   run_window_bench(state, cfg, windows);
 }
 
-void BM_PipelineWindowNoHistory(benchmark::State& state) {
-  const auto sensors = static_cast<std::size_t>(state.range(0));
-  const auto windows = make_windows(sensors, 7.0, 42);
-  auto cfg = config_for(6, 42);
-  cfg.record_history = false;
-  run_window_bench(state, cfg, windows);
-}
-
 void BM_PipelineWindowStageTimers(benchmark::State& state) {
   // Same workload as BM_PipelineWindow with the per-stage wall-clock
   // histograms enabled: the delta against the plain rows is the full cost of
@@ -178,7 +170,6 @@ void BM_DiagnoseCold(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_PipelineWindow)->Arg(5)->Arg(10)->Arg(20)->Arg(50)->Arg(100);
-BENCHMARK(BM_PipelineWindowNoHistory)->Arg(10)->Arg(100);
 BENCHMARK(BM_PipelineWindowStageTimers)->Arg(10)->Arg(100);
 BENCHMARK(BM_PipelineStates)->Arg(4)->Arg(6)->Arg(8)->Arg(12);
 BENCHMARK(BM_Diagnose);

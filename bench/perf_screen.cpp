@@ -144,7 +144,6 @@ ScreenWorkload make_workload(std::size_t suspicious_pct) {
   pc.model_states.max_states = 24;  // regimes + shadow states for fault blocs
   pc.screen.chi2_threshold = 3.5;   // trade detection margin for fewer false
   pc.screen.runs_z_threshold = 3.5; // escalations (see docs/PERFORMANCE.md)
-  pc.record_history = false;  // fleet-at-scale configuration
   w.pipeline_config = pc;
 
   const std::size_t suspicious = kSensors * suspicious_pct / 100;
@@ -269,7 +268,6 @@ ScreenWorkload make_steady_workload(std::size_t suspicious_pct) {
   pc.model_states.max_states = 24;
   pc.screen.chi2_threshold = 3.5;
   pc.screen.runs_z_threshold = 3.5;
-  pc.record_history = false;
   w.pipeline_config = pc;
 
   const std::size_t suspicious = kSensors * suspicious_pct / 100;

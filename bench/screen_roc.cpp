@@ -82,10 +82,10 @@ EscalationTrace replay_screened(const std::vector<SensorRecord>& trace,
 }
 
 /// First filtered alarm on any afflicted sensor at/after start, from the
-/// off-mode run's history: the HMM tier's own detection latency.
-double hmm_latency_windows(const core::DetectionPipeline& p,
+/// off-mode run's window series: the HMM tier's own detection latency.
+double hmm_latency_windows(const std::vector<core::WindowSummary>& windows,
                            const std::set<SensorId>& afflicted, double start_time) {
-  for (const auto& w : p.history()) {
+  for (const auto& w : windows) {
     if (w.window_start < start_time) continue;
     for (const auto& [sensor, info] : w.sensors) {
       if (info.filtered_alarm && afflicted.count(sensor) != 0) {
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
       off.detected += base_score.detected;
       off.exact += base_score.exact;
       if (!afflicted.empty()) {
-        const double lat = hmm_latency_windows(*base.pipeline, afflicted, start_time);
+        const double lat = hmm_latency_windows(base.windows, afflicted, start_time);
         if (lat >= 0) {
           hmm_latency_sum += lat;
           ++hmm_latency_n;

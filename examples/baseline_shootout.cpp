@@ -41,6 +41,25 @@ std::vector<SensorRecord> simulate(const sim::Environment& env, double duration,
   return simulator.run(duration).trace;
 }
 
+/// process_trace's steps -- a time-sorted copy, one add_record at a time,
+/// then finish() -- collecting each processed window's o_i on the way (a
+/// record closes at most one window).
+std::vector<hmm::StateId> observable_sequence(core::DetectionPipeline& p,
+                                              std::vector<SensorRecord> trace) {
+  sort_by_time(trace);
+  std::vector<hmm::StateId> seq;
+  const auto take = [&] {
+    if (p.windows_processed() > seq.size()) seq.push_back(p.last_window().observable);
+  };
+  for (const SensorRecord& rec : trace) {
+    p.add_record(rec);
+    take();
+  }
+  p.finish();
+  take();
+  return seq;
+}
+
 }  // namespace
 
 int main() {
@@ -56,15 +75,12 @@ int main() {
 
   // --- Sentinel ---
   core::DetectionPipeline pipeline(make_config(env, duration));
-  pipeline.process_trace(faulty_trace);
+  const auto test_seq = observable_sequence(pipeline, faulty_trace);
   std::printf("=== sentinel ===\n%s\n", core::to_string(pipeline.diagnose()).c_str());
 
   // --- Warrender baseline: train on the clean run's observable sequence ---
   core::DetectionPipeline clean_pipeline(make_config(env, duration));
-  clean_pipeline.process_trace(clean_trace);
-  std::vector<hmm::StateId> train_seq, test_seq;
-  for (const auto& w : clean_pipeline.history()) train_seq.push_back(w.observable);
-  for (const auto& w : pipeline.history()) test_seq.push_back(w.observable);
+  const auto train_seq = observable_sequence(clean_pipeline, clean_trace);
 
   baseline::WarrenderDetector warrender((baseline::WarrenderConfig()));
   const auto stats = warrender.train(train_seq);

@@ -36,15 +36,17 @@ int main() {
   cfg.initial_states = core::kmeans(history, 6, rng).centroids;
   core::DetectionPipeline pipeline(cfg);
 
-  // Stream records; react to window completions by diffing the history size.
+  // Stream records; a record closes at most one window, so a grown
+  // windows_processed() means last_window() holds a fresh one.
   std::size_t seen_windows = 0;
   std::map<SensorId, bool> filtered_state;
   int last_day_reported = -1;
 
   for (const auto& rec : trace) {
     pipeline.add_record(rec);
-    while (seen_windows < pipeline.windows_processed()) {
-      const auto& w = pipeline.history()[seen_windows++];
+    if (seen_windows < pipeline.windows_processed()) {
+      seen_windows = pipeline.windows_processed();
+      const auto& w = pipeline.last_window();
       for (const auto& [sensor, info] : w.sensors) {
         bool& prev = filtered_state[sensor];
         if (info.filtered_alarm && !prev) {

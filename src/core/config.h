@@ -123,13 +123,6 @@ struct PipelineConfig {
   /// a meaningful majority).
   std::size_t min_sensors_per_window = 3;
 
-  /// Keep the per-window WindowSummary series (history(), the input to
-  /// core/smoothing.h and the figure benches). The append is the hot path's
-  /// only steady-state allocation; deployments that need just diagnoses --
-  /// e.g. fleet regions at scale -- can turn it off, leaving history() empty.
-  /// Detection and diagnosis results are unaffected either way.
-  bool record_history = true;
-
   /// First-tier screening (screen/screen.h). The default mode (off) runs
   /// the same procedure with every sensor escalated, no screen state and no
   /// screen checkpoint section -- reports and checkpoint bytes are identical

@@ -236,16 +236,14 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
   }
 
   // (3) Alarms and tracks, for the escalated sensors; each one's screen
-  // hysteresis resolves with this window's verdict.
-  WindowSummary summary;
-  if (cfg_.record_history) {
-    summary.window_index = window.window_index;
-    summary.window_start = window.window_start;
-    summary.observable = ws.observable;
-    summary.correct = ws.correct;
-    summary.majority_size = ws.majority_size;
-    hist_scratch_.clear();
-  }
+  // hysteresis resolves with this window's verdict, and its row lands in
+  // last_.
+  last_.window_index = window.window_index;
+  last_.window_start = window.window_start;
+  last_.observable = ws.observable;
+  last_.correct = ws.correct;
+  last_.majority_size = ws.majority_size;
+  last_.sensors.clear();
   run_alarm_track_stage(window);
 
   {
@@ -282,24 +280,12 @@ void DetectionPipeline::process_window(const ObservationSet& window) {
   }
 
   ++windows_processed_;
-  if (cfg_.record_history) commit_history(summary);
 
   // The learned state advanced: drop the memoized diagnosis inputs.
   {
     std::lock_guard<std::mutex> lock(diag_mu_.get());
     diag_cache_.reset();
   }
-}
-
-void DetectionPipeline::commit_history(WindowSummary& summary) {
-  // Park the staged per-sensor rows (ascending sensor order, built by the
-  // alarm/track stage) in the slab arena and retain a view over them: the
-  // history append itself never allocates, and the arena grows one slab per
-  // ~4096 rows.
-  const auto rows = history_arena_.alloc(hist_scratch_.size());
-  std::copy(hist_scratch_.begin(), hist_scratch_.end(), rows.begin());
-  summary.sensors = util::FlatMapView<SensorId, SensorWindowInfo>(rows.data(), rows.size());
-  history_.push_back(summary);
 }
 
 std::size_t DetectionPipeline::screen_window(const ObservationSet& window) {
@@ -378,20 +364,14 @@ void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window) {
       tracks_.observe(sensor, ws.correct, raw ? l : hmm::kBottomSymbol);
       ++hmm_updates_;
     }
-    // Pass 4: screen hysteresis resolution and history.
+    // Pass 4: screen hysteresis resolution and last_'s rows.
     for (std::size_t k = 0; k < m; ++k) {
       const auto& [sensor, l] = ws.mapping[base + k];
       const bool raw = l != ws.correct;
       if (screens_ != nullptr) {
         screens_->resolve(sensor, !raw && !tracks_.has_active_track(sensor));
       }
-      if (cfg_.record_history) {
-        SensorWindowInfo info;
-        info.mapped = l;
-        info.raw_alarm = raw;
-        info.filtered_alarm = blk_updates_[k].filtered;
-        hist_scratch_.emplace_back(sensor, info);
-      }
+      last_.sensors.append(sensor, {l, raw, blk_updates_[k].filtered});
     }
   }
   tracks_.flush_window();
@@ -451,13 +431,6 @@ DetectionPipeline::CoalitionInfo DetectionPipeline::compute_coalition() const {
     }
   }
   return info;
-}
-
-std::vector<StateId> DetectionPipeline::correct_sequence() const {
-  std::vector<StateId> out;
-  out.reserve(history_.size());
-  for (const auto& w : history_) out.push_back(w.correct);
-  return out;
 }
 
 hmm::MarkovChain DetectionPipeline::correct_model() const {

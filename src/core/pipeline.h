@@ -18,17 +18,17 @@
 // the combined network + per-sensor report.
 //
 // The per-window hot path is allocation-free in steady state: all working
-// buffers (spawn slots, labels, cluster counters, escalated copies) live in
-// reusable scratch owned by the pipeline, and the only remaining
-// steady-state allocation is the history append (see
-// PipelineConfig::record_history and docs/PERFORMANCE.md).
+// buffers (spawn slots, labels, cluster counters, escalated copies) and the
+// last window's summary live in reusable storage owned by the pipeline, and
+// nothing grows with the number of windows processed (see
+// docs/PERFORMANCE.md).
 //
 // Thread-safety: a pipeline is single-writer -- add_record / process_window /
 // finish must not run concurrently with anything else on the same instance.
 // Every const member is safe to call from any number of threads on a
-// quiescent pipeline: the model accessors and history/stats are pure reads,
-// and the diagnosis-side lazy caches (significant states, coalition, the
-// network diagnosis, the HMMs' averaged matrices) are mutex-guarded. They
+// quiescent pipeline: the model accessors, last_window and stats are pure
+// reads, and the diagnosis-side lazy caches (significant states, coalition,
+// the network diagnosis, the HMMs' averaged matrices) are mutex-guarded. They
 // cache pure functions of the learned state, so results are identical to
 // recomputation. core/fleet.h relies on this to run per-region diagnosis
 // jobs in parallel; see docs/CONCURRENCY.md and docs/PERFORMANCE.md.
@@ -54,7 +54,6 @@
 #include "hmm/online_hmm.h"
 #include "screen/screen.h"
 #include "trace/windower.h"
-#include "util/arena.h"
 #include "util/flat_map.h"
 #include "util/serialize_fwd.h"
 #include "util/sync.h"
@@ -97,11 +96,10 @@ struct WindowSummary {
   StateId observable = 0;  // o_i
   StateId correct = 0;     // c_i
   std::size_t majority_size = 0;
-  /// Per-sensor records in ascending sensor order. A sorted view into the
-  /// pipeline's history arena: retaining a window allocates nothing at
-  /// steady state (the arena grows one slab per ~4096 rows). Valid for the
-  /// owning pipeline's lifetime.
-  util::FlatMapView<SensorId, SensorWindowInfo> sensors;
+  /// Per-sensor records of the sensors that took the per-sensor stages (all
+  /// of them unless screened), in the window's sensor order: ascending for
+  /// every window the windower closes.
+  util::FlatMap<SensorId, SensorWindowInfo> sensors;
 };
 
 /// What save_checkpoint persists.
@@ -124,8 +122,9 @@ class DetectionPipeline {
   /// the same configuration the checkpointed pipeline ran with (the
   /// checkpoint stores learned state, not configuration). For kModel
   /// checkpoints, alarm filters restart cold and re-converge within a
-  /// filter window; a kResumable checkpoint restores them exactly. The
-  /// per-window history is session-local and starts empty either way.
+  /// filter window; a kResumable checkpoint restores them exactly.
+  /// last_window() is not checkpointed: it stays empty until the restored
+  /// pipeline processes a window.
   DetectionPipeline(PipelineConfig cfg, std::istream& checkpoint);
 
   /// Persist all learned state -- model states, M_CO, M_C, M_O, every
@@ -195,12 +194,14 @@ class DetectionPipeline {
   /// Tier statistics; all-zero when screening is off.
   screen::ScreenStats screen_stats() const;
 
-  // --- History / stats ----------------------------------------------------
-  /// Empty when PipelineConfig::record_history is off.
-  const std::vector<WindowSummary>& history() const { return history_; }
-  /// The c_i sequence of this session's processed windows (input for
-  /// core/smoothing.h; empty when record_history is off).
-  std::vector<StateId> correct_sequence() const;
+  // --- Last window / stats ------------------------------------------------
+  /// The summary of the window processed last, rebuilt in place by each
+  /// processed window (its rows keep their capacity); a skipped window
+  /// leaves it unchanged. Valid once windows_processed() > 0. The pipeline
+  /// keeps no series: a caller that wants one (core/smoothing.h's c_i
+  /// sequence, the figure benches) copies this each time
+  /// windows_processed() grows.
+  const WindowSummary& last_window() const { return last_; }
   std::size_t windows_processed() const { return windows_processed_; }
   std::size_t windows_skipped() const { return windows_skipped_; }
   /// Activity counters (see PipelineCounters). Safe on a quiescent pipeline.
@@ -248,16 +249,11 @@ class DetectionPipeline {
 
   /// Stage (3): alarms and tracks over window_states_.mapping, iterated in
   /// cache-sized sensor blocks as four passes (alarm updates, track edges,
-  /// batched M_CE observes, screen resolution + history rows staged in
-  /// hist_scratch_). Every pass is per-sensor independent, so the results
-  /// are bit-identical to the old interleaved loop -- but the M_CE row
-  /// updates enqueue into the track slab and coalesce into two kernel calls
-  /// at the window flush.
+  /// batched M_CE observes, screen resolution + last_'s rows). Every pass
+  /// is per-sensor independent, so the results are bit-identical to the old
+  /// interleaved loop -- but the M_CE row updates enqueue into the track
+  /// slab and coalesce into two kernel calls at the window flush.
   void run_alarm_track_stage(const ObservationSet& window);
-
-  /// Move the staged hist_scratch_ rows into the history arena, point
-  /// `summary.sensors` at them, and append the summary to history_.
-  void commit_history(WindowSummary& summary);
 
   /// Inputs diagnose_*() would otherwise recompute per tracked sensor,
   /// computed once per (diagnosis, window) pair. Guarded by diag_mu_;
@@ -283,12 +279,7 @@ class DetectionPipeline {
   std::unique_ptr<screen::ScreenBank> screens_;  // null when screening is off
   std::optional<StateId> prev_correct_;
   std::optional<StateId> prev_observable_;
-  std::vector<WindowSummary> history_;
-  /// Backing store for WindowSummary::sensors rows (stable addresses).
-  util::SlabArena<std::pair<SensorId, SensorWindowInfo>> history_arena_;
-  /// Recycled staging buffer the alarm/track stage fills before the rows are
-  /// copied into the arena (only when record_history is on).
-  std::vector<std::pair<SensorId, SensorWindowInfo>> hist_scratch_;
+  WindowSummary last_;
   std::size_t windows_processed_ = 0;
   std::size_t windows_skipped_ = 0;
   std::size_t raw_alarms_ = 0;

@@ -1,13 +1,14 @@
-// A minimal sorted-vector map for per-window records on the pipeline hot
-// path. The per-window history entries (WindowSummary::sensors) used to be
-// std::map, which costs one node allocation per sensor per window; a sorted
-// flat vector is one allocation per window, cache-friendly to iterate, and
-// still offers the map-like read API (find / count / at / ordered iteration)
-// the benches and examples use.
+// A minimal sorted-vector map for the pipeline's per-window rows
+// (WindowSummary::sensors). A std::map costs one node allocation per sensor
+// per window; a flat vector cleared in place keeps its capacity, so a warm
+// pipeline rebuilds its rows without touching the allocator, and it still
+// offers the map-like read API (find / count / at / ordered iteration) the
+// benches and examples use.
 //
-// Keys must be appended in strictly ascending order (append() enforces it);
-// that is the natural order of the pipeline loops, which iterate sensors in
-// ascending id order.
+// find/count/at assume the keys were appended in strictly ascending order,
+// the order of every window the windower closes. append() does not check
+// it: the pipeline also processes hand-built windows in whatever sensor
+// order they carry, and their rows iterate in that order.
 
 #pragma once
 
@@ -28,13 +29,8 @@ class FlatMap {
 
   FlatMap() = default;
 
-  /// Append a key/value; `key` must be greater than every existing key.
-  void append(const K& key, V value) {
-    if (!data_.empty() && !(data_.back().first < key)) {
-      throw std::logic_error("FlatMap::append: keys must be strictly ascending");
-    }
-    data_.emplace_back(key, std::move(value));
-  }
+  /// Append a key/value; lookups need `key` greater than every existing key.
+  void append(const K& key, V value) { data_.emplace_back(key, std::move(value)); }
 
   const_iterator begin() const { return data_.begin(); }
   const_iterator end() const { return data_.end(); }
@@ -54,10 +50,8 @@ class FlatMap {
 
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
+  /// Drop every entry; the storage keeps its capacity.
   void clear() { data_.clear(); }
-  void reserve(std::size_t n) { data_.reserve(n); }
-
-  bool operator==(const FlatMap&) const = default;
 
  private:
   const_iterator lower_bound(const K& key) const {
@@ -66,53 +60,6 @@ class FlatMap {
   }
 
   std::vector<value_type> data_;
-};
-
-/// Non-owning view over a sorted (key, value) run -- same read API as
-/// FlatMap, but the storage lives elsewhere (a SlabArena in the pipeline's
-/// window history, so retaining a window costs no per-window allocation).
-/// The viewed run must outlive the view and be sorted ascending by key.
-template <typename K, typename V>
-class FlatMapView {
- public:
-  using value_type = std::pair<K, V>;
-  using const_iterator = const value_type*;
-  using iterator = const_iterator;
-
-  FlatMapView() = default;
-  FlatMapView(const value_type* data, std::size_t size) : data_(data), size_(size) {}
-
-  const_iterator begin() const { return data_; }
-  const_iterator end() const { return data_ + size_; }
-
-  const_iterator find(const K& key) const {
-    const auto it = lower_bound(key);
-    return (it != end() && it->first == key) ? it : end();
-  }
-
-  std::size_t count(const K& key) const { return find(key) == end() ? 0 : 1; }
-
-  const V& at(const K& key) const {
-    const auto it = find(key);
-    if (it == end()) throw std::out_of_range("FlatMapView::at: missing key");
-    return it->second;
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  friend bool operator==(const FlatMapView& a, const FlatMapView& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  }
-
- private:
-  const_iterator lower_bound(const K& key) const {
-    return std::lower_bound(begin(), end(), key,
-                            [](const value_type& v, const K& k) { return v.first < k; });
-  }
-
-  const value_type* data_ = nullptr;
-  std::size_t size_ = 0;
 };
 
 }  // namespace sentinel::util

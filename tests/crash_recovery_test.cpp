@@ -20,6 +20,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint_store.h"
@@ -118,6 +120,23 @@ std::string run_uninterrupted(const Workload& w, std::size_t threads,
   return to_string(fleet.diagnose());
 }
 
+/// Removes a test-temp path when the process that created it exits. A
+/// forked child that runs exit handlers leaves its parent's files alone.
+class RemovedAtExit {
+ public:
+  explicit RemovedAtExit(std::string path) : path_(std::move(path)) {}
+  RemovedAtExit(const RemovedAtExit&) = delete;
+  RemovedAtExit& operator=(const RemovedAtExit&) = delete;
+  ~RemovedAtExit() {
+    std::error_code ec;
+    if (::getpid() == owner_) std::filesystem::remove_all(path_, ec);
+  }
+
+ private:
+  std::string path_;
+  pid_t owner_ = ::getpid();
+};
+
 const Workload& workload() {
   static const Workload w = [] {
     Workload out;
@@ -136,6 +155,8 @@ const Workload& workload() {
     out.baseline4 = run_uninterrupted(out, 4);
     return out;
   }();
+  // Traces and every test's stores live under the root: one removal.
+  static const RemovedAtExit cleanup{w.root};
   return w;
 }
 

@@ -3,7 +3,9 @@
 // tier off and with it on, must produce a DiagnosisReport rendering and
 // checkpoint bytes identical to the committed golden files, which were
 // generated by the pre-optimization implementation (the screened pair by the
-// implementation that still had a separate screened per-window path).
+// implementation that still had a separate screened per-window path), and
+// the same per-window series (c_i, o_i and every per-sensor alarm row) as
+// the implementation that still kept a window history wrote.
 // Any change to the per-window arithmetic (state identification, centroid
 // EMA, HMM updates, serialization order) shows up here as a byte diff.
 //
@@ -18,7 +20,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/scenario.h"
 #include "core/fleet.h"
 #include "core/pipeline.h"
 #include "faults/fault_models.h"
@@ -126,6 +131,55 @@ void check_golden(const GoldenRun& got, const std::string& stem) {
 
   EXPECT_EQ(got.report, want_report);
   EXPECT_EQ(got.checkpoint, want_ckpt);
+}
+
+/// One line per processed window: index, start, o_i, c_i, majority size,
+/// then each row's sensor, l_j, raw flag and filtered flag.
+std::string render_windows(const std::vector<core::WindowSummary>& windows) {
+  std::ostringstream os;
+  os.precision(17);
+  for (const auto& w : windows) {
+    os << w.window_index << ' ' << w.window_start << ' ' << w.observable << ' ' << w.correct
+       << ' ' << w.majority_size;
+    for (const auto& [sensor, info] : w.sensors) {
+      os << ' ' << sensor << ':' << info.mapped << ':' << info.raw_alarm << info.filtered_alarm;
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
+/// The golden scenario's window series, collected from last_window().
+std::string golden_windows(screen::ScreenMode screen_mode) {
+  sim::GdiEnvironmentConfig ec;
+  ec.duration_seconds = 7.0 * kSecondsPerDay;
+  ec.seed = 20260806;
+  const sim::GdiEnvironment env(ec);
+  const auto trace = golden_trace(env);
+  core::PipelineConfig cfg = golden_config(env);
+  cfg.screen.mode = screen_mode;
+  core::DetectionPipeline p(cfg);
+  return render_windows(bench::collect_windows(p, trace));
+}
+
+TEST(GoldenReport, WindowSeriesBytesUnchanged) {
+  // Both screen modes: screened, only the escalated sensors have rows.
+  const bool regen = std::getenv("SENTINEL_REGEN_GOLDEN") != nullptr;
+  for (const auto& [mode, stem] :
+       {std::pair{screen::ScreenMode::kOff, "scenario7d"},
+        std::pair{screen::ScreenMode::kScreen, "scenario7d.screened"}}) {
+    const std::string got = golden_windows(mode);
+    ASSERT_FALSE(got.empty()) << stem;
+    const std::string path = golden_path(std::string(stem) + ".windows.txt");
+    if (regen) {
+      std::ofstream(path, std::ios::binary) << got;
+      continue;
+    }
+    const std::string want = read_file(path);
+    ASSERT_FALSE(want.empty()) << "missing golden file; run with SENTINEL_REGEN_GOLDEN=1";
+    EXPECT_EQ(got, want) << stem;
+  }
+  if (regen) GTEST_SKIP() << "golden files regenerated at " << SENTINEL_GOLDEN_DIR;
 }
 
 TEST(GoldenReport, ScenarioReportAndCheckpointBytesUnchanged) {

@@ -75,8 +75,9 @@ TEST(Pipeline, CleanRunLearnsTheCycle) {
 TEST(Pipeline, ObservableTracksCorrectOnCleanData) {
   const CycleEnvironment env;
   DetectionPipeline p(test_config());
-  p.process_trace(simulate(env, kSecondsPerDay, nullptr));
-  for (const auto& w : p.history()) {
+  const auto windows = bench::collect_windows(p, simulate(env, kSecondsPerDay, nullptr));
+  ASSERT_EQ(windows.size(), p.windows_processed());
+  for (const auto& w : windows) {
     EXPECT_EQ(w.observable, w.correct);
   }
 }
@@ -112,10 +113,11 @@ TEST(Pipeline, AlarmsRaisedOnlyForFaultySensor) {
   plan->add(2, std::make_unique<faults::StuckAtFault>(AttrVec{20.0, 5.0}),
             0.5 * kSecondsPerDay);
   DetectionPipeline p(test_config());
-  p.process_trace(simulate(env, 2.0 * kSecondsPerDay, plan));
+  const auto windows = bench::collect_windows(p, simulate(env, 2.0 * kSecondsPerDay, plan));
+  ASSERT_EQ(windows.size(), p.windows_processed());
 
   std::size_t faulty_raw = 0, healthy_raw = 0, healthy_windows = 0;
-  for (const auto& w : p.history()) {
+  for (const auto& w : windows) {
     for (const auto& [id, info] : w.sensors) {
       if (id == 2) {
         faulty_raw += info.raw_alarm;
@@ -138,14 +140,40 @@ TEST(Pipeline, StreamingMatchesBatch) {
   DetectionPipeline batch(test_config());
   batch.process_trace(trace);
 
+  // The streaming side takes the trace as it comes, one add_record at a
+  // time, and keeps each window's summary as it closes.
   DetectionPipeline streaming(test_config());
-  for (const auto& rec : trace) streaming.add_record(rec);
+  std::vector<WindowSummary> streamed;
+  const auto take = [&] {
+    if (streaming.windows_processed() > streamed.size()) {
+      streamed.push_back(streaming.last_window());
+    }
+  };
+  for (const auto& rec : trace) {
+    streaming.add_record(rec);
+    take();
+  }
   streaming.finish();
+  take();
 
+  // process_trace itself against the streaming path: the same learned
+  // models, windower and alarm-filter state and counters, byte for byte.
   ASSERT_EQ(batch.windows_processed(), streaming.windows_processed());
-  for (std::size_t i = 0; i < batch.history().size(); ++i) {
-    EXPECT_EQ(batch.history()[i].correct, streaming.history()[i].correct) << i;
-    EXPECT_EQ(batch.history()[i].observable, streaming.history()[i].observable) << i;
+  ASSERT_EQ(streamed.size(), streaming.windows_processed());
+  std::ostringstream a, b;
+  batch.save_checkpoint(a, serialize::Format::kText, CheckpointScope::kResumable);
+  streaming.save_checkpoint(b, serialize::Format::kText, CheckpointScope::kResumable);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(batch.last_window().correct, streamed.back().correct);
+  EXPECT_EQ(batch.last_window().observable, streamed.back().observable);
+
+  // Window by window: process_trace's steps one record at a time.
+  DetectionPipeline collected(test_config());
+  const auto windows = bench::collect_windows(collected, trace);
+  ASSERT_EQ(windows.size(), streamed.size());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ(windows[i].correct, streamed[i].correct) << i;
+    EXPECT_EQ(windows[i].observable, streamed[i].observable) << i;
   }
 }
 
@@ -177,6 +205,25 @@ TEST(Pipeline, HandBuiltWindowMustMatchItsArrays) {
   EXPECT_EQ(p.windows_processed() + p.windows_skipped(), 0u);
   p.process_window(good);
   EXPECT_EQ(p.windows_processed(), 1u);
+}
+
+TEST(Pipeline, LastWindowKeepsAHandBuiltWindowsSensorOrder) {
+  // process_window does not sort a hand-built window's sensors, and
+  // last_window() must not demand it: a descending window is processed
+  // like any other, and its rows follow the window's order.
+  DetectionPipeline p(test_config());
+  p.process_window(bench::make_window(1, kSecondsPerHour, {2, 1, 0},
+                                      {{10.0, 80.0}, {10.5, 79.0}, {9.5, 81.0}}));
+  ASSERT_EQ(p.windows_processed(), 1u);
+  std::vector<SensorId> order;
+  for (const auto& [id, info] : p.last_window().sensors) order.push_back(id);
+  EXPECT_EQ(order, (std::vector<SensorId>{2, 1, 0}));
+
+  // A skipped window leaves the summary as it was.
+  p.process_window(bench::make_window(2, kSecondsPerHour, {0, 1}, {{10.0, 80.0}, {10.0, 80.0}}));
+  EXPECT_EQ(p.windows_skipped(), 1u);
+  EXPECT_EQ(p.last_window().window_index, 1u);
+  EXPECT_EQ(p.last_window().sensors.size(), 3u);
 }
 
 TEST(Pipeline, NanTimeSortsFirstWhereverItSits) {
@@ -218,17 +265,18 @@ TEST(Pipeline, CountersMirrorObservableActivity) {
   plan->add(2, std::make_unique<faults::StuckAtFault>(AttrVec{20.0, 5.0}),
             0.5 * kSecondsPerDay);
   DetectionPipeline p(test_config());
-  p.process_trace(simulate(env, 4.0 * kSecondsPerDay, plan));
+  const auto windows = bench::collect_windows(p, simulate(env, 4.0 * kSecondsPerDay, plan));
 
   const PipelineCounters c = p.counters();
   EXPECT_EQ(c.windows_processed, p.windows_processed());
   EXPECT_EQ(c.windows_skipped, p.windows_skipped());
   EXPECT_EQ(c.windows_processed, 96u);
+  ASSERT_EQ(windows.size(), c.windows_processed);
 
-  // Cross-check the alarm counters against the recorded history: the
-  // counters are the no-history view of the same events.
+  // Cross-check the alarm counters against the collected window series:
+  // the counters are the series-free view of the same events.
   std::size_t raw = 0, filtered = 0;
-  for (const auto& w : p.history()) {
+  for (const auto& w : windows) {
     for (const auto& [id, info] : w.sensors) {
       raw += info.raw_alarm;
       filtered += info.filtered_alarm;
@@ -248,24 +296,26 @@ TEST(Pipeline, CountersMirrorObservableActivity) {
 }
 
 TEST(Pipeline, StageTimersDoNotChangeResults) {
-  // stage_timers is observational only: identical history, identical
-  // diagnosis, identical counters -- the toggle adds clock reads, nothing
-  // else. (The golden tests pin the same property on full reports.)
+  // stage_timers is observational only: identical window series,
+  // identical diagnosis, identical counters -- the toggle adds clock reads,
+  // nothing else. (The golden tests pin the same property on full reports.)
   const CycleEnvironment env;
   const auto trace = simulate(env, 2.0 * kSecondsPerDay, nullptr);
 
   DetectionPipeline plain(test_config());
-  plain.process_trace(trace);
+  const auto plain_windows = bench::collect_windows(plain, trace);
 
   PipelineConfig cfg = test_config();
   cfg.stage_timers = true;
   DetectionPipeline timed(cfg);
-  timed.process_trace(trace);
+  const auto timed_windows = bench::collect_windows(timed, trace);
 
   ASSERT_EQ(plain.windows_processed(), timed.windows_processed());
-  for (std::size_t i = 0; i < plain.history().size(); ++i) {
-    EXPECT_EQ(plain.history()[i].correct, timed.history()[i].correct) << i;
-    EXPECT_EQ(plain.history()[i].observable, timed.history()[i].observable) << i;
+  ASSERT_EQ(plain_windows.size(), plain.windows_processed());
+  ASSERT_EQ(timed_windows.size(), timed.windows_processed());
+  for (std::size_t i = 0; i < plain_windows.size(); ++i) {
+    EXPECT_EQ(plain_windows[i].correct, timed_windows[i].correct) << i;
+    EXPECT_EQ(plain_windows[i].observable, timed_windows[i].observable) << i;
   }
   EXPECT_EQ(to_string(plain.diagnose()), to_string(timed.diagnose()));
   const PipelineCounters a = plain.counters();
@@ -280,14 +330,15 @@ TEST(Pipeline, MuteSensorSimplyDisappears) {
   auto plan = std::make_shared<faults::InjectionPlan>();
   plan->add(1, std::make_unique<faults::MuteFault>(), 0.25 * kSecondsPerDay);
   DetectionPipeline p(test_config());
-  p.process_trace(simulate(env, kSecondsPerDay, plan));
+  const auto windows = bench::collect_windows(p, simulate(env, kSecondsPerDay, plan));
 
   // The pipeline keeps running on the survivors; sensor 1 contributes no
   // windows after going mute and no track is fabricated for it.
   EXPECT_EQ(p.windows_processed(), 24u);
+  ASSERT_EQ(windows.size(), p.windows_processed());
   EXPECT_FALSE(p.tracks().has_active_track(1));
   std::size_t windows_with_1 = 0;
-  for (const auto& w : p.history()) windows_with_1 += w.sensors.count(1);
+  for (const auto& w : windows) windows_with_1 += w.sensors.count(1);
   EXPECT_LT(windows_with_1, 8u);
 }
 

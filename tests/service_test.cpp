@@ -24,7 +24,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.h"
@@ -73,9 +75,26 @@ core::PipelineConfig golden_config() {
   return cfg;
 }
 
-/// Path of the golden trace as an SNTRB1 file (written once per process).
-/// The pid keeps concurrent test processes (ctest -j) from rewriting the
-/// file under each other's readers.
+/// Removes a test-temp path when the process that created it exits. A
+/// forked child that runs exit handlers leaves its parent's files alone.
+class RemovedAtExit {
+ public:
+  explicit RemovedAtExit(std::string path) : path_(std::move(path)) {}
+  RemovedAtExit(const RemovedAtExit&) = delete;
+  RemovedAtExit& operator=(const RemovedAtExit&) = delete;
+  ~RemovedAtExit() {
+    std::error_code ec;
+    if (::getpid() == owner_) std::filesystem::remove_all(path_, ec);
+  }
+
+ private:
+  std::string path_;
+  pid_t owner_ = ::getpid();
+};
+
+/// Path of the golden trace as an SNTRB1 file (written once per process,
+/// removed when it exits). The pid keeps concurrent test processes (ctest
+/// -j) from rewriting the file under each other's readers.
 const std::string& golden_trace_path() {
   static const std::string path = [] {
     const std::string p = testing::TempDir() + "service_golden." +
@@ -83,6 +102,7 @@ const std::string& golden_trace_path() {
     write_trace_binary_file(p, golden_trace());
     return p;
   }();
+  static const RemovedAtExit cleanup{path};
   return path;
 }
 

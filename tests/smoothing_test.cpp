@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/scenario.h"
 #include "core/pipeline.h"
 #include "core/smoothing.h"
 #include "faults/fault_models.h"
@@ -76,9 +77,8 @@ TEST(Smoothing, PipelineCorrectSequenceAccessor) {
     cfg.initial_states.push_back(env.truth(t));
   }
   DetectionPipeline p(cfg);
-  p.process_trace(trace);
-
-  const auto seq = p.correct_sequence();
+  std::vector<StateId> seq;
+  for (const auto& w : bench::collect_windows(p, trace)) seq.push_back(w.correct);
   EXPECT_EQ(seq.size(), p.windows_processed());
   // Smoothing a clean run changes little.
   const auto smoothed = smooth_correct_sequence(p.m_c(), seq);
