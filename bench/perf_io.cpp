@@ -11,8 +11,8 @@
 //                     paths are measured against.
 //   csv_read_trace    today's read_trace (istream + getline, shared
 //                     zero-allocation line grammar).
-//   csv_zero_copy     CsvTraceReader: mmap, string_view slicing,
-//                     from_chars, decode-ahead on the shared pool, batch
+//   csv_zero_copy     CsvTraceReader: records parsed straight off the
+//                     mapping, decode-ahead on the shared pool, batch
 //                     reuse.
 //   binary            BinaryTraceReader over the SNTRB1 fixed-width format:
 //                     no parsing at all, just offset decoding.
@@ -21,21 +21,29 @@
 // and binary formats, where parse cost is diluted by detection work, and a
 // sized row: 16 synthetic CSV files of 262144 records each read round-robin
 // in 1024-record batches, the way fleet ingest pumps many regions' traces
-// from one producer thread.
+// from one producer thread. The sized row also reports cpu_ns_per_record
+// (the process CPU of every thread, decode workers included, over the timed
+// loop) and allocs_per_record, since its real time cannot show a CPU cut
+// while the pool has idle cores.
 //
 // Results are recorded in BENCH_io.json (see docs/PERFORMANCE.md).
 
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "core/fleet.h"
 #include "faults/fault_models.h"
@@ -49,7 +57,42 @@
 
 namespace {
 
+std::atomic<std::uint64_t> g_alloc_count{0};
+
+}  // namespace
+
+// Count every heap allocation in the process (the same minimal override as
+// perf_fleet), for the sized row's allocs_per_record.
+#if defined(__GNUC__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
 using namespace sentinel;
+
+/// CPU time of the whole process: every thread, the shared pool's included.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 // --- the seed's parser, verbatim (allocation-heavy baseline) ---------------
 
@@ -299,6 +342,9 @@ void BM_ReadCsvRoundRobinSized(benchmark::State& state) {
   const auto& f = sized_files();
   std::vector<SensorRecord> batch;
   std::size_t records = 0;
+  std::size_t all_records = 0;  // over every iteration
+  const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  const double cpu0 = process_cpu_s();
   for (auto _ : state) {
     std::vector<std::unique_ptr<TraceReader>> readers;
     for (const auto& path : f.paths) readers.push_back(std::make_unique<CsvTraceReader>(path));
@@ -317,9 +363,15 @@ void BM_ReadCsvRoundRobinSized(benchmark::State& state) {
         benchmark::DoNotOptimize(batch.data());
       }
     }
+    all_records += records;
   }
+  const double cpu_s = process_cpu_s() - cpu0;
+  const auto allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
   set_counters(state, records, f.bytes);
   state.counters["files"] = static_cast<double>(kSizedFiles);
+  const auto n = static_cast<double>(all_records);
+  state.counters["cpu_ns_per_record"] = cpu_s * 1e9 / n;
+  state.counters["allocs_per_record"] = static_cast<double>(allocs) / n;
 }
 
 }  // namespace

@@ -49,12 +49,23 @@ struct RecordBatch {
     attrs.clear();
   }
 
+  /// Appends `recs` in order. Each column is sized once for the whole span
+  /// and filled by index, so the copy pays no per-record capacity check.
   void append(std::span<const SensorRecord> recs) {
+    std::size_t n = size();
+    std::size_t a = attrs.size();
+    std::size_t width_sum = 0;
+    for (const SensorRecord& r : recs) width_sum += r.attrs.size();
+    sensors.resize(n + recs.size());
+    times.resize(n + recs.size());
+    widths.resize(n + recs.size());
+    attrs.resize(a + width_sum);
     for (const SensorRecord& r : recs) {
-      sensors.push_back(r.sensor);
-      times.push_back(r.time);
-      widths.push_back(static_cast<std::uint32_t>(r.attrs.size()));
-      attrs.insert(attrs.end(), r.attrs.begin(), r.attrs.end());
+      sensors[n] = r.sensor;
+      times[n] = r.time;
+      widths[n] = static_cast<std::uint32_t>(r.attrs.size());
+      ++n;
+      for (const double x : r.attrs) attrs[a++] = x;
     }
   }
 };

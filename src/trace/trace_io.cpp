@@ -23,84 +23,36 @@ std::optional<SensorId> to_sensor_id(double v) {
   return id;
 }
 
-namespace {
-
-// Fused single-scan parse of the dominant line shape:
-//   digits ',' number ',' number [',' number ...]
-// with no whitespace, exponents, or long mantissas. Numbers take the same
-// Clinger fast path as csv::parse_double (<= 15 significant digits, so one
-// division is correctly rounded) -- a line this accepts produces the exact
-// bits the general grammar would. Any deviation returns false and the caller
-// re-parses through the general path, so accept/reject semantics never
-// change; this only removes the per-field split + trim + call overhead from
-// the common case.
-bool parse_simple_line(std::string_view line, std::size_t dims, RecordBatch& out) {
-  const char* p = line.data();
-  const char* const end = p + line.size();
-
+const char* parse_trace_record(const char* p, const char* end, std::size_t dims,
+                               RecordBatch& out) {
   // Sensor id: plain decimal digits, range-checked against uint32.
   std::uint64_t id = 0;
   const char* const id_start = p;
-  while (p != end && *p >= '0' && *p <= '9') {
+  for (; p != end && *p >= '0' && *p <= '9'; ++p) {
     id = id * 10 + static_cast<std::uint64_t>(*p - '0');
-    if (id > 0xFFFFFFFFull) return false;
-    ++p;
+    if (id > 0xFFFFFFFFull) return nullptr;
   }
-  if (p == id_start || p == end || *p != ',') return false;
-  ++p;
-
-  static constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
-                                      1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
-  const auto parse_field = [&p, end](double& out_v) {
-    bool neg = false;
-    if (p != end && *p == '-') {
-      neg = true;
-      ++p;
-    }
-    std::uint64_t mant = 0;
-    int digits = 0;
-    int frac_digits = 0;
-    bool seen_point = false;
-    for (; p != end; ++p) {
-      const char c = *p;
-      if (c >= '0' && c <= '9') {
-        mant = mant * 10 + static_cast<std::uint64_t>(c - '0');
-        ++digits;
-        if (seen_point) ++frac_digits;
-      } else if (c == '.' && !seen_point) {
-        seen_point = true;
-      } else {
-        break;
-      }
-    }
-    if (digits == 0 || digits > 15 || (seen_point && frac_digits == 0)) return false;
-    const double v = static_cast<double>(mant) / kPow10[frac_digits];
-    out_v = neg ? -v : v;
-    return true;
-  };
-
+  if (p == id_start || p == end || *p != ',') return nullptr;
   double time = 0.0;
-  if (!parse_field(time) || p == end || *p != ',') return false;
-  ++p;
+  p = csv::parse_fixed(p + 1, end, time);
+  if (p == nullptr || p == end || *p != ',') return nullptr;
 
   const std::size_t base = out.attrs.size();
   out.attrs.resize(base + dims);
   double* const attrs = out.attrs.data() + base;
-  bool ok = true;
-  for (std::size_t i = 0; ok && i < dims; ++i) {
-    ok = parse_field(attrs[i]) && (i + 1 == dims || (p != end && *p++ == ','));
-  }
-  if (!ok || p != end) {  // trailing garbage / extra fields: re-check slowly
-    out.attrs.resize(base);
-    return false;
+  for (std::size_t i = 0; i < dims; ++i) {
+    p = csv::parse_fixed(p + 1, end, attrs[i]);  // p + 1: past the ',' before it
+    const bool last = i + 1 == dims;
+    if (p == nullptr || (last ? p != end && *p != '\n' : p == end || *p != ',')) {
+      out.attrs.resize(base);  // a malformed field, or more or fewer of them
+      return nullptr;
+    }
   }
   out.sensors.push_back(static_cast<SensorId>(id));
   out.times.push_back(time);
   out.widths.push_back(static_cast<std::uint32_t>(dims));
-  return true;
+  return p == end ? end : p + 1;
 }
-
-}  // namespace
 
 std::string to_string(const MalformedCounts& m) {
   return std::to_string(m.total()) + " malformed (field-count " +
@@ -113,9 +65,6 @@ LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, Re
                            std::vector<std::string_view>& fields) {
   if (line.empty()) return LineParse::kBlank;
   if (line.front() == '#') return LineParse::kComment;
-  if (expected_dims != 0 && parse_simple_line(line, expected_dims, out)) {
-    return LineParse::kRecord;
-  }
   csv::split_into(line, fields);
   // A width must fit RecordBatch::widths; no real line comes near.
   if (fields.size() < 3 || fields.size() - 2 > UINT32_MAX) return LineParse::kBadFieldCount;
@@ -163,7 +112,13 @@ TraceReadResult read_trace(std::istream& in, std::size_t expected_dims) {
   RecordBatch rec;  // holds the one line just parsed
   while (std::getline(in, line)) {
     rec.clear();
-    const LineParse p = parse_trace_line(line, expected_dims, rec, fields);
+    // The record parser first, as the batch reader does; a line it
+    // declines goes to the general grammar.
+    const char* const end = line.data() + line.size();
+    const bool simple =
+        expected_dims != 0 && parse_trace_record(line.data(), end, expected_dims, rec) != nullptr;
+    const LineParse p =
+        simple ? LineParse::kRecord : parse_trace_line(line, expected_dims, rec, fields);
     switch (p) {
       case LineParse::kRecord:
         result.records.push_back({rec.sensors[0], rec.times[0], rec.attrs});

@@ -6,13 +6,15 @@
 // deployment the paper evaluates on had missing and malformed packets, and
 // the methodology is expected to tolerate them.
 //
-// Two readers share the per-line grammar below, so they accept identical
-// record sets: read_trace (istream + getline, the simple path, and the
-// serial reference the reader tests compare against) and the decode-ahead
-// batch reader in trace/trace_reader.h (string_view slicing of the file's
-// mapping on the shared pool, the fast path). read_trace_file()
-// auto-detects the binary trace format (trace/binary_trace.h) by its magic,
-// so every file-path entry point takes either format.
+// Two readers share the grammar below, so they accept identical record
+// sets: read_trace (istream + getline, the simple path, and the serial
+// reference the reader tests compare against) and the decode-ahead batch
+// reader in trace/trace_reader.h (records parsed straight off the file's
+// mapping on the shared pool, the fast path). Both parse the common record
+// shape with parse_trace_record and every other line with the general
+// split grammar of parse_trace_line. read_trace_file() auto-detects the
+// binary trace format (trace/binary_trace.h) by its magic, so every
+// file-path entry point takes either format.
 
 #pragma once
 
@@ -105,12 +107,28 @@ struct TraceReadResult {
   util::Status status;
 };
 
-/// Parse one CSV line (without its newline) and, on kRecord, append the
-/// record to `out`; any other outcome leaves `out` as it was. Allocation-free
-/// once `out` and the `fields` split scratch have grown: fields are
-/// string_views into `line` and numbers parse with from_chars. `expected_dims`
-/// = 0 accepts any width >= 1 and is fixed by the first line that has at
-/// least three fields.
+/// The record parser: reads one record of the common shape
+///   digits ',' number ',' number [',' number ...]
+/// with exactly `dims` (>= 1) attributes straight from `p`, every number in
+/// csv::parse_fixed's shape (no whitespace, sign '+', exponent or more than
+/// 15 digits), and the record ending at a '\n' or at `end`. On success it
+/// appends the record to `out` and returns the position after that '\n'
+/// (or `end`), so a caller walking a buffer reads each such line once. On
+/// anything else it returns nullptr and leaves `out` as it was; the line
+/// may still be a record, which parse_trace_line decides. A record it
+/// accepts has the bits parse_trace_line would give it.
+const char* parse_trace_record(const char* p, const char* end, std::size_t dims,
+                               RecordBatch& out);
+
+/// The general grammar: parse one CSV line (without its newline) and, on
+/// kRecord, append the record to `out`; any other outcome leaves `out` as
+/// it was. The line is split into trimmed fields (string_views into
+/// `line`), whose numbers parse with csv::parse_double. Both readers give
+/// it only the lines parse_trace_record declines, and every line until the
+/// width is known; on its own it accepts the same records with the same
+/// bits, only slower. Allocation-free once `out` and the `fields` split
+/// scratch have grown. `expected_dims` = 0 accepts any width >= 1 and is
+/// fixed by the first line that has at least three fields.
 LineParse parse_trace_line(std::string_view line, std::size_t& expected_dims, RecordBatch& out,
                            std::vector<std::string_view>& fields);
 

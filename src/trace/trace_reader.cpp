@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "trace/binary_trace.h"
 #include "trace/trace_io.h"
@@ -68,15 +69,28 @@ struct CsvTraceReader::Chunk {
   void decode() {
     records.clear();
     events.clear();
-    for (std::string_view rest = text; !rest.empty();) {
-      const std::size_t nl = std::min(rest.find('\n'), rest.size());
-      const LineParse p = parse_trace_line(rest.substr(0, nl), dims, records, fields);
-      rest.remove_prefix(std::min(nl + 1, rest.size()));
-      if (p == LineParse::kRecord || p == LineParse::kBlank) continue;
-      if (!events.empty() && events.back().before == records.size() && events.back().kind == p) {
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    while (p != end) {
+      // A record of the common shape is read once, by the record parser.
+      if (dims != 0) {
+        if (const char* next = parse_trace_record(p, end, dims, records)) {
+          p = next;
+          continue;
+        }
+      }
+      // Any other line is found by its newline and goes to the general
+      // grammar.
+      const std::size_t left = static_cast<std::size_t>(end - p);
+      const auto* nl = static_cast<const char*>(std::memchr(p, '\n', left));
+      const std::size_t len = nl == nullptr ? left : static_cast<std::size_t>(nl - p);
+      const LineParse k = parse_trace_line({p, len}, dims, records, fields);
+      p = nl == nullptr ? end : nl + 1;
+      if (k == LineParse::kRecord || k == LineParse::kBlank) continue;
+      if (!events.empty() && events.back().before == records.size() && events.back().kind == k) {
         ++events.back().count;
       } else {
-        events.push_back({records.size(), p, 1});
+        events.push_back({records.size(), k, 1});
       }
     }
     state.store(kDone, std::memory_order_release);

@@ -89,6 +89,14 @@ class TraceReader {
 /// Decode-ahead CSV reader over a mapped file. `expected_dims` as in
 /// read_trace: 0 = fixed by the first line with at least three fields.
 ///
+/// Decode. A chunk is parsed straight off the mapping in one pass:
+/// parse_trace_record reads each record of the common shape and steps past
+/// its newline, so such a line is read once. Only a line it declines -- a
+/// comment, a blank, CRLF, padding, an exponent, more than 15 digits, a
+/// malformed field, or any line before the width is known -- is found with
+/// memchr and goes to parse_trace_line's general grammar. Records land in
+/// the chunk's flat RecordBatch columns.
+///
 /// Threads. The input is cut, on the caller's thread, into line-aligned
 /// chunks of about kChunkBytes (a chunk ends at the first newline at or
 /// after kChunkBytes, so a longer line makes a longer chunk), and up to
@@ -100,8 +108,9 @@ class TraceReader {
 /// serially). When a worker is decoding the chunk it needs next, read_batch
 /// decodes later chunks no worker has started before it waits, so the
 /// caller works instead of sleeping. While the dimensionality is still
-/// unknown, chunks decode serially on the caller. The constructor starts no decode; the destructor
-/// claims every queued chunk and waits out running ones before it unmaps.
+/// unknown, chunks decode serially on the caller. The constructor starts no
+/// decode; the destructor claims every queued chunk and waits out running
+/// ones before it unmaps.
 /// One reader is used by one thread at a time.
 ///
 /// Memory. kDepth + 1 chunks of decoded columns (recycled, so a warm reader

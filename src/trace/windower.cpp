@@ -136,7 +136,8 @@ void Windower::accumulate(SensorId sensor, double time, std::span<const double> 
   log_.sensors.push_back(sensor);
   log_.times.push_back(time);
   log_.widths.push_back(dims);
-  log_.attrs.insert(log_.attrs.end(), attrs.begin(), attrs.end());
+  // Element-wise: a handful of values, where insert() pays a memmove call.
+  for (const double x : attrs) log_.attrs.push_back(x);
 
   // Whole-window total: every record whose width matches the window's first.
   if (window_dims_ == kDimsUnset) {

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -63,48 +62,12 @@ std::optional<double> parse_double(std::string_view field) {
   }
   if (field.empty()) return std::nullopt;
 
-  // Exact fast path (Clinger): fixed-notation values with <= 15 significant
-  // digits. The mantissa fits a double exactly (10^15 < 2^53) and so does
-  // 10^frac_digits, so one division yields the correctly-rounded result --
-  // identical to from_chars, several times cheaper. Nearly every field a
-  // trace file holds ("300.125", "21.53625") takes this path; anything with
-  // an exponent, a long mantissa, or a bare trailing point falls through.
-  {
-    const char* p = field.data();
-    const char* const end = p + field.size();
-    bool neg = false;
-    if (*p == '-') {
-      neg = true;
-      ++p;
-    }
-    std::uint64_t mant = 0;
-    int digits = 0;
-    int frac_digits = 0;
-    bool seen_point = false;
-    bool simple = p != end;
-    for (; p != end; ++p) {
-      const char c = *p;
-      if (c >= '0' && c <= '9') {
-        mant = mant * 10 + static_cast<std::uint64_t>(c - '0');  // overflow -> digits > 15
-        ++digits;
-        if (seen_point) ++frac_digits;
-      } else if (c == '.' && !seen_point) {
-        seen_point = true;
-      } else {
-        simple = false;
-        break;
-      }
-    }
-    if (simple && digits > 0 && digits <= 15 && !(seen_point && frac_digits == 0)) {
-      static constexpr double kPow10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7,
-                                          1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
-      const double v = static_cast<double>(mant) / kPow10[frac_digits];
-      return neg ? -v : v;
-    }
-  }
-
+  // Nearly every field a trace file holds ("300.125", "21.53625") takes the
+  // exact fast path; an exponent, a long mantissa or a bare trailing point
+  // falls through to from_chars.
   double v = 0.0;
   const char* end = field.data() + field.size();
+  if (parse_fixed(field.data(), end, v) == end) return v;
   const auto [ptr, ec] = std::from_chars(field.data(), end, v);
   if (ec != std::errc{} || ptr != end) return std::nullopt;
   return v;
