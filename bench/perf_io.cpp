@@ -31,6 +31,7 @@
 #include <benchmark/benchmark.h>
 
 #include <time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
@@ -162,6 +163,26 @@ TraceReadResult read_trace(std::istream& in, std::size_t expected_dims) {
 
 // --- fixture: one trace, written once in both formats ----------------------
 
+/// The directory this process writes its input traces into, <temp>/perf_io.<pid>
+/// (~136 MB once every row has run). The process that made it removes it when
+/// it exits; a forked child that runs exit handlers leaves it alone.
+const std::filesystem::path& work_dir() {
+  struct Dir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() / ("perf_io." + std::to_string(::getpid()));
+    pid_t owner = ::getpid();
+    Dir() { std::filesystem::create_directories(path); }
+    Dir(const Dir&) = delete;
+    Dir& operator=(const Dir&) = delete;
+    ~Dir() {
+      std::error_code ec;
+      if (::getpid() == owner) std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
 struct TraceFiles {
   std::string csv_path;
   std::string bin_path;
@@ -189,8 +210,8 @@ const TraceFiles& trace_files() {
     const auto trace = simulator.run(ec.duration_seconds).trace;
 
     TraceFiles f;
-    f.csv_path = std::filesystem::temp_directory_path() / "perf_io_trace.csv";
-    f.bin_path = std::filesystem::temp_directory_path() / "perf_io_trace.snt";
+    f.csv_path = work_dir() / "trace.csv";
+    f.bin_path = work_dir() / "trace.snt";
     write_trace_file(f.csv_path, trace);
     // Binary holds the *parsed* CSV records so every path reads identical
     // doubles (CSV rounding happens exactly once).
@@ -328,8 +349,7 @@ const SizedFiles& sized_files() {
         const double day = std::sin(rec.time / kSecondsPerDay * 6.283185307179586);
         rec.attrs = {20.0 + 5.0 * day + jitter, 60.0 - 10.0 * day - jitter};
       }
-      f.paths.push_back(std::filesystem::temp_directory_path() /
-                        ("perf_io_sized_" + std::to_string(i) + ".csv"));
+      f.paths.push_back(work_dir() / ("sized_" + std::to_string(i) + ".csv"));
       write_trace_file(f.paths.back(), recs);
       f.bytes += std::filesystem::file_size(f.paths.back());
     }

@@ -1,6 +1,5 @@
 #include "core/alarms.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/serialize.h"
@@ -32,33 +31,9 @@ changepoint::AlarmFilterFactory make_filter_factory(const AlarmFilterConfig& cfg
 
 AlarmBank::AlarmBank(const AlarmFilterConfig& cfg) : factory_(make_filter_factory(cfg)) {}
 
-AlarmBank::Entry& AlarmBank::entry(SensorId sensor) {
-  if (sensor < kDenseLimit) {
-    if (sensor >= dense_.size()) {
-      // Grow geometrically: ascending first-window ids would otherwise
-      // reallocate once per sensor.
-      dense_.resize(std::max<std::size_t>(sensor + 1, dense_.size() * 2));
-    }
-    Entry& e = dense_[sensor];
-    if (!e.filter) e.filter = factory_();
-    return e;
-  }
-  auto it = sparse_.find(sensor);
-  if (it == sparse_.end()) it = sparse_.emplace(sensor, Entry{factory_(), 0, 0}).first;
-  return it->second;
-}
-
-const AlarmBank::Entry* AlarmBank::find_entry(SensorId sensor) const {
-  if (sensor < kDenseLimit) {
-    if (sensor < dense_.size() && dense_[sensor].filter) return &dense_[sensor];
-    return nullptr;
-  }
-  const auto it = sparse_.find(sensor);
-  return it == sparse_.end() ? nullptr : &it->second;
-}
-
 AlarmUpdate AlarmBank::update(SensorId sensor, bool raw_alarm) {
-  Entry& e = entry(sensor);
+  auto [e, created] = entries_.emplace(sensor);
+  if (created) e.filter = factory_();
 
   AlarmUpdate out;
   out.raw = raw_alarm;
@@ -73,54 +48,40 @@ AlarmUpdate AlarmBank::update(SensorId sensor, bool raw_alarm) {
 }
 
 bool AlarmBank::filtered_active(SensorId sensor) const {
-  const Entry* e = find_entry(sensor);
+  const Entry* e = entries_.find(sensor);
   return e != nullptr && e->filter->active();
 }
 
 std::size_t AlarmBank::raw_count(SensorId sensor) const {
-  const Entry* e = find_entry(sensor);
+  const Entry* e = entries_.find(sensor);
   return e == nullptr ? 0 : e->raw_count;
 }
 
 std::size_t AlarmBank::window_count(SensorId sensor) const {
-  const Entry* e = find_entry(sensor);
+  const Entry* e = entries_.find(sensor);
   return e == nullptr ? 0 : e->window_count;
 }
 
 void AlarmBank::save(serialize::Writer& w) const {
   serialize::tag(w, "alarm-bank");
-  // Count entries first: dense slots without a filter were never seen.
-  std::size_t n = 0;
-  for (const Entry& e : dense_) {
-    if (e.filter) ++n;
-  }
-  n += sparse_.size();
-  serialize::put(w, n);
-  // Ascending sensor order: dense ids are all < kDenseLimit <= sparse ids,
-  // so dense-then-sparse is already sorted.
-  for (SensorId id = 0; id < dense_.size(); ++id) {
-    const Entry& e = dense_[id];
-    if (!e.filter) continue;
+  serialize::put(w, entries_.size());
+  entries_.for_each([&](SensorId id, const Entry& e) {
     serialize::put(w, id);
     serialize::put(w, e.raw_count);
     serialize::put(w, e.window_count);
     e.filter->save(w);
-  }
-  for (const auto& [id, e] : sparse_) {
-    serialize::put(w, id);
-    serialize::put(w, e.raw_count);
-    serialize::put(w, e.window_count);
-    e.filter->save(w);
-  }
+  });
 }
 
 void AlarmBank::load(serialize::Reader& r) {
   serialize::expect(r, "alarm-bank");
   const auto n = serialize::get<std::size_t>(r);
   if (n > (1u << 26)) throw std::runtime_error("checkpoint: implausible alarm-bank size");
+  entries_.clear();
+  AscendingIds ids;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto id = serialize::get<SensorId>(r);
-    Entry& e = entry(id);  // stamps a fresh filter from the factory
+    Entry& e = entries_.emplace(ids.check(serialize::get<SensorId>(r))).first;
+    e.filter = factory_();  // load() below restores its state
     e.raw_count = serialize::get<std::size_t>(r);
     e.window_count = serialize::get<std::size_t>(r);
     e.filter->load(r);

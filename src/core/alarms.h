@@ -8,15 +8,13 @@
 
 #pragma once
 
-#include <map>
-#include <vector>
-
 #include "changepoint/alarm_filter.h"
 #include "changepoint/cusum.h"
 #include "changepoint/kofn.h"
 #include "changepoint/sprt.h"
 #include "core/config.h"
 #include "trace/record.h"
+#include "trace/sensor_table.h"
 #include "util/serialize_fwd.h"
 
 namespace sentinel::core {
@@ -46,8 +44,8 @@ class AlarmBank {
 
   /// Persist / restore every seen sensor's filter state and counters (the
   /// resumable-checkpoint section; filters themselves write their kind tag,
-  /// so a filter-config mismatch fails loudly on load). load() expects to
-  /// run on a bank built from the same AlarmFilterConfig.
+  /// so a filter-config mismatch fails loudly on load). load() replaces the
+  /// bank's state and expects a bank built from the same AlarmFilterConfig.
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r);
 
@@ -55,22 +53,13 @@ class AlarmBank {
   /// One entry per sensor: filter + counters live together so the hot
   /// update() touches a single entry per sensor per window.
   struct Entry {
-    changepoint::AlarmFilterPtr filter;  // null = sensor never seen (dense slots)
+    changepoint::AlarmFilterPtr filter;
     std::size_t raw_count = 0;
     std::size_t window_count = 0;
   };
 
-  /// Small sensor ids (every real deployment) index a flat vector -- update()
-  /// is then array indexing instead of a tree walk; pathological ids fall
-  /// back to the ordered map.
-  static constexpr SensorId kDenseLimit = 1u << 16;
-
-  Entry& entry(SensorId sensor);
-  const Entry* find_entry(SensorId sensor) const;
-
   changepoint::AlarmFilterFactory factory_;
-  std::vector<Entry> dense_;
-  std::map<SensorId, Entry> sparse_;
+  SensorTable<Entry> entries_;
 };
 
 }  // namespace sentinel::core

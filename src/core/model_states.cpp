@@ -305,11 +305,6 @@ void ModelStateSet::save(serialize::Writer& w) const {
   w.newline();
 }
 
-void ModelStateSet::save(std::ostream& os) const {
-  serialize::TextWriter w(os);
-  save(w);
-}
-
 ModelStateSet ModelStateSet::load(ModelStateConfig cfg, serialize::Reader& r) {
   serialize::expect(r, "model-states");
   const auto n = serialize::get<std::size_t>(r);
@@ -369,11 +364,6 @@ ModelStateSet ModelStateSet::load(ModelStateConfig cfg, serialize::Reader& r) {
     set.resolved_[from] = end;
   }
   return set;
-}
-
-ModelStateSet ModelStateSet::load(ModelStateConfig cfg, std::istream& is) {
-  const auto r = serialize::make_reader(is);
-  return load(cfg, *r);
 }
 
 std::optional<AttrVec> ModelStateSet::centroid(StateId id) const {

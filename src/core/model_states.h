@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -125,9 +124,7 @@ class ModelStateSet {
   /// The path-compressed resolution memo is derived state and not saved;
   /// load() rebuilds it from the raw lineage, so bytes match older saves.
   void save(serialize::Writer& w) const;
-  void save(std::ostream& os) const;
   static ModelStateSet load(ModelStateConfig cfg, serialize::Reader& r);
-  static ModelStateSet load(ModelStateConfig cfg, std::istream& is);
 
  private:
   void merge_close_states();

@@ -22,16 +22,16 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "hmm/hmm_slab.h"
 #include "hmm/online_hmm.h"
 #include "trace/record.h"
+#include "trace/sensor_table.h"
 #include "util/serialize_fwd.h"
-#include "util/sync.h"
 
 namespace sentinel::core {
 
@@ -84,10 +84,6 @@ class TrackManager {
   /// track's `m_ce` member is empty -- see combined_m_ce() for live state.
   const std::vector<Track>* tracks(SensorId sensor) const;
 
-  /// The most informative track of a sensor: the one with the most anomalous
-  /// observations (diagnosis wants the track that saw the fault longest).
-  const Track* best_track(SensorId sensor) const;
-
   /// Per-sensor evidence aggregated across ALL of the sensor's tracks: an
   /// intermittent fault (or a duty-cycled / state-gated attack) opens many
   /// short tracks, and the B^CE signature only becomes readable once their
@@ -108,12 +104,9 @@ class TrackManager {
   /// Checkpointing: every track (with its M_CE) and per-sensor aggregates.
   /// Active-lane state materializes on the way out, so the bytes are
   /// identical to what per-object storage would have written. load()
-  /// requires the same OnlineHmmConfig the saved instance had. The stream
-  /// overloads use the text codec on write, auto-detect on read.
+  /// requires the same OnlineHmmConfig the saved instance had.
   void save(serialize::Writer& w) const;
-  void save(std::ostream& os) const;
   static TrackManager load(hmm::OnlineHmmConfig hmm_cfg, serialize::Reader& r);
-  static TrackManager load(hmm::OnlineHmmConfig hmm_cfg, std::istream& is);
 
  private:
   struct Aggregate {
@@ -123,31 +116,26 @@ class TrackManager {
     // dirty flag on const reads (combined_m_ce, save).
     mutable hmm::OnlineHmm view;
     mutable bool view_dirty = true;
-    mutable util::CopyableMutex view_mu;
+    mutable std::mutex view_mu;
 
     Aggregate(hmm::OnlineHmmConfig cfg, std::uint32_t l) : lane(l), view(cfg) {}
   };
 
-  /// Small sensor ids answer has_active_track() from a flat flag array (the
-  /// pipeline asks for every sensor every window); larger ids walk the map.
-  static constexpr SensorId kDenseLimit = 1u << 16;
+  /// A sensor's record: its tracks, of which only the last can be active,
+  /// and its pooled M_CE from the first observe on. The aggregate lives out
+  /// of line so the table's dense vector stays small.
+  struct Sensor {
+    std::vector<Track> tracks;
+    std::unique_ptr<Aggregate> pooled;
 
-  void set_active_flag(SensorId sensor, bool active);
-  void set_active_track(SensorId sensor, Track* track);
-  Track* active_track(SensorId sensor);
-  Aggregate& aggregate_for(SensorId sensor);
+    bool tracking() const { return !tracks.empty() && tracks.back().active(); }
+  };
+
   const hmm::OnlineHmm& refreshed_view(const Aggregate& agg) const;
 
   hmm::OnlineHmmConfig hmm_cfg_;
   hmm::OnlineHmmSlab slab_;
-  std::map<SensorId, std::vector<Track>> tracks_;
-  std::map<SensorId, Aggregate> aggregates_;
-  std::vector<std::uint8_t> active_dense_;  // 1 = active track, ids < kDenseLimit
-  // Dense hot-path caches for ids < kDenseLimit: the sensor's active Track
-  // (map vector elements -- stable while the track is active) and its
-  // Aggregate (map nodes -- always stable).
-  std::vector<Track*> active_track_dense_;
-  std::vector<Aggregate*> aggregate_dense_;
+  SensorTable<Sensor> sensors_;
   bool in_window_ = false;
 };
 

@@ -334,22 +334,12 @@ void Hmm::save(serialize::Writer& w) const {
   w.newline();
 }
 
-void Hmm::save(std::ostream& os) const {
-  serialize::TextWriter w(os);
-  save(w);
-}
-
 Hmm Hmm::load(serialize::Reader& r) {
   serialize::expect(r, "hmm");
   Matrix a = serialize::get_matrix(r);
   Matrix b = serialize::get_matrix(r);
   auto pi = serialize::get_vector<double>(r);
   return Hmm(std::move(a), std::move(b), std::move(pi));
-}
-
-Hmm Hmm::load(std::istream& is) {
-  const auto r = serialize::make_reader(is);
-  return load(*r);
 }
 
 Hmm::Sample Hmm::sample(std::size_t length, Rng& rng) const {

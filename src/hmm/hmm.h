@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "util/matrix.h"
@@ -99,12 +98,9 @@ class Hmm {
   BaumWelchResult baum_welch(const std::vector<Sequence>& sequences,
                              const BaumWelchOptions& opts = {});
 
-  /// Checkpointing: full model (A, B, pi). The stream overloads use the text
-  /// codec on write and auto-detect text vs binary on read (util/serialize.h).
+  /// Checkpointing: full model (A, B, pi).
   void save(serialize::Writer& w) const;
-  void save(std::ostream& os) const;
   static Hmm load(serialize::Reader& r);
-  static Hmm load(std::istream& is);
 
   /// Sample a (states, symbols) trajectory of given length.
   struct Sample {

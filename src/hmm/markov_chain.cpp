@@ -193,11 +193,6 @@ void MarkovChain::save(serialize::Writer& w) const {
   w.newline();
 }
 
-void MarkovChain::save(std::ostream& os) const {
-  serialize::TextWriter w(os);
-  save(w);
-}
-
 MarkovChain MarkovChain::load(serialize::Reader& r) {
   serialize::expect(r, "markov-chain");
   MarkovChain mc;
@@ -221,11 +216,6 @@ MarkovChain MarkovChain::load(serialize::Reader& r) {
     throw std::runtime_error("checkpoint: duplicate markov-chain state ids");
   }
   return mc;
-}
-
-MarkovChain MarkovChain::load(std::istream& is) {
-  const auto r = serialize::make_reader(is);
-  return load(*r);
 }
 
 std::string MarkovChain::to_string() const {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -76,12 +75,9 @@ class MarkovChain {
 
   std::string to_string() const;
 
-  /// Checkpointing: counts, visits and id ordering. The stream overloads use
-  /// the text codec on write and auto-detect the codec on read.
+  /// Checkpointing: counts, visits and id ordering.
   void save(serialize::Writer& w) const;
-  void save(std::ostream& os) const;
   static MarkovChain load(serialize::Reader& r);
-  static MarkovChain load(std::istream& is);
 
  private:
   std::size_t intern(StateId id);

@@ -164,11 +164,6 @@ void OnlineHmm::save(serialize::Writer& w) const {
   w.newline();
 }
 
-void OnlineHmm::save(std::ostream& os) const {
-  serialize::TextWriter w(os);
-  save(w);
-}
-
 OnlineHmm OnlineHmm::load(OnlineHmmConfig cfg, serialize::Reader& r) {
   serialize::expect(r, "online-hmm");
   OnlineHmm m(cfg);
@@ -202,11 +197,6 @@ OnlineHmm OnlineHmm::load(OnlineHmmConfig cfg, serialize::Reader& r) {
     throw std::runtime_error("checkpoint: online-hmm last hidden state is not a hidden state");
   }
   return m;
-}
-
-OnlineHmm OnlineHmm::load(OnlineHmmConfig cfg, std::istream& is) {
-  const auto r = serialize::make_reader(is);
-  return load(cfg, *r);
 }
 
 }  // namespace sentinel::hmm

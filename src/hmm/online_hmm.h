@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <map>
 #include <optional>
@@ -98,12 +97,9 @@ class OnlineHmm {
   const OnlineHmmConfig& config() const { return cfg_; }
 
   /// Checkpointing: full estimator state (both gain variants). load()
-  /// requires the same OnlineHmmConfig the saved instance had. The stream
-  /// overloads use the text codec on write and auto-detect the codec on read.
+  /// requires the same OnlineHmmConfig the saved instance had.
   void save(serialize::Writer& w) const;
-  void save(std::ostream& os) const;
   static OnlineHmm load(OnlineHmmConfig cfg, serialize::Reader& r);
-  static OnlineHmm load(OnlineHmmConfig cfg, std::istream& is);
 
  private:
   // The slab (hmm/hmm_slab.h) stores the same estimator state in contiguous

@@ -71,37 +71,15 @@ ScreenBank::ScreenBank(const ScreenConfig& cfg, const kern::Kernels* kernels)
   }
 }
 
-ScreenBank::Entry& ScreenBank::entry(SensorId sensor) {
-  Entry* e;
-  if (sensor < kDenseLimit) {
-    if (sensor >= dense_.size()) dense_.resize(static_cast<std::size_t>(sensor) + 1);
-    e = &dense_[sensor];
-  } else {
-    e = &sparse_[sensor];
-  }
-  if (!e->seen) {
-    e->seen = true;
-    e->ring_base = static_cast<std::uint32_t>(rings_.size());
-    rings_.resize(rings_.size() + cfg_.window, 0.0);
-    ++sensors_;
-    ++escalated_now_;  // unseen sensors start escalated
-  }
-  return *e;
-}
-
-const ScreenBank::Entry* ScreenBank::find_entry(SensorId sensor) const {
-  if (sensor < kDenseLimit) {
-    if (sensor >= dense_.size() || !dense_[sensor].seen) return nullptr;
-    return &dense_[sensor];
-  }
-  const auto it = sparse_.find(sensor);
-  return it == sparse_.end() ? nullptr : &it->second;
+void ScreenBank::admit(Entry& e) {
+  e.ring_base = static_cast<std::uint32_t>(rings_.size());
+  rings_.resize(rings_.size() + cfg_.window, 0.0);
+  ++escalated_now_;
 }
 
 ScreenDecision ScreenBank::observe(SensorId sensor, double residual) {
-  StepAcc acc;
-  const ScreenDecision d = step(entry(sensor), residual, acc);
-  commit(acc);
+  ScreenDecision d;
+  observe_block(&sensor, &residual, 1, &d);
   return d;
 }
 
@@ -109,9 +87,11 @@ void ScreenBank::observe_block(const SensorId* sensors, const double* residuals,
                                std::size_t n, ScreenDecision* out) {
   StepAcc acc;
   for (std::size_t i = 0; i < n; ++i) {
-    // entry() can grow the arena, so the ring pointer inside step() is
+    // admit() can grow the arena, so the ring pointer inside step() is
     // resolved per sensor, after any allocation.
-    out[i] = step(entry(sensors[i]), residuals[i], acc);
+    auto [e, created] = entries_.emplace(sensors[i]);
+    if (created) [[unlikely]] admit(e);
+    out[i] = step(e, residuals[i], acc);
   }
   commit(acc);
 }
@@ -257,13 +237,7 @@ inline ScreenDecision ScreenBank::eval(Entry& e, double residual, StepAcc& acc) 
 }
 
 void ScreenBank::resolve(SensorId sensor, bool full_tier_clean) {
-  Entry* e = nullptr;
-  if (sensor < kDenseLimit) {
-    if (sensor < dense_.size() && dense_[sensor].seen) e = &dense_[sensor];
-  } else {
-    const auto it = sparse_.find(sensor);
-    if (it != sparse_.end()) e = &it->second;
-  }
+  Entry* e = entries_.find(sensor);
   if (e == nullptr || !e->escalated) return;
   if (full_tier_clean && !e->last_trip && e->count >= cfg_.window) {
     if (++e->clean_windows >= cfg_.deescalate_after) {
@@ -278,13 +252,13 @@ void ScreenBank::resolve(SensorId sensor, bool full_tier_clean) {
 }
 
 bool ScreenBank::is_escalated(SensorId sensor) const {
-  const Entry* e = find_entry(sensor);
+  const Entry* e = entries_.find(sensor);
   return e == nullptr ? true : e->escalated;
 }
 
 ScreenStats ScreenBank::stats() const {
   ScreenStats s;
-  s.sensors = sensors_;
+  s.sensors = entries_.size();
   s.escalated = escalated_now_;
   s.escalations = escalations_;
   s.deescalations = deescalations_;
@@ -295,30 +269,24 @@ ScreenStats ScreenBank::stats() const {
   return s;
 }
 
-void ScreenBank::save_entry(serialize::Writer& w, SensorId id, const Entry& e) const {
-  serialize::put(w, id);
-  // Fixed-width fields (the in-memory Entry packs these narrower).
-  serialize::put(w, static_cast<std::uint32_t>(e.count));
-  serialize::put(w, static_cast<std::uint32_t>(e.head));
-  serialize::put(w, e.sign_mask);
-  for (std::size_t i = 0; i < cfg_.window; ++i) serialize::put(w, rings_[e.ring_base + i]);
-  serialize::put(w, e.sum);
-  serialize::put(w, e.sumsq);
-  serialize::put(w, e.mu);
-  serialize::put(w, e.var);
-  serialize::put(w, e.baseline_ready);
-  serialize::put(w, e.escalated);
-  serialize::put(w, e.last_trip);
-  serialize::put(w, static_cast<std::uint32_t>(e.clean_windows));
-}
-
 void ScreenBank::save(serialize::Writer& w) const {
-  serialize::put(w, sensors_);
-  // Dense ids precede sparse ids numerically, so this emits ascending order.
-  for (SensorId id = 0; id < dense_.size(); ++id) {
-    if (dense_[id].seen) save_entry(w, id, dense_[id]);
-  }
-  for (const auto& [id, e] : sparse_) save_entry(w, id, e);
+  serialize::put(w, entries_.size());
+  entries_.for_each([&](SensorId id, const Entry& e) {
+    serialize::put(w, id);
+    // Fixed-width fields (the in-memory Entry packs these narrower).
+    serialize::put(w, static_cast<std::uint32_t>(e.count));
+    serialize::put(w, static_cast<std::uint32_t>(e.head));
+    serialize::put(w, e.sign_mask);
+    for (std::size_t i = 0; i < cfg_.window; ++i) serialize::put(w, rings_[e.ring_base + i]);
+    serialize::put(w, e.sum);
+    serialize::put(w, e.sumsq);
+    serialize::put(w, e.mu);
+    serialize::put(w, e.var);
+    serialize::put(w, e.baseline_ready);
+    serialize::put(w, e.escalated);
+    serialize::put(w, e.last_trip);
+    serialize::put(w, static_cast<std::uint32_t>(e.clean_windows));
+  });
   serialize::put(w, escalations_);
   serialize::put(w, deescalations_);
   serialize::put(w, chi2_trips_);
@@ -328,15 +296,14 @@ void ScreenBank::save(serialize::Writer& w) const {
 }
 
 void ScreenBank::load(serialize::Reader& r) {
-  dense_.clear();
-  sparse_.clear();
+  entries_.clear();
   rings_.clear();
-  sensors_ = 0;
   escalated_now_ = 0;
   const auto n = serialize::get<std::size_t>(r);
+  AscendingIds ids;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto id = serialize::get<SensorId>(r);
-    Entry& e = entry(id);
+    Entry& e = entries_.emplace(ids.check(serialize::get<SensorId>(r))).first;
+    admit(e);
     const auto count = serialize::get<std::uint32_t>(r);
     const auto head = serialize::get<std::uint32_t>(r);
     if (head >= cfg_.window) {
@@ -354,7 +321,7 @@ void ScreenBank::load(serialize::Reader& r) {
     e.var = serialize::get<double>(r);
     e.baseline_ready = serialize::get_bool(r);
     const bool escalated = serialize::get_bool(r);
-    if (!escalated) --escalated_now_;  // entry() counted it escalated
+    if (!escalated) --escalated_now_;  // admit() counted it escalated
     e.escalated = escalated;
     e.last_trip = serialize::get_bool(r);
     e.clean_windows =

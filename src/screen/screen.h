@@ -43,11 +43,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "trace/record.h"
+#include "trace/sensor_table.h"
 #include "util/kernels.h"
 #include "util/serialize_fwd.h"
 #include "util/vecn.h"
@@ -156,13 +156,14 @@ class ScreenBank {
 
   /// Persist / restore every sensor's ring, baseline, and escalation state
   /// plus the tier totals (the "sentinel-screen-v1" checkpoint section).
-  /// load() expects a bank built from the same ScreenConfig.
+  /// load() replaces the bank's state and expects a bank built from the
+  /// same ScreenConfig.
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r);
 
  private:
   /// One cache line per sensor. The residual ring itself lives in the
-  /// bank-level `rings_` arena (entries allocated in first-touch order, so
+  /// bank-level `rings_` arena (rings allocated in first-touch order, so
   /// a fleet iterating sensors in id order walks the arena sequentially) --
   /// a per-entry heap block would cost a dependent pointer chase per sensor
   /// per window on the line-rate path.
@@ -187,12 +188,7 @@ class ScreenBank {
     bool baseline_ready = false;
     bool escalated = true;        // full path owns unseen sensors
     bool last_trip = false;       // either screen fired on the last window
-    bool seen = false;            // dense slots: entry actually observed
   };
-
-  /// Small sensor ids index a flat vector (same policy as AlarmBank);
-  /// pathological ids fall back to the ordered map.
-  static constexpr SensorId kDenseLimit = 1u << 16;
 
   /// Per-block tallies kept in registers: the bank's member counters share
   /// a store type with Entry fields, so updating them inside the hot loop
@@ -205,8 +201,9 @@ class ScreenBank {
     std::size_t escalated_windows = 0;
   };
 
-  Entry& entry(SensorId sensor);
-  const Entry* find_entry(SensorId sensor) const;
+  /// First sight of a sensor: give it a ring in the arena; it starts
+  /// escalated.
+  void admit(Entry& e);
   /// The per-sensor update, split hot/cold: step() is call-free (fully
   /// enregisterable inside observe_block's loop); the rare kernel work --
   /// per-lap re-reduce and the one-time baseline freeze -- lives in the
@@ -218,13 +215,11 @@ class ScreenBank {
   ScreenDecision eval(Entry& e, double residual, StepAcc& acc);
   void commit(const StepAcc& acc);
   void recount_runs(Entry& e) const;
-  void save_entry(serialize::Writer& w, SensorId id, const Entry& e) const;
 
   ScreenConfig cfg_;
   const kern::Kernels* kernels_;
-  std::vector<Entry> dense_;
-  std::map<SensorId, Entry> sparse_;
-  std::vector<double> rings_;  // ring arena, `window` doubles per seen entry
+  SensorTable<Entry> entries_;
+  std::vector<double> rings_;  // ring arena, `window` doubles per entry
 
   /// Runs-test constants indexed by np (signs above baseline): the expected
   /// run count and the squared-deviation trip limit depend only on np and W,
@@ -236,7 +231,6 @@ class ScreenBank {
   std::vector<double> runs_er_;
   std::vector<double> runs_thr_;
 
-  std::size_t sensors_ = 0;
   std::size_t escalated_now_ = 0;
   std::size_t escalations_ = 0;
   std::size_t deescalations_ = 0;

@@ -46,11 +46,6 @@ namespace sentinel {
 
 namespace {
 
-// Fibonacci-style mix so consecutive sensor ids spread across the table.
-inline std::size_t hash_id(SensorId id) {
-  return static_cast<std::size_t>(id) * 0x9E3779B97F4A7C15ull;
-}
-
 [[noreturn]] void throw_dims_mismatch(std::uint32_t have, std::uint32_t got) {
   throw std::invalid_argument("AttrVec dimension mismatch: " + std::to_string(have) + " vs " +
                               std::to_string(got));
@@ -82,39 +77,22 @@ void sort_by_time(std::vector<SensorRecord>& records) {
 
 Windower::Windower(double window_seconds) : window_seconds_(window_seconds) {
   if (!(window_seconds_ > 0.0)) throw std::invalid_argument("Windower: window must be positive");
-  ht_.assign(64, 0);
 }
 
 std::uint32_t Windower::slot_for(SensorId id) {
-  std::size_t mask = ht_.size() - 1;
-  std::size_t h = hash_id(id) & mask;
-  while (ht_[h] != 0) {
-    const std::uint32_t s = ht_[h] - 1;
-    if (slot_ids_[s] == id) return s;
-    h = (h + 1) & mask;
+  const auto next = static_cast<std::uint32_t>(slot_ids_.size());
+  const auto [slot, created] = slots_.emplace(id, next);
+  if (created) {
+    // First sight of this sensor: append a slot (the only allocating event
+    // on the accumulate path, amortized to zero once the fleet's id set is
+    // seen).
+    slot_ids_.push_back(id);
+    slot_counts_.push_back(0);
+    slot_dims_.push_back(kDimsUnset);
+    slot_conflict_.push_back(kDimsUnset);
+    sums_.resize(sums_.size() + stride_, 0.0);
   }
-  // First sight of this sensor: append a slot (the only allocating event on
-  // the accumulate path, amortized to zero once the fleet's id set is seen).
-  const auto s = static_cast<std::uint32_t>(slot_ids_.size());
-  slot_ids_.push_back(id);
-  slot_counts_.push_back(0);
-  slot_dims_.push_back(kDimsUnset);
-  slot_conflict_.push_back(kDimsUnset);
-  sums_.resize(sums_.size() + stride_, 0.0);
-  ht_[h] = s + 1;
-  if ((slot_ids_.size() + 1) * 4 > ht_.size() * 3) rehash();
-  return s;
-}
-
-void Windower::rehash() {
-  std::vector<std::uint32_t> bigger(ht_.size() * 2, 0);
-  const std::size_t mask = bigger.size() - 1;
-  for (std::uint32_t s = 0; s < slot_ids_.size(); ++s) {
-    std::size_t h = hash_id(slot_ids_[s]) & mask;
-    while (bigger[h] != 0) h = (h + 1) & mask;
-    bigger[h] = s + 1;
-  }
-  ht_.swap(bigger);
+  return slot;
 }
 
 void Windower::grow_stride(std::size_t dims) {

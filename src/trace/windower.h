@@ -11,10 +11,12 @@
 // of a window: no raw samples and no per-sensor map are kept.
 //
 // The windower itself is columnar: per-sensor running sums live in
-// slot-indexed SoA arenas (O(1) sensor-id -> slot, reused across windows),
-// each record is added straight into its sensor's sum row and the window
-// total in arrival order, and every per-window container is recycled, so the
-// steady-state ingest path performs zero allocations per record.
+// slot-indexed SoA arenas, reused across windows. A sensor's slot is numbered
+// on first sight and found through a SensorTable (array indexing for every
+// real deployment's ids). Each record is added straight into its sensor's sum
+// row and the window total in arrival order, and every per-window container
+// is recycled, so the steady-state ingest path performs zero allocations per
+// record.
 // Finalization reproduces the legacy map-based accumulation order
 // bit-for-bit (see windower.cpp), so goldens and checkpoints are unchanged.
 
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "trace/record.h"
+#include "trace/sensor_table.h"
 #include "util/serialize_fwd.h"
 
 namespace sentinel {
@@ -173,7 +176,6 @@ class Windower {
   void accumulate(SensorId sensor, double time, std::span<const double> attrs);
   std::uint32_t slot_for(SensorId id);
   void grow_stride(std::size_t dims);
-  void rehash();
   /// Build the completed window into `out` (recycling its buffers) from the
   /// columnar state, then reset the per-window accumulators. Throws the
   /// legacy dimension-mismatch errors (see windower.cpp); the window's
@@ -190,10 +192,10 @@ class Windower {
   // when the window closes. This is the checkpoint byte format.
   RecordBatch log_;
 
-  // Columnar per-sensor state. Slots are assigned on first sight of a sensor
-  // id and persist for the windower's lifetime; per-window fields (counts,
-  // dims, sums rows) are reset for touched slots only.
-  std::vector<std::uint32_t> ht_;            // open-addressing: slot + 1, 0 = empty
+  // Columnar per-sensor state. Slots are numbered in first-seen order and
+  // persist for the windower's lifetime; per-window fields (counts, dims,
+  // sums rows) are reset for touched slots only.
+  SensorTable<std::uint32_t> slots_;         // sensor id -> slot
   std::vector<SensorId> slot_ids_;           // slot -> sensor id
   std::vector<std::size_t> slot_counts_;     // samples this window
   std::vector<std::uint32_t> slot_dims_;     // dims of the slot's first sample

@@ -113,7 +113,7 @@ TEST(TrackManagerTest, ObserveWithoutTrackIgnored) {
   EXPECT_TRUE(tm.tracked_sensors().empty());
 }
 
-TEST(TrackManagerTest, BestTrackIsMostAnomalous) {
+TEST(TrackManagerTest, TracksCountAnomaliesPerTrack) {
   TrackManager tm(hmm_cfg());
   tm.open(5, 1);
   tm.observe(5, 1, 7);
@@ -123,11 +123,14 @@ TEST(TrackManagerTest, BestTrackIsMostAnomalous) {
   tm.observe(5, 1, 8);
   tm.observe(5, 2, 8);
   tm.close(5, 14);
-  const Track* best = tm.best_track(5);
-  ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->opened_window, 10u);
-  EXPECT_EQ(best->anomalous_observations, 3u);
-  EXPECT_EQ(tm.best_track(99), nullptr);
+  const auto* tracks = tm.tracks(5);
+  ASSERT_NE(tracks, nullptr);
+  ASSERT_EQ(tracks->size(), 2u);
+  EXPECT_EQ((*tracks)[0].anomalous_observations, 1u);
+  EXPECT_EQ((*tracks)[1].opened_window, 10u);
+  EXPECT_EQ((*tracks)[1].anomalous_observations, 3u);
+  EXPECT_EQ(tm.total_anomalies(5), 4u);
+  EXPECT_EQ(tm.tracks(99), nullptr);
 }
 
 TEST(TrackManagerTest, TrackedSensors) {

@@ -3,14 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/autotune.h"
 #include "core/pipeline.h"
 #include "faults/fault_models.h"
 #include "faults/injection_plan.h"
 #include "hmm/hmm.h"
 #include "sim/simulator.h"
+#include "text_codec.h"
 
 namespace sentinel::core {
 namespace {
@@ -95,9 +94,7 @@ TEST(Autotune, ThrowsOnTooShortTrace) {
 TEST(HmmSaveLoad, RoundTripExact) {
   Rng rng(5, "hmm-ckpt");
   const auto model = hmm::Hmm::random(4, 6, rng);
-  std::stringstream ss;
-  model.save(ss);
-  const auto loaded = hmm::Hmm::load(ss);
+  const auto loaded = hmm::Hmm::load(test::ReaderOver(test::text_bytes(model)));
   EXPECT_DOUBLE_EQ(loaded.transition().max_abs_diff(model.transition()), 0.0);
   EXPECT_DOUBLE_EQ(loaded.emission().max_abs_diff(model.emission()), 0.0);
   EXPECT_EQ(loaded.initial(), model.initial());
@@ -107,10 +104,8 @@ TEST(HmmSaveLoad, RoundTripExact) {
 }
 
 TEST(HmmSaveLoad, RejectsCorruptedInput) {
-  std::stringstream bad("hmm\n2 2 0.5 0.5 0.9");
-  EXPECT_THROW(hmm::Hmm::load(bad), std::runtime_error);
-  std::stringstream wrong("markov-chain\n");
-  EXPECT_THROW(hmm::Hmm::load(wrong), std::runtime_error);
+  EXPECT_THROW(hmm::Hmm::load(test::ReaderOver("hmm\n2 2 0.5 0.5 0.9")), std::runtime_error);
+  EXPECT_THROW(hmm::Hmm::load(test::ReaderOver("markov-chain\n")), std::runtime_error);
 }
 
 }  // namespace

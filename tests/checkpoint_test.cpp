@@ -9,12 +9,16 @@
 #include <string>
 #include <vector>
 
+#include "core/alarms.h"
 #include "core/pipeline.h"
+#include "core/tracks.h"
 #include "faults/fault_models.h"
 #include "faults/injection_plan.h"
 #include "hmm/markov_chain.h"
 #include "hmm/online_hmm.h"
+#include "screen/screen.h"
 #include "sim/simulator.h"
+#include "text_codec.h"
 #include "util/serialize.h"
 
 namespace sentinel {
@@ -32,9 +36,7 @@ TEST(Checkpoint, OnlineHmmRoundTripExact) {
               (x >> 17) % 7 == 0 ? hmm::kBottomSymbol
                                  : static_cast<hmm::StateId>((x >> 17) % 7));
   }
-  std::stringstream ss;
-  m.save(ss);
-  const auto loaded = hmm::OnlineHmm::load(cfg, ss);
+  const auto loaded = hmm::OnlineHmm::load(cfg, test::ReaderOver(test::text_bytes(m)));
 
   EXPECT_EQ(loaded.steps(), m.steps());
   EXPECT_EQ(loaded.hidden_states(), m.hidden_states());
@@ -55,10 +57,10 @@ TEST(Checkpoint, OnlineHmmRoundTripExact) {
 }
 
 TEST(Checkpoint, OnlineHmmRejectsGarbage) {
-  std::stringstream ss("not-a-checkpoint 1 2 3");
-  EXPECT_THROW(hmm::OnlineHmm::load({}, ss), std::runtime_error);
-  std::stringstream truncated("online-hmm\n3 1 2 3");
-  EXPECT_THROW(hmm::OnlineHmm::load({}, truncated), std::runtime_error);
+  EXPECT_THROW(hmm::OnlineHmm::load({}, test::ReaderOver("not-a-checkpoint 1 2 3")),
+               std::runtime_error);
+  EXPECT_THROW(hmm::OnlineHmm::load({}, test::ReaderOver("online-hmm\n3 1 2 3")),
+               std::runtime_error);
 }
 
 /// An online-hmm record written field by field in save()'s order: six hidden
@@ -101,8 +103,7 @@ struct OnlineHmmRecord {
 };
 
 hmm::OnlineHmm load_record(const OnlineHmmRecord& rec) {
-  std::istringstream is(rec.bytes());
-  return hmm::OnlineHmm::load({}, is);
+  return hmm::OnlineHmm::load({}, test::ReaderOver(rec.bytes()));
 }
 
 TEST(Checkpoint, OnlineHmmRejectsWrongShapedCountsAndUnknownLastState) {
@@ -135,9 +136,7 @@ TEST(Checkpoint, OnlineHmmRejectsWrongShapedCountsAndUnknownLastState) {
 TEST(Checkpoint, MarkovChainRoundTrip) {
   hmm::MarkovChain mc;
   mc.add_sequence({5, 9, 5, 5, 9, 2, 5});
-  std::stringstream ss;
-  mc.save(ss);
-  const auto loaded = hmm::MarkovChain::load(ss);
+  const auto loaded = hmm::MarkovChain::load(test::ReaderOver(test::text_bytes(mc)));
   EXPECT_EQ(loaded.states(), mc.states());
   EXPECT_EQ(loaded.total_transitions(), mc.total_transitions());
   EXPECT_EQ(loaded.visit_count(5), mc.visit_count(5));
@@ -153,9 +152,7 @@ TEST(Checkpoint, ModelStateSetRoundTrip) {
   s.maybe_spawn({{50.0, 50.0}});
   s.update({{1.0, 1.0}, {49.0, 50.0}});
 
-  std::stringstream ss;
-  s.save(ss);
-  auto loaded = core::ModelStateSet::load(cfg, ss);
+  auto loaded = core::ModelStateSet::load(cfg, test::ReaderOver(test::text_bytes(s)));
   ASSERT_EQ(loaded.size(), s.size());
   for (std::size_t i = 0; i < s.states().size(); ++i) {
     EXPECT_EQ(loaded.states()[i].id, s.states()[i].id);
@@ -180,9 +177,8 @@ TEST(Checkpoint, TrackManagerRoundTrip) {
   tm.open(9, 21);
   tm.observe(9, 1, 8);
 
-  std::stringstream ss;
-  tm.save(ss);
-  const auto loaded = core::TrackManager::load(hmm::OnlineHmmConfig{}, ss);
+  const auto loaded =
+      core::TrackManager::load(hmm::OnlineHmmConfig{}, test::ReaderOver(test::text_bytes(tm)));
 
   EXPECT_EQ(loaded.tracked_sensors(), tm.tracked_sensors());
   EXPECT_EQ(loaded.total_tracks(), tm.total_tracks());
@@ -193,6 +189,164 @@ TEST(Checkpoint, TrackManagerRoundTrip) {
   EXPECT_TRUE(loaded.has_active_track(9));
   ASSERT_NE(loaded.combined_m_ce(4), nullptr);
   EXPECT_EQ(loaded.combined_m_ce(4)->steps(), tm.combined_m_ce(4)->steps());
+}
+
+// Per-sensor sections written field by field in save()'s order. save()
+// walks each bank's SensorTable, so its ids strictly ascend; these let a test
+// list the same sensor twice, or out of order, as no save() would.
+
+/// A tracks section: one track per entry of `tracks` (sensor, still active),
+/// then one pooled M_CE per entry of `pooled`.
+std::string tracks_section(const std::vector<std::pair<SensorId, bool>>& tracks,
+                           const std::vector<SensorId>& pooled) {
+  std::ostringstream os;
+  serialize::TextWriter w(os);
+  serialize::tag(w, "tracks");
+  serialize::put(w, tracks.size());
+  for (const auto& [sensor, active] : tracks) {
+    serialize::put(w, sensor);
+    serialize::put(w, std::size_t{1});  // tracks of this sensor
+    serialize::put(w, std::size_t{3});  // opened_window
+    serialize::put(w, !active);         // closed
+    serialize::put(w, std::size_t{active ? 0u : 4u});
+    serialize::put(w, std::size_t{0});  // observations
+    serialize::put(w, std::size_t{0});  // anomalous_observations
+    hmm::OnlineHmm(hmm::OnlineHmmConfig{}).save(w);
+  }
+  serialize::put(w, pooled.size());
+  for (const SensorId sensor : pooled) {
+    serialize::put(w, sensor);
+    serialize::put(w, std::size_t{0});  // anomalous
+    hmm::OnlineHmm(hmm::OnlineHmmConfig{}).save(w);
+  }
+  w.newline();
+  return os.str();
+}
+
+core::TrackManager load_tracks(const std::string& bytes) {
+  return core::TrackManager::load(hmm::OnlineHmmConfig{}, test::ReaderOver(bytes));
+}
+
+std::string alarm_section(const std::vector<SensorId>& ids) {
+  std::ostringstream os;
+  serialize::TextWriter w(os);
+  serialize::tag(w, "alarm-bank");
+  serialize::put(w, ids.size());
+  const auto make_filter = core::make_filter_factory(core::AlarmFilterConfig{});
+  for (const SensorId id : ids) {
+    serialize::put(w, id);
+    serialize::put(w, std::size_t{1});  // raw_count
+    serialize::put(w, std::size_t{2});  // window_count
+    make_filter()->save(w);
+  }
+  return os.str();
+}
+
+/// A screen section whose sensors all have a ready baseline and are screened
+/// (not escalated).
+std::string screen_section(const screen::ScreenConfig& cfg, const std::vector<SensorId>& ids) {
+  std::ostringstream os;
+  serialize::TextWriter w(os);
+  serialize::put(w, ids.size());
+  for (const SensorId id : ids) {
+    serialize::put(w, id);
+    serialize::put(w, std::uint32_t{40});  // count
+    serialize::put(w, std::uint32_t{0});   // head
+    serialize::put(w, std::uint64_t{0});   // sign_mask
+    for (std::size_t i = 0; i < cfg.window; ++i) serialize::put(w, 0.0);
+    serialize::put(w, 0.0);    // sum
+    serialize::put(w, 0.0);    // sumsq
+    serialize::put(w, 0.0);    // mu
+    serialize::put(w, 1.0);    // var
+    serialize::put(w, true);   // baseline_ready
+    serialize::put(w, false);  // escalated
+    serialize::put(w, false);  // last_trip
+    serialize::put(w, std::uint32_t{0});  // clean_windows
+  }
+  for (int i = 0; i < 6; ++i) serialize::put(w, std::size_t{0});  // tier totals
+  return os.str();
+}
+
+TEST(Checkpoint, TrackManagerRefusesARepeatedOrDescendingSensor) {
+  const auto ok = load_tracks(tracks_section({{3, false}, {5, true}}, {3, 5}));
+  EXPECT_TRUE(ok.has_active_track(5));
+  EXPECT_EQ(ok.total_tracks(), 2u);
+  ASSERT_NE(ok.combined_m_ce(3), nullptr);
+
+  // Sensor 5 twice: an active track, then a closed one appended to the same
+  // list. A load that took it would grow that list after the active track
+  // was found, so anything holding the track would point at freed memory.
+  EXPECT_THROW(load_tracks(tracks_section({{5, true}, {5, false}}, {})), std::runtime_error);
+  EXPECT_THROW(load_tracks(tracks_section({{5, false}, {3, false}}, {})), std::runtime_error);
+  // The aggregates part of the section is held to the same rule.
+  EXPECT_THROW(load_tracks(tracks_section({{5, true}}, {5, 5})), std::runtime_error);
+  EXPECT_THROW(load_tracks(tracks_section({{3, false}, {5, true}}, {5, 3})),
+               std::runtime_error);
+}
+
+TEST(Checkpoint, AlarmBankRefusesARepeatedOrDescendingSensor) {
+  core::AlarmBank ok(core::AlarmFilterConfig{});
+  ok.load(test::ReaderOver(alarm_section({3, 5})));
+  EXPECT_EQ(ok.raw_count(5), 1u);
+  EXPECT_EQ(ok.window_count(3), 2u);
+
+  core::AlarmBank repeated(core::AlarmFilterConfig{});
+  EXPECT_THROW(repeated.load(test::ReaderOver(alarm_section({5, 5}))), std::runtime_error);
+  core::AlarmBank descending(core::AlarmFilterConfig{});
+  EXPECT_THROW(descending.load(test::ReaderOver(alarm_section({5, 3}))), std::runtime_error);
+}
+
+TEST(Checkpoint, ScreenBankRefusesARepeatedOrDescendingSensor) {
+  screen::ScreenConfig cfg;
+  cfg.mode = screen::ScreenMode::kScreen;
+  screen::ScreenBank ok(cfg);
+  ok.load(test::ReaderOver(screen_section(cfg, {3, 5})));
+  EXPECT_EQ(ok.stats().sensors, 2u);
+  EXPECT_EQ(ok.stats().escalated, 0u);
+  EXPECT_FALSE(ok.is_escalated(5));
+
+  // Sensor 3 twice, screened both times: a load that took it would load the
+  // second record over the first and take the sensor off the escalated total
+  // twice, wrapping it.
+  screen::ScreenBank repeated(cfg);
+  EXPECT_THROW(repeated.load(test::ReaderOver(screen_section(cfg, {3, 3}))),
+               std::runtime_error);
+  screen::ScreenBank descending(cfg);
+  EXPECT_THROW(descending.load(test::ReaderOver(screen_section(cfg, {5, 3}))),
+               std::runtime_error);
+}
+
+/// A whole v1 checkpoint around `tracks`: the other sections are fresh
+/// objects' bytes.
+std::string pipeline_checkpoint(const core::PipelineConfig& cfg, const std::string& tracks) {
+  std::ostringstream os;
+  serialize::TextWriter w(os);
+  serialize::tag(w, "sentinel-checkpoint-v1");
+  core::ModelStateSet(cfg.model_states, cfg.initial_states).save(w);
+  hmm::OnlineHmm(hmm::OnlineHmmConfig{}).save(w);
+  hmm::MarkovChain().save(w);
+  hmm::MarkovChain().save(w);
+  os << tracks;
+  serialize::put(w, false);              // prev_correct
+  serialize::put(w, hmm::StateId{0});
+  serialize::put(w, false);              // prev_observable
+  serialize::put(w, hmm::StateId{0});
+  serialize::put(w, std::size_t{0});     // windows_skipped
+  w.newline();
+  return os.str();
+}
+
+TEST(Checkpoint, PipelineRefusesATracksSectionThatRepeatsASensor) {
+  core::PipelineConfig cfg;
+  cfg.initial_states = {{0.0, 0.0}, {20.0, 0.0}};
+
+  std::istringstream ok(pipeline_checkpoint(cfg, tracks_section({{3, false}, {5, true}}, {5})));
+  const core::DetectionPipeline restored(cfg, ok);
+  EXPECT_TRUE(restored.tracks().has_active_track(5));
+
+  std::istringstream repeated(
+      pipeline_checkpoint(cfg, tracks_section({{5, true}, {5, false}}, {5})));
+  EXPECT_THROW(core::DetectionPipeline(cfg, repeated), std::runtime_error);
 }
 
 TEST(Checkpoint, PipelineSurvivesRestartMidDeployment) {

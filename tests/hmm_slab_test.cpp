@@ -14,27 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/tracks.h"
 #include "hmm/online_hmm.h"
+#include "text_codec.h"
 
 namespace sentinel::hmm {
 namespace {
-
-std::string bytes(const OnlineHmm& m) {
-  std::ostringstream os;
-  m.save(os);
-  return os.str();
-}
-
-std::string bytes(const core::TrackManager& tm) {
-  std::ostringstream os;
-  tm.save(os);
-  return os.str();
-}
 
 /// Deterministic per-lane observation stream: a handful of hidden states and
 /// symbols (incl. bottom) so rows churn without unbounded growth.
@@ -76,7 +64,7 @@ TEST(HmmSlab, BatchedLanesMatchShadowOnlineHmmsBitExactly) {
       slab.flush();
     }
     for (std::size_t l = 0; l < n_lanes; ++l) {
-      ASSERT_EQ(bytes(slab.materialize(lanes[l])), bytes(shadows[l]))
+      ASSERT_EQ(test::text_bytes(slab.materialize(lanes[l])), test::text_bytes(shadows[l]))
           << "lanes=" << n_lanes << " lane " << l;
     }
   }
@@ -108,8 +96,8 @@ TEST(HmmSlab, RepackPreservesEveryLaneBitExactly) {
     slab.flush();
   }
   EXPECT_GT(slab.repacks(), 0u);
-  EXPECT_EQ(bytes(slab.materialize(grower)), bytes(shadow_gr));
-  EXPECT_EQ(bytes(slab.materialize(bystander)), bytes(shadow_by));
+  EXPECT_EQ(test::text_bytes(slab.materialize(grower)), test::text_bytes(shadow_gr));
+  EXPECT_EQ(test::text_bytes(slab.materialize(bystander)), test::text_bytes(shadow_by));
 }
 
 TEST(HmmSlab, RepackBetweenObserveAndFlushIsSafe) {
@@ -141,8 +129,8 @@ TEST(HmmSlab, RepackBetweenObserveAndFlushIsSafe) {
   EXPECT_GT(slab.repacks(), repacks_before);
   slab.flush();
 
-  EXPECT_EQ(bytes(slab.materialize(steady)), bytes(shadow_st));
-  EXPECT_EQ(bytes(slab.materialize(spawned)), bytes(shadow_sp));
+  EXPECT_EQ(test::text_bytes(slab.materialize(steady)), test::text_bytes(shadow_st));
+  EXPECT_EQ(test::text_bytes(slab.materialize(spawned)), test::text_bytes(shadow_sp));
 }
 
 TEST(HmmSlab, FreedLanesRecycleClean) {
@@ -155,12 +143,12 @@ TEST(HmmSlab, FreedLanesRecycleClean) {
   slab.free_lane(a);
   const std::uint32_t b = slab.open_lane();
   EXPECT_EQ(a, b);  // freelist recycles
-  EXPECT_EQ(bytes(slab.materialize(b)), bytes(OnlineHmm(cfg)));
+  EXPECT_EQ(test::text_bytes(slab.materialize(b)), test::text_bytes(OnlineHmm(cfg)));
   slab.observe(b, 1, 2);
   slab.flush();
   OnlineHmm shadow(cfg);
   shadow.observe(1, 2);
-  EXPECT_EQ(bytes(slab.materialize(b)), bytes(shadow));
+  EXPECT_EQ(test::text_bytes(slab.materialize(b)), test::text_bytes(shadow));
 }
 
 // --- TrackManager over slab storage -----------------------------------------
@@ -202,7 +190,7 @@ TEST(HmmSlabTracks, WindowBracketMatchesStandaloneObserves) {
       batched.close(static_cast<SensorId>(s), windows + 1);
       unbatched.close(static_cast<SensorId>(s), windows + 1);
     }
-    ASSERT_EQ(bytes(batched), bytes(unbatched)) << "sensors=" << n_sensors;
+    ASSERT_EQ(test::text_bytes(batched), test::text_bytes(unbatched)) << "sensors=" << n_sensors;
   }
 }
 
@@ -238,7 +226,7 @@ TEST(HmmSlabTracks, SpawnMidWindowRepacksAndStaysIdentical) {
   }
 
   EXPECT_GT(batched.slab().repacks(), 0u);
-  EXPECT_EQ(bytes(batched), bytes(unbatched));
+  EXPECT_EQ(test::text_bytes(batched), test::text_bytes(unbatched));
 }
 
 TEST(HmmSlabTracks, CheckpointRoundTripsByteStableFromSlabStorage) {
@@ -262,10 +250,9 @@ TEST(HmmSlabTracks, CheckpointRoundTripsByteStableFromSlabStorage) {
   }
   tm.close(2, 21);  // mix of closed (materialized) and active (slab) tracks
 
-  const std::string first = bytes(tm);
-  std::istringstream in(first);
-  auto loaded = core::TrackManager::load(OnlineHmmConfig{}, in);
-  EXPECT_EQ(bytes(loaded), first);
+  const std::string first = test::text_bytes(tm);
+  auto loaded = core::TrackManager::load(OnlineHmmConfig{}, test::ReaderOver(first));
+  EXPECT_EQ(test::text_bytes(loaded), first);
 
   // Both managers keep evolving in lockstep after the round trip.
   for (int w = 0; w < 5; ++w) {
@@ -280,7 +267,7 @@ TEST(HmmSlabTracks, CheckpointRoundTripsByteStableFromSlabStorage) {
     tm.flush_window();
     loaded.flush_window();
   }
-  EXPECT_EQ(bytes(loaded), bytes(tm));
+  EXPECT_EQ(test::text_bytes(loaded), test::text_bytes(tm));
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "core/model_states.h"
 #include "core/offline_kmeans.h"
+#include "text_codec.h"
 
 namespace sentinel::core {
 namespace {
@@ -109,9 +109,8 @@ TEST(ModelStateSet, ChainedMergesResolveToFinalSurvivor) {
   EXPECT_EQ(s.resolve(0), 0u);
   // And the resolution survives a checkpoint round trip (the memo is derived
   // state, rebuilt from the raw lineage on load).
-  std::stringstream ss;
-  s.save(ss);
-  const ModelStateSet loaded = ModelStateSet::load(config(0.9, 3.0, 50.0), ss);
+  const ModelStateSet loaded =
+      ModelStateSet::load(config(0.9, 3.0, 50.0), test::ReaderOver(test::text_bytes(s)));
   EXPECT_EQ(loaded.resolve(2), 0u);
   EXPECT_EQ(loaded.resolve(1), 0u);
   EXPECT_EQ(loaded.merge_count(), 2u);

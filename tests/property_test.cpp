@@ -3,12 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <tuple>
 
 #include "core/model_states.h"
 #include "hmm/hmm.h"
 #include "hmm/online_hmm.h"
+#include "text_codec.h"
 #include "trace/windower.h"
 #include "util/rng.h"
 #include "util/vecn.h"
@@ -165,9 +165,7 @@ TEST_P(CheckpointRoundTrip, OnlineHmmExactUnderRandomStreams) {
                                       : static_cast<hmm::StateId>(rng.uniform_int(0, 10));
     m.observe(h, s);
   }
-  std::stringstream ss;
-  m.save(ss);
-  const auto loaded = hmm::OnlineHmm::load(cfg, ss);
+  const auto loaded = hmm::OnlineHmm::load(cfg, test::ReaderOver(test::text_bytes(m)));
   ASSERT_EQ(loaded.steps(), m.steps());
   ASSERT_EQ(loaded.hidden_states(), m.hidden_states());
   ASSERT_EQ(loaded.symbols(), m.symbols());
