@@ -56,13 +56,12 @@ inline int run(int argc, char** argv) {
     // google-benchmark stamps library_build_type from how LIBBENCHMARK was
     // compiled (distro packages are often debug builds); what gates whether
     // numbers are trustworthy is how THIS binary -- the code under test --
-    // was compiled. Emit the key again with the app's build type: JSON
-    // consumers keep the last duplicate key, so this override wins, and
-    // bench_compare.py refuses any JSON that doesn't say "release".
+    // was compiled. That goes under a key of its own, and bench_compare.py
+    // refuses any JSON whose sentinel.build_type is not "release".
 #ifdef NDEBUG
-    benchmark::AddCustomContext("library_build_type", "release");
+    benchmark::AddCustomContext("sentinel.build_type", "release");
 #else
-    benchmark::AddCustomContext("library_build_type", "debug");
+    benchmark::AddCustomContext("sentinel.build_type", "debug");
 #endif
   }
   benchmark::RunSpecifiedBenchmarks();

@@ -8,11 +8,18 @@
 // operator new override below. A warm-up pass over the full trace runs
 // before counting, so one-time growth (scratch capacity, matrix capacity,
 // state spawns) is excluded and the counter reflects the steady-state loop.
+// BM_WindowerAddBatch times the windower alone: the sorted 64-sensor 7-day
+// GDI trace through a warm Windower in 1024-record batches, once per
+// add_batch overload (a span of SensorRecords, a flat RecordBatch). It
+// reports ns_per_record and allocs_per_record over the timed passes, which
+// follow a warm-up pass.
+//
 // See docs/PERFORMANCE.md for how to read the numbers.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 
@@ -58,8 +65,7 @@ namespace {
 
 using namespace sentinel;
 
-std::vector<ObservationSet> make_windows(std::size_t sensors, double days,
-                                         std::uint64_t seed) {
+std::vector<SensorRecord> make_trace(std::size_t sensors, double days, std::uint64_t seed) {
   sim::GdiEnvironmentConfig ec;
   ec.duration_seconds = days * kSecondsPerDay;
   ec.seed = seed;
@@ -68,8 +74,12 @@ std::vector<ObservationSet> make_windows(std::size_t sensors, double days,
   dc.num_sensors = sensors;
   dc.seed = seed;
   auto simulator = sim::make_gdi_deployment(env, dc);
-  auto result = simulator.run(ec.duration_seconds);
-  return window_trace(std::move(result.trace), 3600.0);
+  return simulator.run(ec.duration_seconds).trace;
+}
+
+std::vector<ObservationSet> make_windows(std::size_t sensors, double days,
+                                         std::uint64_t seed) {
+  return window_trace(make_trace(sensors, days, seed), 3600.0);
 }
 
 core::PipelineConfig config_for(std::size_t states, std::uint64_t seed) {
@@ -167,6 +177,67 @@ void BM_DiagnoseCold(benchmark::State& state) {
   }
 }
 
+/// Counts what the windower hands over; reads each window in place, so the
+/// windower's emission object stays recycled.
+struct WindowCount {
+  std::size_t windows = 0;
+  void operator()(ObservationSet&&) { ++windows; }
+  void operator()(Windower::EmptyWindows) {}
+};
+
+void BM_WindowerAddBatch(benchmark::State& state, bool flat) {
+  constexpr std::size_t kBatch = 1024;
+  constexpr double kDays = 7.0;
+  auto trace = make_trace(64, kDays, 42);
+  sort_by_time(trace);
+  std::vector<std::vector<SensorRecord>> spans;
+  std::vector<RecordBatch> batches;
+  for (std::size_t i = 0; i < trace.size(); i += kBatch) {
+    const std::span<const SensorRecord> chunk(trace.data() + i,
+                                              std::min(kBatch, trace.size() - i));
+    spans.emplace_back(chunk.begin(), chunk.end());
+    batches.emplace_back().append(chunk);
+  }
+  // Each pass replays the trace one deployment later, so no record is late.
+  const auto shift = [&] {
+    for (auto& span : spans) {
+      for (auto& rec : span) rec.time += kDays * kSecondsPerDay;
+    }
+    for (auto& batch : batches) {
+      for (double& t : batch.times) t += kDays * kSecondsPerDay;
+    }
+  };
+  Windower w(3600.0);
+  WindowCount sink;
+  const auto pass = [&] {
+    if (flat) {
+      for (const auto& batch : batches) w.add_batch(batch, sink);
+    } else {
+      for (const auto& span : spans) w.add_batch(std::span<const SensorRecord>(span), sink);
+    }
+  };
+  pass();  // warm-up: slots, log capacity, the emission object
+  std::uint64_t allocs = 0;
+  double ns = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    shift();
+    state.ResumeTiming();
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    pass();
+    ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+              .count();
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+  }
+  benchmark::DoNotOptimize(sink.windows);
+  const auto records = static_cast<double>(state.iterations() * trace.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+  state.counters["ns_per_record"] = records == 0 ? 0.0 : ns / records;
+  state.counters["allocs_per_record"] =
+      records == 0 ? 0.0 : static_cast<double>(allocs) / records;
+}
+
 }  // namespace
 
 BENCHMARK(BM_PipelineWindow)->Arg(5)->Arg(10)->Arg(20)->Arg(50)->Arg(100);
@@ -174,5 +245,7 @@ BENCHMARK(BM_PipelineWindowStageTimers)->Arg(10)->Arg(100);
 BENCHMARK(BM_PipelineStates)->Arg(4)->Arg(6)->Arg(8)->Arg(12);
 BENCHMARK(BM_Diagnose);
 BENCHMARK(BM_DiagnoseCold);
+BENCHMARK_CAPTURE(BM_WindowerAddBatch, span, false);
+BENCHMARK_CAPTURE(BM_WindowerAddBatch, batch, true);
 
 int main(int argc, char** argv) { return sentinel::bench_main::run(argc, argv); }

@@ -153,9 +153,9 @@ struct DetectionPipeline::WindowSink {
 };
 
 void DetectionPipeline::add_records(std::span<const SensorRecord> recs) {
-  // One fused pass: the windower's columnar accumulators run inline over the
-  // batch, and each completed window is processed in place through the
-  // recycled emission object -- no per-record virtual dispatch, no window
+  // One fused pass: the windower logs the batch's in-window runs, and each
+  // completed window is summed and processed in place through the recycled
+  // emission object -- no per-record virtual dispatch, no window
   // materialization, and no allocations per record.
   windower_.add_batch(recs, WindowSink{*this});
 }

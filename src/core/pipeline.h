@@ -145,10 +145,10 @@ class DetectionPipeline {
   void add_record(const SensorRecord& rec);
 
   /// Bulk streaming entry: one fused pass over a decoded batch. The windower
-  /// accumulates columnar per-sensor sums inline and each completed window is
-  /// processed in place -- no per-record dispatch overhead and no
-  /// allocations per record at steady state. Equivalent to calling
-  /// add_record on each element in order.
+  /// logs the batch's in-window runs in bulk and sums each window when it
+  /// closes, and each completed window is processed in place -- no
+  /// per-record dispatch overhead and no allocations per record at steady
+  /// state. Equivalent to calling add_record on each element in order.
   void add_records(std::span<const SensorRecord> recs);
 
   /// The same pass over a flat batch: what a threads > 1 fleet's drain task

@@ -2,6 +2,7 @@
 
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "util/serialize.h"
 
@@ -146,7 +147,8 @@ TrackManager TrackManager::load(hmm::OnlineHmmConfig hmm_cfg, serialize::Reader&
   const auto n_sensors = serialize::get<std::size_t>(r);
   AscendingIds tracked;
   for (std::size_t i = 0; i < n_sensors; ++i) {
-    auto& list = tm.sensors_.emplace(tracked.check(serialize::get<SensorId>(r))).first.tracks;
+    const SensorId sensor = tracked.check(serialize::get<SensorId>(r));
+    auto& list = tm.sensors_.emplace(sensor).first.tracks;
     const auto n_tracks = serialize::get<std::size_t>(r);
     for (std::size_t t = 0; t < n_tracks; ++t) {
       Track track(hmm_cfg);
@@ -157,6 +159,12 @@ TrackManager TrackManager::load(hmm::OnlineHmmConfig hmm_cfg, serialize::Reader&
       track.observations = serialize::get<std::size_t>(r);
       track.anomalous_observations = serialize::get<std::size_t>(r);
       track.m_ce = hmm::OnlineHmm::load(hmm_cfg, r);
+      // tracking() reads only the last track, so an active one before it
+      // would hold its slab lane for the manager's lifetime.
+      if (!list.empty() && list.back().active()) {
+        throw std::runtime_error("checkpoint: sensor " + std::to_string(sensor) +
+                                 " has an active track before its last one");
+      }
       if (track.active()) {
         // An active track's live state moves into a slab lane; the record's
         // m_ce empties until close() materializes it back out.

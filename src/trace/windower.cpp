@@ -9,19 +9,26 @@
 //   rep_total += rep (sized from the first rep, min-truncated);
 //   vecn::mean_into(raw, cached_mean);                    // all records, *1/n
 //
-// The columnar path reproduces each accumulation order exactly:
-//  * A slot's running-sum row receives that sensor's samples in arrival
-//    order, element-wise from +0.0 -- the same add sequence vecn::mean
-//    performs on the grouped samples (grouping preserves arrival order per
-//    sensor). The representative is sums[i] * (1.0/count), the same single
-//    rounding vecn::mean's `x *= inv` applies to the same sum.
+// The window is summed once, at close, by one pass over its arrival-order
+// log, and that pass reproduces each accumulation order exactly:
+//  * A slot's sum row receives that sensor's samples in arrival order,
+//    element-wise from +0.0 -- the same add sequence vecn::mean performs on
+//    the grouped samples (grouping preserves arrival order per sensor). The
+//    representative is sums[i] * (1.0/count), the same single rounding
+//    vecn::mean's `x *= inv` applies to the same sum.
 //  * The whole-window total receives every record in arrival order,
 //    element-wise -- vecn::mean_into's order over `raw` -- and cached_mean
-//    is total[i] * (1.0/count), matching its `*= inv`.
-//  * Reps are emitted in ascending sensor order (std::sort over touched
-//    slots), the order std::map iteration gave the legacy loop; rep_sums /
-//    rep_total are computed from the finished reps with the identical
-//    helper and truncation guard.
+//    is total[i] * (1.0/count), matching its `*= inv`. For widths up to 4 the
+//    total is held in locals; the adds are the same.
+//  * Reps are emitted in ascending sensor order (the touched slots, picked
+//    out of every slot in id order), the order std::map iteration gave the
+//    legacy loop; rep_sums / rep_total are computed from the finished reps
+//    with the identical helper and truncation guard.
+//
+// Which window a record belongs to is window_index's answer on both paths:
+// the open window's bounds are the smallest times window_index itself puts
+// in that window and in the next, so a record inside them is one that
+// window_index puts in the open window, unclamped.
 //
 // Dimension-mismatch errors also mirror the legacy path: a sensor whose
 // samples disagree in width throws vecn::check_same_size's message for the
@@ -36,6 +43,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -67,6 +76,32 @@ WindowIndex window_index(double time, double window_seconds) {
   return {static_cast<std::size_t>(idx) + 1, false};
 }
 
+namespace {
+
+/// The smallest time that window_index puts in window `index` or a later one
+/// (index >= 2), found by stepping from (index - 1) * w one ulp at a time;
+/// NaN when the product overflows or the search does not settle in a few
+/// steps. Division and floor are monotone, so every larger time is in
+/// `index` or later too.
+double first_time_in(std::size_t index, double window_seconds) {
+  constexpr int kSteps = 8;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto reaches = [&](double t) { return window_index(t, window_seconds).index >= index; };
+  double t = static_cast<double>(index - 1) * window_seconds;
+  for (int step = 0; step < kSteps && std::isfinite(t); ++step) {
+    if (!reaches(t)) {
+      t = std::nextafter(t, kInf);
+    } else if (const double below = std::nextafter(t, -kInf); reaches(below)) {
+      t = below;
+    } else {
+      return t;
+    }
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+}  // namespace
+
 void sort_by_time(std::vector<SensorRecord>& records) {
   // `a.time < b.time` alone is not a strict weak order once a NaN is present.
   std::stable_sort(records.begin(), records.end(),
@@ -79,28 +114,17 @@ Windower::Windower(double window_seconds) : window_seconds_(window_seconds) {
   if (!(window_seconds_ > 0.0)) throw std::invalid_argument("Windower: window must be positive");
 }
 
-std::uint32_t Windower::slot_for(SensorId id) {
-  const auto next = static_cast<std::uint32_t>(slot_ids_.size());
-  const auto [slot, created] = slots_.emplace(id, next);
-  if (created) {
-    // First sight of this sensor: append a slot (the only allocating event
-    // on the accumulate path, amortized to zero once the fleet's id set is
-    // seen).
-    slot_ids_.push_back(id);
-    slot_counts_.push_back(0);
-    slot_dims_.push_back(kDimsUnset);
-    slot_conflict_.push_back(kDimsUnset);
-    sums_.resize(sums_.size() + stride_, 0.0);
-  }
-  return slot;
+void Windower::add_slot(SensorId id) {
+  slots_.push_back({.id = id});
+  sums_.resize(sums_.size() + stride_, 0.0);
 }
 
 void Windower::grow_stride(std::size_t dims) {
   // A record wider than any seen before: re-lay the sums arena at the new
   // padded stride.
   const std::size_t new_stride = kern::padded(dims);
-  std::vector<double> wider(slot_ids_.size() * new_stride, 0.0);
-  for (std::size_t s = 0; s < slot_ids_.size(); ++s) {
+  std::vector<double> wider(slots_.size() * new_stride, 0.0);
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
     const double* src = sums_.data() + s * stride_;
     double* dst = wider.data() + s * new_stride;
     for (std::size_t i = 0; i < stride_; ++i) dst[i] = src[i];
@@ -109,53 +133,41 @@ void Windower::grow_stride(std::size_t dims) {
   stride_ = new_stride;
 }
 
-void Windower::accumulate(SensorId sensor, double time, std::span<const double> attrs) {
-  const auto dims = static_cast<std::uint32_t>(attrs.size());
-  log_.sensors.push_back(sensor);
-  log_.times.push_back(time);
-  log_.widths.push_back(dims);
-  // Element-wise: a handful of values, where insert() pays a memmove call.
-  for (const double x : attrs) log_.attrs.push_back(x);
+void Windower::open_window(std::size_t index) {
+  current_index_ = index;
+  lo_ = hi_ = 0.0;
+  // Past 2^52 consecutive indices no longer map to distinct doubles.
+  if (index == 0 || index > (std::size_t{1} << 52)) return;
+  // Window 1 also holds tiny negative times whose quotient rounds to -0.0;
+  // they take window_index.
+  const double lo = index == 1 ? 0.0 : first_time_in(index, window_seconds_);
+  const double hi = first_time_in(index + 1, window_seconds_);
+  if (lo < hi) {  // false when either search failed (NaN)
+    lo_ = lo;
+    hi_ = hi;
+  }
+}
 
-  // Whole-window total: every record whose width matches the window's first.
-  if (window_dims_ == kDimsUnset) {
-    window_dims_ = dims;
-    total_.assign(dims, 0.0);
-  }
-  if (dims == window_dims_) {
-    for (std::size_t i = 0; i < dims; ++i) total_[i] += attrs[i];
-  } else if (window_conflict_ == kDimsUnset) {
-    window_conflict_ = dims;
-  }
-
-  // Per-sensor running sum.
-  if (static_cast<std::size_t>(dims) > stride_) grow_stride(dims);
-  const std::uint32_t slot = slot_for(sensor);
-  if (slot_counts_[slot] == 0) {
-    touched_.push_back(slot);
-    slot_dims_[slot] = dims;
-  }
-  ++slot_counts_[slot];
-  if (dims == slot_dims_[slot]) {
-    double* row = sums_.data() + static_cast<std::size_t>(slot) * stride_;
-    for (std::size_t i = 0; i < dims; ++i) row[i] += attrs[i];
-  } else if (slot_conflict_[slot] == kDimsUnset) {
-    slot_conflict_[slot] = dims;
-  }
+void Windower::log_run(const RecordBatch& batch, std::size_t first, std::size_t last,
+                       const double* attrs, const double* attrs_end) {
+  log_.sensors.insert(log_.sensors.end(), batch.sensors.begin() + first,
+                      batch.sensors.begin() + last);
+  log_.times.insert(log_.times.end(), batch.times.begin() + first, batch.times.begin() + last);
+  log_.widths.insert(log_.widths.end(), batch.widths.begin() + first,
+                     batch.widths.begin() + last);
+  log_.attrs.insert(log_.attrs.end(), attrs, attrs_end);
 }
 
 void Windower::reset_window_state() {
   for (const std::uint32_t s : touched_) {
-    slot_counts_[s] = 0;
-    slot_dims_[s] = kDimsUnset;
-    slot_conflict_[s] = kDimsUnset;
+    slots_[s].count = 0;
+    slots_[s].dims = kDimsUnset;
+    slots_[s].conflict = kDimsUnset;
     double* row = sums_.data() + static_cast<std::size_t>(s) * stride_;
     std::fill(row, row + stride_, 0.0);
   }
   touched_.clear();
   log_.clear();
-  window_dims_ = kDimsUnset;
-  window_conflict_ = kDimsUnset;
 }
 
 void Windower::finalize_into(ObservationSet& out) {
@@ -170,19 +182,71 @@ void Windower::finalize_into(ObservationSet& out) {
   // rep_points is recycled element-wise below (clear() would free every
   // inner buffer and reintroduce per-window allocations).
 
-  // Ascending sensor order -- the order the legacy std::map iteration gave.
-  std::sort(touched_.begin(), touched_.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return slot_ids_[a] < slot_ids_[b]; });
+  // One pass over the log in arrival order. A record whose width matches the
+  // window's first record's is added into the window total: in locals for
+  // widths up to 4 (faster than adds through memory), else in cached_mean.
+  const std::uint32_t window_dims = log_.empty() ? 0 : log_.widths[0];
+  std::uint32_t window_conflict = kDimsUnset;
+  double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
+  if (window_dims > 4) out.cached_mean.assign(window_dims, 0.0);
+  const double* x = log_.attrs.data();
+  for (std::size_t r = 0; r < log_.size(); x += log_.widths[r++]) {
+    const std::uint32_t dims = log_.widths[r];
+    if (dims != window_dims) {
+      if (window_conflict == kDimsUnset) window_conflict = dims;
+    } else {
+      switch (dims) {
+        case 0: break;
+        case 1: t0 += x[0]; break;
+        case 2: t0 += x[0]; t1 += x[1]; break;
+        case 3: t0 += x[0]; t1 += x[1]; t2 += x[2]; break;
+        case 4: t0 += x[0]; t1 += x[1]; t2 += x[2]; t3 += x[3]; break;
+        default:
+          for (std::size_t i = 0; i < dims; ++i) out.cached_mean[i] += x[i];
+      }
+    }
+
+    if (dims > stride_) grow_stride(dims);
+    const SensorId id = log_.sensors[r];
+    const auto [s, created] = slot_of_.emplace(id, static_cast<std::uint32_t>(slots_.size()));
+    if (created) add_slot(id);
+    Slot& slot = slots_[s];
+    if (slot.count++ == 0) slot.dims = dims;
+    if (dims == slot.dims) {
+      double* row = sums_.data() + static_cast<std::size_t>(s) * stride_;
+      for (std::size_t i = 0; i < dims; ++i) row[i] += x[i];
+    } else if (slot.conflict == kDimsUnset) {
+      slot.conflict = dims;
+    }
+  }
+
+  // Ascending sensor order -- the order the legacy std::map iteration gave:
+  // the touched slots, picked out of every slot in id order.
+  if (by_id_.size() != slots_.size()) {
+    by_id_.resize(slots_.size());
+    std::iota(by_id_.begin(), by_id_.end(), 0u);
+    std::sort(by_id_.begin(), by_id_.end(),
+              [&](std::uint32_t a, std::uint32_t b) { return slots_[a].id < slots_[b].id; });
+  }
+  for (const std::uint32_t s : by_id_) {
+    if (slots_[s].count != 0) touched_.push_back(s);
+  }
 
   // Legacy throw order: the lowest sensor id whose own samples disagree in
-  // width throws first (vecn::mean over that group)...
+  // width throws first (vecn::mean over that group), then a window whose
+  // records disagree with its first record's width (vecn::mean_into over
+  // raw).
   for (const std::uint32_t s : touched_) {
-    if (slot_conflict_[s] != kDimsUnset) {
-      const std::uint32_t have = slot_dims_[s];
-      const std::uint32_t got = slot_conflict_[s];
+    if (slots_[s].conflict != kDimsUnset) {
+      const std::uint32_t have = slots_[s].dims;
+      const std::uint32_t got = slots_[s].conflict;
       reset_window_state();
       throw_dims_mismatch(have, got);
     }
+  }
+  if (window_conflict != kDimsUnset) {
+    reset_window_state();
+    throw_dims_mismatch(window_dims, window_conflict);
   }
 
   const std::size_t n_sensors = touched_.size();
@@ -192,13 +256,13 @@ void Windower::finalize_into(ObservationSet& out) {
   for (std::size_t j = 0; j < n_sensors; ++j) {
     const std::uint32_t s = touched_[j];
     const double* row = sums_.data() + static_cast<std::size_t>(s) * stride_;
-    const std::size_t dims = slot_dims_[s];
-    const double inv = 1.0 / static_cast<double>(slot_counts_[s]);
+    const std::size_t dims = slots_[s].dims;
+    const double inv = 1.0 / static_cast<double>(slots_[s].count);
     if (j == out.rep_points.size()) out.rep_points.emplace_back();
     AttrVec& rep = out.rep_points[j];
     rep.resize(dims);
     for (std::size_t i = 0; i < dims; ++i) rep[i] = row[i] * inv;
-    out.rep_sensors.push_back(slot_ids_[s]);
+    out.rep_sensors.push_back(slots_[s].id);
     out.rep_sums.push_back(vecn::scalar_sum(rep));
     if (out.rep_total.empty()) out.rep_total.assign(rep.size(), 0.0);
     for (std::size_t a = 0; a < out.rep_total.size() && a < rep.size(); ++a) {
@@ -207,17 +271,12 @@ void Windower::finalize_into(ObservationSet& out) {
   }
 
   if (!log_.empty()) {
-    // ...then a window whose records disagree with its first record's width
-    // (vecn::mean_into over raw).
-    if (window_conflict_ != kDimsUnset) {
-      const std::uint32_t have = window_dims_;
-      const std::uint32_t got = window_conflict_;
-      reset_window_state();
-      throw_dims_mismatch(have, got);
-    }
     const double inv = 1.0 / static_cast<double>(log_.size());
-    out.cached_mean.resize(window_dims_);
-    for (std::size_t i = 0; i < window_dims_; ++i) out.cached_mean[i] = total_[i] * inv;
+    if (window_dims <= 4) {
+      const double head[4] = {t0, t1, t2, t3};
+      out.cached_mean.assign(head, head + window_dims);
+    }
+    for (double& m : out.cached_mean) m *= inv;
   }
 
   reset_window_state();
@@ -249,19 +308,18 @@ void Windower::save(serialize::Writer& w) const {
 
 void Windower::load(serialize::Reader& r) {
   serialize::expect(r, "windower");
-  current_index_ = serialize::get<std::size_t>(r);
+  const auto index = serialize::get<std::size_t>(r);
   late_records_ = serialize::get<std::size_t>(r);
   clamped_records_ = serialize::get<std::size_t>(r);
   const auto n = serialize::get<std::size_t>(r);
   if (n > (1u << 26)) throw std::runtime_error("checkpoint: implausible pending-record count");
-  // Rebuild the columnar accumulators by replaying the log (the counters
-  // above were restored from the stream; replay must not re-count).
   reset_window_state();
+  open_window(index);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto sensor = serialize::get<SensorId>(r);
-    const auto time = serialize::get<double>(r);
-    const AttrVec attrs = serialize::get_vector<double>(r);
-    accumulate(sensor, time, attrs);
+    const SensorRecord rec{.sensor = serialize::get<SensorId>(r),
+                           .time = serialize::get<double>(r),
+                           .attrs = serialize::get_vector<double>(r)};
+    log_.append({&rec, 1});
   }
 }
 

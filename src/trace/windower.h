@@ -10,15 +10,21 @@
 // many of its packets survived the radio. The rep arrays are the only form
 // of a window: no raw samples and no per-sensor map are kept.
 //
-// The windower itself is columnar: per-sensor running sums live in
-// slot-indexed SoA arenas, reused across windows. A sensor's slot is numbered
-// on first sight and found through a SensorTable (array indexing for every
-// real deployment's ids). Each record is added straight into its sensor's sum
-// row and the window total in arrival order, and every per-window container
-// is recycled, so the steady-state ingest path performs zero allocations per
-// record.
-// Finalization reproduces the legacy map-based accumulation order
-// bit-for-bit (see windower.cpp), so goldens and checkpoints are unchanged.
+// The windower's only per-record state is the open window's arrival-order
+// record log, which is also the checkpoint byte format. A run of records
+// whose times fall inside the open window's exact bounds -- the smallest
+// times window_index itself puts in that window and in the next -- is
+// appended to the log in bulk; only a record outside them goes through
+// window_index. Where the bounds cannot be found (indices past 2^52, a
+// product that overflows) they stay empty and every record takes
+// window_index. The window is summed once, when it closes: one pass over
+// the log adds each record into its sensor's sum row (slot-indexed SoA
+// arenas, a slot numbered on first sight and found through a SensorTable)
+// and into the window total, in arrival order. Every buffer is recycled
+// across windows, so the steady-state ingest path performs zero allocations
+// per record. Finalization reproduces the legacy map-based accumulation
+// order bit-for-bit (see windower.cpp), so goldens and checkpoints are
+// unchanged.
 
 #pragma once
 
@@ -101,27 +107,41 @@ class Windower {
   };
 
   /// The fused decode -> window -> screen-cache pass. The trace readers and
-  /// FleetMonitor feed whole decoded batches here; per record the window
-  /// bookkeeping and the adds into the sensor's sum row and the window total
-  /// run inline, so the common no-window-closed case touches no allocator
-  /// and no map. Completed windows are delivered to
-  /// `on_window(ObservationSet&&)` in order; the emission object is recycled
-  /// across windows when the callback reads it in place (the pipeline does).
-  /// A gap of empty windows after a completed window arrives as one
-  /// `on_window(EmptyWindows)`, so the callback must accept both.
+  /// FleetMonitor feed whole decoded batches here. Each run of records inside
+  /// the open window's bounds is appended to the log at once, so the common
+  /// no-window-closed case makes no division and no map lookup, and no
+  /// allocation once the log has grown to a window's size.
+  /// Completed windows are delivered to `on_window(ObservationSet&&)` in
+  /// order; the emission object is recycled across windows when the callback
+  /// reads it in place (the pipeline does). A gap of empty windows after a
+  /// completed window arrives as one `on_window(EmptyWindows)`, so the
+  /// callback must accept both.
   template <typename Fn>
   void add_batch(std::span<const SensorRecord> recs, Fn&& on_window) {
-    for (const SensorRecord& rec : recs) step(rec.sensor, rec.time, rec.attrs, on_window);
+    for (std::size_t i = 0; i < recs.size();) {
+      std::size_t j = i;
+      while (j < recs.size() && in_window(recs[j].time)) ++j;
+      log_.append(recs.subspan(i, j - i));
+      if (j == recs.size()) break;
+      if (admit(recs[j].time, on_window)) log_.append(recs.subspan(j, 1));
+      i = j + 1;
+    }
   }
 
   /// The same pass over a flat batch (the fleet's shard queues carry these).
   template <typename Fn>
   void add_batch(const RecordBatch& batch, Fn&& on_window) {
     const double* attrs = batch.attrs.data();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::size_t width = batch.widths[i];
-      step(batch.sensors[i], batch.times[i], {attrs, width}, on_window);
-      attrs += width;
+    for (std::size_t i = 0; i < batch.size();) {
+      std::size_t j = i;
+      const double* run_attrs = attrs;
+      while (j < batch.size() && in_window(batch.times[j])) attrs += batch.widths[j++];
+      log_run(batch, i, j, run_attrs, attrs);
+      if (j == batch.size()) break;
+      const double* rec_attrs = attrs;
+      attrs += batch.widths[j];
+      if (admit(batch.times[j], on_window)) log_run(batch, j, j + 1, rec_attrs, attrs);
+      i = j + 1;
     }
   }
 
@@ -142,44 +162,53 @@ class Windower {
   /// resumable-checkpoint section; window_seconds_ is configuration and is
   /// not serialized). The byte format is the arrival-order record log, so
   /// checkpoints are byte-identical to the pre-columnar windower's; load()
-  /// rebuilds the columnar accumulators by replaying the log.
+  /// refills the log, which the window's close sums like any other.
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r);
 
  private:
   static constexpr std::uint32_t kDimsUnset = 0xFFFFFFFFu;
 
-  /// One record through the window bookkeeping: both add_batch overloads
-  /// run this, in input order.
+  /// Whether `time` lies inside the open window's bounds, where window_index
+  /// would return the open window unclamped. NaN never does.
+  bool in_window(double time) const { return lo_ <= time && time < hi_; }
+
+  /// A record outside the open window's bounds through window_index and the
+  /// late/clamped/close/gap bookkeeping. Returns whether the record belongs in
+  /// the (possibly newly) open window's log; a late record does not.
   template <typename Fn>
-  void step(SensorId sensor, double time, std::span<const double> attrs, Fn& on_window) {
+  bool admit(double time, Fn& on_window) {
     const auto [idx, clamped] = window_index(time, window_seconds_);
     if (clamped) ++clamped_records_;
     if (current_index_ == 0) {
-      current_index_ = idx;
+      open_window(idx);
     } else if (idx < current_index_) {
       ++late_records_;
-      return;
+      return false;
     } else if (idx > current_index_) {
       finalize_into(out_);
       on_window(std::move(out_));
       // Hand over any gap so downstream sees the time hole.
       if (idx - current_index_ > 1) on_window(EmptyWindows{idx - current_index_ - 1});
-      current_index_ = idx;
+      open_window(idx);
     }
-    accumulate(sensor, time, attrs);
+    return true;
   }
 
-  /// Log the record into the open window's arrival-order log and add it into
-  /// its sensor's sum row and the window total. Allocation-free at steady
-  /// state.
-  void accumulate(SensorId sensor, double time, std::span<const double> attrs);
-  std::uint32_t slot_for(SensorId id);
+  /// Make `index` the open window and find its bounds.
+  void open_window(std::size_t index);
+  /// Append records [first, last) of `batch`, whose attributes are
+  /// [attrs, attrs_end), to the log.
+  void log_run(const RecordBatch& batch, std::size_t first, std::size_t last,
+               const double* attrs, const double* attrs_end);
+  /// Append a slot for a sensor seen for the first time (an allocating
+  /// event, once per sensor).
+  void add_slot(SensorId id);
   void grow_stride(std::size_t dims);
-  /// Build the completed window into `out` (recycling its buffers) from the
-  /// columnar state, then reset the per-window accumulators. Throws the
-  /// legacy dimension-mismatch errors (see windower.cpp); the window's
-  /// content is discarded in that case.
+  /// Sum the log into the completed window `out` (recycling its buffers),
+  /// then reset the per-window state. Throws the legacy dimension-mismatch
+  /// errors (see windower.cpp); the window's content is discarded in that
+  /// case.
   void finalize_into(ObservationSet& out);
   void reset_window_state();
 
@@ -187,27 +216,31 @@ class Windower {
   std::size_t current_index_ = 0;  // 0 = no window open yet
   std::size_t late_records_ = 0;
   std::size_t clamped_records_ = 0;
+  // The open window's exact bounds [lo_, hi_); empty (lo_ == hi_) when no
+  // window is open or they could not be found, so every record takes
+  // window_index.
+  double lo_ = 0.0;
+  double hi_ = 0.0;
 
   // Arrival-order log of the open window's records, cleared (capacity kept)
   // when the window closes. This is the checkpoint byte format.
   RecordBatch log_;
 
-  // Columnar per-sensor state. Slots are numbered in first-seen order and
-  // persist for the windower's lifetime; per-window fields (counts, dims,
+  // Per-sensor sums, filled at close. Slots are numbered in first-seen order
+  // and persist for the windower's lifetime; per-window fields (count, dims,
   // sums rows) are reset for touched slots only.
-  SensorTable<std::uint32_t> slots_;         // sensor id -> slot
-  std::vector<SensorId> slot_ids_;           // slot -> sensor id
-  std::vector<std::size_t> slot_counts_;     // samples this window
-  std::vector<std::uint32_t> slot_dims_;     // dims of the slot's first sample
-  std::vector<std::uint32_t> slot_conflict_; // dims of its first mismatched sample
-  std::vector<double> sums_;                 // slot-major running sums, stride_ wide
-  std::size_t stride_ = 0;                   // kern::padded(max dims seen)
-  std::vector<std::uint32_t> touched_;       // slots hit this window, first-touch order
-
-  // Whole-window running total (the cached_mean numerator).
-  std::vector<double> total_;
-  std::uint32_t window_dims_ = kDimsUnset;   // dims of the window's first record
-  std::uint32_t window_conflict_ = kDimsUnset;
+  struct Slot {
+    SensorId id = 0;
+    std::uint32_t dims = kDimsUnset;      // dims of the slot's first sample
+    std::uint32_t conflict = kDimsUnset;  // dims of its first mismatched sample
+    std::size_t count = 0;                // samples this window
+  };
+  SensorTable<std::uint32_t> slot_of_;  // sensor id -> slot
+  std::vector<Slot> slots_;
+  std::vector<double> sums_;            // slot-major sums, stride_ wide
+  std::size_t stride_ = 0;              // kern::padded(max dims seen)
+  std::vector<std::uint32_t> touched_;  // slots hit this window, ascending id
+  std::vector<std::uint32_t> by_id_;    // every slot in ascending id
 
   ObservationSet out_;  // recycled emission object
 };

@@ -197,21 +197,25 @@ TEST(Checkpoint, TrackManagerRoundTrip) {
 
 /// A tracks section: one track per entry of `tracks` (sensor, still active),
 /// then one pooled M_CE per entry of `pooled`.
-std::string tracks_section(const std::vector<std::pair<SensorId, bool>>& tracks,
+/// A tracks section: each sensor's tracks in list order (true = active),
+/// then the sensors with a pooled M_CE.
+std::string tracks_section(const std::vector<std::pair<SensorId, std::vector<bool>>>& tracks,
                            const std::vector<SensorId>& pooled) {
   std::ostringstream os;
   serialize::TextWriter w(os);
   serialize::tag(w, "tracks");
   serialize::put(w, tracks.size());
-  for (const auto& [sensor, active] : tracks) {
+  for (const auto& [sensor, list] : tracks) {
     serialize::put(w, sensor);
-    serialize::put(w, std::size_t{1});  // tracks of this sensor
-    serialize::put(w, std::size_t{3});  // opened_window
-    serialize::put(w, !active);         // closed
-    serialize::put(w, std::size_t{active ? 0u : 4u});
-    serialize::put(w, std::size_t{0});  // observations
-    serialize::put(w, std::size_t{0});  // anomalous_observations
-    hmm::OnlineHmm(hmm::OnlineHmmConfig{}).save(w);
+    serialize::put(w, list.size());
+    for (const bool active : list) {
+      serialize::put(w, std::size_t{3});  // opened_window
+      serialize::put(w, !active);         // closed
+      serialize::put(w, std::size_t{active ? 0u : 4u});
+      serialize::put(w, std::size_t{0});  // observations
+      serialize::put(w, std::size_t{0});  // anomalous_observations
+      hmm::OnlineHmm(hmm::OnlineHmmConfig{}).save(w);
+    }
   }
   serialize::put(w, pooled.size());
   for (const SensorId sensor : pooled) {
@@ -268,7 +272,7 @@ std::string screen_section(const screen::ScreenConfig& cfg, const std::vector<Se
 }
 
 TEST(Checkpoint, TrackManagerRefusesARepeatedOrDescendingSensor) {
-  const auto ok = load_tracks(tracks_section({{3, false}, {5, true}}, {3, 5}));
+  const auto ok = load_tracks(tracks_section({{3, {false}}, {5, {true}}}, {3, 5}));
   EXPECT_TRUE(ok.has_active_track(5));
   EXPECT_EQ(ok.total_tracks(), 2u);
   ASSERT_NE(ok.combined_m_ce(3), nullptr);
@@ -276,11 +280,27 @@ TEST(Checkpoint, TrackManagerRefusesARepeatedOrDescendingSensor) {
   // Sensor 5 twice: an active track, then a closed one appended to the same
   // list. A load that took it would grow that list after the active track
   // was found, so anything holding the track would point at freed memory.
-  EXPECT_THROW(load_tracks(tracks_section({{5, true}, {5, false}}, {})), std::runtime_error);
-  EXPECT_THROW(load_tracks(tracks_section({{5, false}, {3, false}}, {})), std::runtime_error);
+  EXPECT_THROW(load_tracks(tracks_section({{5, {true}}, {5, {false}}}, {})),
+               std::runtime_error);
+  EXPECT_THROW(load_tracks(tracks_section({{5, {false}}, {3, {false}}}, {})),
+               std::runtime_error);
   // The aggregates part of the section is held to the same rule.
-  EXPECT_THROW(load_tracks(tracks_section({{5, true}}, {5, 5})), std::runtime_error);
-  EXPECT_THROW(load_tracks(tracks_section({{3, false}, {5, true}}, {5, 3})),
+  EXPECT_THROW(load_tracks(tracks_section({{5, {true}}}, {5, 5})), std::runtime_error);
+  EXPECT_THROW(load_tracks(tracks_section({{3, {false}}, {5, {true}}}, {5, 3})),
+               std::runtime_error);
+}
+
+TEST(Checkpoint, TrackManagerRefusesAnActiveTrackBeforeAClosedOne) {
+  // Closed, then active: the list save() writes for a sensor that misbehaved
+  // twice.
+  const auto ok = load_tracks(tracks_section({{5, {false, true}}}, {}));
+  EXPECT_TRUE(ok.has_active_track(5));
+  EXPECT_EQ(ok.total_tracks(), 2u);
+
+  // Active, then closed: tracking() reads only the last track, so the active
+  // one would never be observed or closed, and would keep its slab lane.
+  EXPECT_THROW(load_tracks(tracks_section({{5, {true, false}}}, {})), std::runtime_error);
+  EXPECT_THROW(load_tracks(tracks_section({{3, {false}}, {5, {false, true, true}}}, {})),
                std::runtime_error);
 }
 
@@ -340,12 +360,13 @@ TEST(Checkpoint, PipelineRefusesATracksSectionThatRepeatsASensor) {
   core::PipelineConfig cfg;
   cfg.initial_states = {{0.0, 0.0}, {20.0, 0.0}};
 
-  std::istringstream ok(pipeline_checkpoint(cfg, tracks_section({{3, false}, {5, true}}, {5})));
+  std::istringstream ok(
+      pipeline_checkpoint(cfg, tracks_section({{3, {false}}, {5, {true}}}, {5})));
   const core::DetectionPipeline restored(cfg, ok);
   EXPECT_TRUE(restored.tracks().has_active_track(5));
 
   std::istringstream repeated(
-      pipeline_checkpoint(cfg, tracks_section({{5, true}, {5, false}}, {5})));
+      pipeline_checkpoint(cfg, tracks_section({{5, {true}}, {5, {false}}}, {5})));
   EXPECT_THROW(core::DetectionPipeline(cfg, repeated), std::runtime_error);
 }
 

@@ -1,27 +1,30 @@
 // Tests: the columnar windower against the legacy map-based reference.
 //
-// The windower keeps per-sensor running sums in slot-indexed SoA arenas and
-// adds each record straight into its sensor's row and the window total; the
-// contract is that every emitted ObservationSet is *bit-identical* to what
-// the old std::map-based finalization produced. This file embeds that
-// legacy implementation (from the pre-columnar source; the raw samples it
-// averaged are now a local of its finalization) as an in-test reference and
-// property-tests the two against each other over hostile traces:
-// out-of-order timestamps within a window, sparse/absent sensors,
-// single-record windows, NaN/negative/huge times, multi-window gaps, and
-// special attribute values (inf, denormals, signed zero).
+// The windower logs each window's records in arrival order, taking a run of
+// records inside the open window's bounds in bulk, and sums the log into
+// slot-indexed SoA arenas when the window closes; the contract is that every
+// emitted ObservationSet is *bit-identical* to what the old std::map-based
+// finalization produced. This file embeds that legacy implementation (from
+// the pre-columnar source; the raw samples it averaged are now a local of its
+// finalization) as an in-test reference and property-tests the two against
+// each other over hostile traces: out-of-order timestamps within a window,
+// sparse/absent sensors, single-record windows, NaN/negative/huge times,
+// multi-window gaps, window edges one ulp apart, and special attribute values
+// (inf, denormals, signed zero), through both add_batch overloads.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.h"
@@ -251,18 +254,52 @@ Windows run_legacy(const std::vector<SensorRecord>& trace, double window,
   return out;
 }
 
+/// Feeds trace[first, last) to `w` in add_batch calls of `batch` records: as
+/// spans of SensorRecords, or when `flat` as RecordBatches (the fleet's shard
+/// currency).
+void feed(Windower& w, Windows& out, const std::vector<SensorRecord>& trace, std::size_t first,
+          std::size_t last, std::size_t batch, bool flat) {
+  RecordBatch columns;
+  for (std::size_t i = first; i < last; i += batch) {
+    const std::span<const SensorRecord> chunk(trace.data() + i, std::min(batch, last - i));
+    if (flat) {
+      columns.clear();
+      columns.append(chunk);
+      w.add_batch(columns, out);
+    } else {
+      w.add_batch(chunk, out);
+    }
+  }
+}
+
 Windows run_columnar(const std::vector<SensorRecord>& trace, double window, std::size_t batch,
-                     std::size_t* late = nullptr, std::size_t* clamped = nullptr) {
+                     bool flat, std::size_t* late = nullptr, std::size_t* clamped = nullptr) {
   Windower w(window);
   Windows out;
-  for (std::size_t i = 0; i < trace.size(); i += batch) {
-    const std::size_t n = std::min(batch, trace.size() - i);
-    w.add_batch(std::span<const SensorRecord>(trace.data() + i, n), out);
-  }
+  feed(w, out, trace, 0, trace.size(), batch, flat);
   if (auto last = w.flush()) out(std::move(*last));
   if (late) *late = w.late_records();
   if (clamped) *clamped = w.clamped_records();
   return out;
+}
+
+/// Both add_batch overloads at each batch size against the legacy reference:
+/// the same windows, bit for bit, and the same late and clamped counts.
+void expect_matches_legacy(const std::vector<SensorRecord>& trace, double window,
+                           std::initializer_list<std::size_t> batches) {
+  std::size_t llate = 0, lclamped = 0;
+  const auto want = run_legacy(trace, window, &llate, &lclamped);
+  for (const bool flat : {false, true}) {
+    for (const std::size_t batch : batches) {
+      std::size_t clate = 0, cclamped = 0;
+      const auto got = run_columnar(trace, window, batch, flat, &clate, &cclamped);
+      const std::string tag =
+          std::string(flat ? "flat" : "span") + " batch=" + std::to_string(batch);
+      EXPECT_EQ(clate, llate) << tag;
+      EXPECT_EQ(cclamped, lclamped) << tag;
+      expect_same_windows(got, want, tag);
+    }
+  }
 }
 
 // --- properties ------------------------------------------------------------
@@ -273,17 +310,57 @@ TEST(WindowerColumnar, BitIdenticalToLegacyOverHostileTraces) {
     for (const std::size_t dims : {1ul, 2ul, 5ul}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + " dims=" + std::to_string(dims));
       const auto trace = hostile_trace(seed, 800, dims, window);
-      std::size_t llate = 0, lclamped = 0;
-      const auto want = run_legacy(trace, window, &llate, &lclamped);
-      for (const std::size_t batch : {1ul, 7ul, 64ul, trace.size()}) {
-        std::size_t clate = 0, cclamped = 0;
-        const auto got = run_columnar(trace, window, batch, &clate, &cclamped);
-        const std::string tag = "batch=" + std::to_string(batch);
-        EXPECT_EQ(clate, llate) << tag;
-        EXPECT_EQ(cclamped, lclamped) << tag;
-        expect_same_windows(got, want, tag);
-      }
+      expect_matches_legacy(trace, window, {1ul, 7ul, 64ul, trace.size()});
     }
+  }
+}
+
+TEST(WindowerColumnar, WindowEdgesMatchWindowIndex) {
+  // A record inside the open window's bounds skips window_index, so the
+  // bounds must be exactly the times window_index puts in that window. Each
+  // case opens window k with a record in its middle, then sends records at
+  // (k-1)*w and k*w and one ulp either side of each: the first may be late,
+  // the last ones close window k. Indices run past 2^52, where consecutive
+  // indices stop mapping to distinct doubles; widths run from denorm_min
+  // (every product exact) to 1e300 (products overflow to inf, which clamps).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double widths[] = {3600.0, 300.0, 0.1, 1.0 / 3.0, 1e-300, 1e300,
+                           std::numeric_limits<double>::denorm_min()};
+  constexpr std::size_t k52 = std::size_t{1} << 52;
+  const std::size_t indices[] = {1,       2,       3,           7,           1000,
+                                 1 << 20, 1 << 30, k52 - 1,     k52,         k52 + 1,
+                                 k52 + 2, k52 * 2, k52 * 2 + 3, k52 * 4 + 5};
+  for (const double w : widths) {
+    for (const std::size_t k : indices) {
+      SCOPED_TRACE("w=" + std::to_string(w) + " k=" + std::to_string(k));
+      const double lo = static_cast<double>(k - 1) * w;
+      const double hi = static_cast<double>(k) * w;
+      const std::vector<double> times = {
+          (static_cast<double>(k) - 0.5) * w,
+          std::nextafter(lo, -kInf), lo, std::nextafter(lo, kInf),
+          (static_cast<double>(k) - 0.5) * w,
+          std::nextafter(hi, -kInf), hi, std::nextafter(hi, kInf),
+          (static_cast<double>(k) + 0.5) * w};
+      std::vector<SensorRecord> trace;
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        trace.push_back({.sensor = static_cast<SensorId>(i % 3),
+                         .time = times[i],
+                         .attrs = {static_cast<double>(i), 1.0 / (static_cast<double>(i) + 3.0)}});
+      }
+      expect_matches_legacy(trace, w, {1ul, trace.size()});
+    }
+  }
+  // Window 1's lower edge: signed zero and tiny negatives, whose quotient
+  // rounds to -0.0 for w > 1 (window 1, unclamped) and below -0.0 otherwise
+  // (clamped into window 1).
+  for (const double w : widths) {
+    SCOPED_TRACE("w=" + std::to_string(w));
+    const double dmin = std::numeric_limits<double>::denorm_min();
+    std::vector<SensorRecord> trace;
+    for (const double t : {0.5 * w, -0.0, -dmin, 0.0, -2.0 * dmin, dmin, -0.0}) {
+      trace.push_back({.sensor = 1, .time = t, .attrs = {t, 2.0}});
+    }
+    expect_matches_legacy(trace, w, {1ul, trace.size()});
   }
 }
 
@@ -302,7 +379,7 @@ TEST(WindowerColumnar, SingleRecordWindowsAndExactBoundaries) {
   const auto want = run_legacy(trace, window);
   EXPECT_GT(want.gap_windows, 0u);
   for (const std::size_t batch : {1ul, 5ul, trace.size()}) {
-    expect_same_windows(run_columnar(trace, window, batch), want,
+    expect_same_windows(run_columnar(trace, window, batch, false), want,
                         "batch=" + std::to_string(batch));
   }
 }
@@ -343,31 +420,46 @@ TEST(WindowerColumnar, DimensionMismatchThrowsLegacyMessage) {
 TEST(WindowerColumnar, SaveLoadRoundTripContinuesBitIdentically) {
   // Checkpoint mid-window, restore into a fresh windower, and continue both
   // with the remainder of the trace: every subsequent window must match the
-  // uninterrupted run bit-for-bit (load() replays the arrival-order log to
-  // rebuild the columnar accumulators).
+  // uninterrupted run bit-for-bit (load() refills the arrival-order log, and
+  // the open window's bounds come back with its index). The hostile trace is
+  // cut mid-window and mid-batch; the in-order one inside window 2's run of
+  // in-bounds records, which the resumed windower must keep taking in bulk.
   const double window = 60.0;
-  const auto trace = hostile_trace(7, 500, 3, window);
-  const std::size_t cut = 217;  // deliberately mid-window, mid-batch
+  std::vector<SensorRecord> in_order;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const double t = 0.7 * static_cast<double>(i);
+    in_order.push_back(
+        {.sensor = static_cast<SensorId>(i % 5), .time = t, .attrs = {std::sin(t), t * 1e3}});
+  }
+  ASSERT_EQ(window_index(in_order[99].time, window).index, 2u);
+  ASSERT_EQ(window_index(in_order[100].time, window).index, 2u);
+  const std::pair<std::vector<SensorRecord>, std::size_t> cases[] = {
+      {hostile_trace(7, 500, 3, window), 217}, {in_order, 100}};
 
-  const auto want = run_columnar(trace, window, 16);
+  for (const auto& [trace, cut] : cases) {
+    for (const bool flat : {false, true}) {
+      SCOPED_TRACE(std::string(flat ? "flat" : "span") + " cut=" + std::to_string(cut));
+      const auto want = run_columnar(trace, window, 16, flat);
 
-  Windower first(window);
-  Windows got;
-  first.add_batch(std::span<const SensorRecord>(trace.data(), cut), got);
+      Windower first(window);
+      Windows got;
+      feed(first, got, trace, 0, cut, 16, flat);
 
-  std::ostringstream blob(std::ios::binary);
-  serialize::BinaryWriter sw(blob);
-  first.save(sw);
+      std::ostringstream blob(std::ios::binary);
+      serialize::BinaryWriter sw(blob);
+      first.save(sw);
 
-  Windower resumed(window);
-  std::istringstream in(blob.str(), std::ios::binary);
-  serialize::BinaryReader sr(in);
-  resumed.load(sr);
+      Windower resumed(window);
+      std::istringstream in(blob.str(), std::ios::binary);
+      serialize::BinaryReader sr(in);
+      resumed.load(sr);
 
-  resumed.add_batch(std::span<const SensorRecord>(trace.data() + cut, trace.size() - cut), got);
-  if (auto last = resumed.flush()) got(std::move(*last));
+      feed(resumed, got, trace, cut, trace.size(), 16, flat);
+      if (auto last = resumed.flush()) got(std::move(*last));
 
-  expect_same_windows(got, want, "resumed");
+      expect_same_windows(got, want, "resumed");
+    }
+  }
 }
 
 // --- fleet determinism over a hostile stream -------------------------------

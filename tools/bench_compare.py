@@ -6,7 +6,8 @@ Usage:
 
 Exit codes:
     0  no benchmark regressed by more than the threshold
-    1  at least one benchmark regressed (or an input is unreadable/malformed)
+    1  at least one benchmark regressed (or an input is unreadable/malformed,
+       which includes a JSON object that repeats a key)
     2  refused: the two files were not measured on the same machine, or one
        of them came from a non-release build
 
@@ -29,11 +30,15 @@ diff is refused with exit 2 (CI treats that as a skip, not a failure): a
 different SIMD level is noise, not signal.
 
 The same logic refuses debug numbers outright: the bench binaries stamp the
-application's build type into the context as library_build_type (overriding
-google-benchmark's own key, which describes how the benchmark LIBRARY was
-compiled -- irrelevant and misleadingly "debug" with distro packages). A
-baseline or candidate whose library_build_type is not "release" is refused
-with exit 2: -O0 throughput is not comparable to anything.
+application's build type into the context as sentinel.build_type
+(google-benchmark's own library_build_type describes how the benchmark
+LIBRARY was compiled -- irrelevant and misleadingly "debug" with distro
+packages). A baseline or candidate whose sentinel.build_type is not "release"
+is refused with exit 2: -O0 throughput is not comparable to anything.
+
+A JSON object that names a key twice is malformed (exit 1): Python's json
+module would silently keep the last value, so which one a reader sees would
+depend on the reader.
 """
 
 import argparse
@@ -44,11 +49,20 @@ import sys
 _TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
+def unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key '{key}' appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+            doc = json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as err:
         print(f"bench_compare: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(1)
     if "benchmarks" not in doc or "context" not in doc:
@@ -83,10 +97,10 @@ def check_same_machine(base_doc, cand_doc, base_path, cand_path):
 
 
 def check_release_build(doc, path):
-    build = doc["context"].get("library_build_type")
+    build = doc["context"].get("sentinel.build_type")
     if build != "release":
         print(f"bench_compare: REFUSED -- {path} was produced by a "
-              f"'{build}' build (library_build_type); only release-build "
+              f"'{build}' build (sentinel.build_type); only release-build "
               "numbers are comparable. Re-run the bench from a release tree "
               "(-DCMAKE_BUILD_TYPE=Release).", file=sys.stderr)
         sys.exit(2)

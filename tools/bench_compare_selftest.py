@@ -5,10 +5,11 @@ Runs bench_compare as a subprocess over synthetic google-benchmark JSON and
 asserts the documented exit-code contract:
 
     0  same machine, release builds, no regression beyond the threshold
-    1  a regression beyond the threshold
+    1  a regression beyond the threshold, or an input whose JSON repeats a
+       key (the committed baselines once carried library_build_type twice)
     2  refused: machine mismatch, missing machine.* fields, or -- the case
        that once let debug numbers into the committed baselines -- either
-       file stamped with a library_build_type other than "release"
+       file stamped with a sentinel.build_type other than "release"
 
 Usage: bench_compare_selftest.py /path/to/bench_compare.py
 """
@@ -27,7 +28,9 @@ MACHINE = {
 
 
 def make_doc(items_per_second, build_type="release", machine=None):
-    context = {"library_build_type": build_type}
+    # google-benchmark's own stamp says how the library was built, and is
+    # "debug" with distro packages; only sentinel.build_type counts.
+    context = {"library_build_type": "debug", "sentinel.build_type": build_type}
     context.update(MACHINE if machine is None else machine)
     return {
         "context": context,
@@ -44,12 +47,13 @@ def make_doc(items_per_second, build_type="release", machine=None):
 
 
 def run_case(script, workdir, label, base_doc, cand_doc, expect_rc):
+    """Each doc is a dict, or the JSON text itself (for what json.dump
+    cannot write, such as a repeated key)."""
     base = os.path.join(workdir, f"{label}_base.json")
     cand = os.path.join(workdir, f"{label}_cand.json")
-    with open(base, "w", encoding="utf-8") as fh:
-        json.dump(base_doc, fh)
-    with open(cand, "w", encoding="utf-8") as fh:
-        json.dump(cand_doc, fh)
+    for path, doc in ((base, base_doc), (cand, cand_doc)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc if isinstance(doc, str) else json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, script, base, cand],
         stdout=subprocess.PIPE,
@@ -87,6 +91,24 @@ def main():
         # Missing build-type stamp is not release either.
         ok &= run_case(script, workdir, "unstamped_baseline",
                        make_doc(1e6, build_type=None), make_doc(1e6), 2)
+        # google-benchmark's library_build_type alone is not the stamp: a
+        # file that says "release" only there is unstamped.
+        legacy = make_doc(1e6)
+        del legacy["context"]["sentinel.build_type"]
+        legacy["context"]["library_build_type"] = "release"
+        ok &= run_case(script, workdir, "library_stamp_only",
+                       legacy, make_doc(1e6), 2)
+        # A repeated key is malformed, whichever side carries it and whatever
+        # the two values are: json.load would keep the last one silently.
+        text = json.dumps(make_doc(1e6))
+        repeated = text.replace('"sentinel.build_type": "release"',
+                                '"sentinel.build_type": "debug", '
+                                '"sentinel.build_type": "release"')
+        assert repeated != text
+        ok &= run_case(script, workdir, "repeated_key_candidate",
+                       make_doc(1e6), repeated, 1)
+        ok &= run_case(script, workdir, "repeated_key_baseline",
+                       repeated, make_doc(1e6), 1)
         # Cross-machine refusal: any machine.* field disagreeing.
         other = dict(MACHINE, **{"machine.kernel_level": "scalar"})
         ok &= run_case(script, workdir, "machine_mismatch",
