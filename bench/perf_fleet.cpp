@@ -22,7 +22,7 @@
 #include "common/scenario.h"
 #include "core/fleet.h"
 #include "metrics_main.h"
-#include "service/frame_reader.h"
+#include "service/frame.h"
 #include "sim/simulator.h"
 #include "trace/binary_trace.h"
 #include "util/thread_pool.h"
@@ -165,18 +165,19 @@ void BM_FleetIngestDiagnose(benchmark::State& state) {
 /// time-shifted by a whole number of windows past the one before (so the
 /// replayed records open fresh windows instead of arriving late), cut into
 /// 1024-record frames from its start. With frames:0 each frame arrives as
-/// an add_records span; with frames:1 as SNTRB1 bytes through
-/// service::FrameReader and FleetMonitor::ingest, the resident service's
-/// path. The warm-up pass feeds the frames that fit in the first two
-/// copies, growing every recycled buffer (windower slots, gathers, pipeline
-/// scratch, alarm rows, the ingest buffer) and creating the shard's record
-/// batches -- one per batch in flight, which the longer warm-up covers;
-/// the counted pass feeds the rest, so every record takes the same path
-/// through warm state. Both passes end with drain(), so at threads > 1
-/// every queued batch is applied and recycled inside the pass that queued
-/// it. The contract -- zero allocations per record at steady state -- is
-/// asserted in-bench (a tiny epsilon absorbs alarm-edge track churn and
-/// queue nodes, which are per window or per batch, not per record).
+/// an add_records span; with frames:1 as SNTRB1 bytes decoded by
+/// service::decode_records into one reused buffer and then handed to
+/// add_records, the resident service's path. The warm-up pass feeds the
+/// frames that fit in the first two copies, growing every recycled buffer
+/// (windower slots, pipeline scratch, alarm rows, the decode buffer) and
+/// creating the shard's record batches -- one per batch in flight, which
+/// the longer warm-up covers; the counted pass feeds the rest, so every
+/// record takes the same path through warm state. Both passes end with
+/// drain(), so at threads > 1 every queued batch is applied and recycled
+/// inside the pass that queued it. The contract -- zero allocations per
+/// record at steady state -- is asserted in-bench (a tiny epsilon absorbs
+/// alarm-edge track churn and queue nodes, which are per window or per
+/// batch, not per record).
 void BM_FleetIngestSteadyState(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   const bool frames = state.range(1) != 0;
@@ -200,14 +201,14 @@ void BM_FleetIngestSteadyState(benchmark::State& state) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     encode_binary_record(wire.data() + i * record_bytes, stream[i]);
   }
-  service::FrameReader reader(dims);
+  std::vector<SensorRecord> decoded;
 
   const auto feed = [&](core::FleetMonitor& fleet, std::size_t begin, std::size_t end) {
     for (std::size_t off = begin; off < end; off += kFrame) {
       const std::size_t len = std::min(kFrame, end - off);
       if (frames) {
-        reader.reset(wire.data() + off * record_bytes, len);
-        fleet.ingest("r", reader);
+        fleet.add_records(
+            "r", service::decode_records(wire.data() + off * record_bytes, len, dims, decoded));
       } else {
         fleet.add_records("r", {stream.data() + off, len});
       }

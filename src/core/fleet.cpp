@@ -551,7 +551,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
   IngestSummary sum;
   const MalformedCounts before = st.malformed;
   const std::size_t comment_base = st.comment_lines;
-  const std::uint64_t block_base = st.backpressure_block_ns;
+  std::vector<SensorRecord> batch;
 
   // Resume: fast-forward past the prefix the restored checkpoint already
   // covers. The reader's malformed/comment tallies over that prefix are
@@ -587,7 +587,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
     if (st.health == RegionHealth::kQuarantined) break;
     std::size_t n = 0;
     try {
-      n = reader.read_batch(ingest_buf_, batch_records);
+      n = reader.read_batch(batch, batch_records);
     } catch (...) {
       const auto err = std::current_exception();
       quarantine(st,
@@ -604,7 +604,7 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
       st.malformed = before;
       st.malformed += reader.malformed() - skip_malformed;
       st.comment_lines = comment_base + (reader.comment_lines() - skip_comments);
-      add_records(region, {ingest_buf_.data(), n});
+      add_records(region, {batch.data(), n});
       sum.records += n;
       SENTINEL_FAULT_POINT(util::fault::kIngestBatch);
     }
@@ -650,7 +650,6 @@ FleetMonitor::IngestSummary FleetMonitor::ingest(const std::string& region, Trac
   st.malformed += reader.malformed() - skip_malformed;
   st.comment_lines = comment_base + (reader.comment_lines() - skip_comments);
   sum.status = st.status;
-  sum.backpressure_block_ns = st.backpressure_block_ns - block_base;
   return sum;
 }
 
@@ -952,6 +951,21 @@ FleetReport FleetMonitor::diagnose() const {
     }
   }
   return fleet;
+}
+
+void export_region_metrics(util::MetricsSnapshot& snap, const FleetMonitor& fleet) {
+  for (const auto& [name, st] : fleet.health()) {
+    const std::string prefix = "fleet.region." + name + ".";
+    snap.add_counter(prefix + "records_ingested", st.records_ingested);
+    snap.add_counter(prefix + "records_dropped", st.records_dropped);
+    snap.add_counter(prefix + "malformed_lines", st.malformed.total());
+    snap.add_counter(prefix + "backpressure_waits", st.backpressure_waits);
+    snap.add_counter(prefix + "backpressure_block_ns", st.backpressure_block_ns);
+    snap.add_counter(prefix + "health", static_cast<std::uint64_t>(st.health));
+    if (st.health != RegionHealth::kQuarantined) {
+      export_pipeline_metrics(snap, prefix, fleet.region(name));
+    }
+  }
 }
 
 }  // namespace sentinel::core

@@ -262,10 +262,6 @@ class FleetMonitor {
   struct IngestSummary {
     std::size_t records = 0;  // records accepted into the region
     util::Status status;      // region status after this ingest
-    /// Producer block time attributable to *this* ingest call: how long the
-    /// caller sat in backpressure waits while feeding these records (0 at
-    /// threads = 1, which applies records in place).
-    std::uint64_t backpressure_block_ns = 0;
   };
 
   /// Streaming ingestion: pump `reader` dry into `region` in batches of
@@ -362,8 +358,8 @@ class FleetMonitor {
   /// producer-side buffer); always 0 at threads = 1, which applies input
   /// in place. Producer-thread only, like the ingestion API: this is
   /// the admission-control probe -- a service front end rejects a tenant's
-  /// frame (instead of blocking inside ingest) when the shard is already at
-  /// FleetConfig::max_queue_records. Throws on unknown region.
+  /// frame (instead of blocking inside add_records) when the shard is
+  /// already at FleetConfig::max_queue_records. Throws on unknown region.
   std::size_t queue_depth(const std::string& region) const;
 
   const FleetConfig& config() const { return cfg_; }
@@ -413,10 +409,6 @@ class FleetMonitor {
   std::unique_ptr<Committer> committer_;
   /// report_snapshot() sequence number. Caller thread only.
   std::uint64_t snapshot_epoch_ = 0;
-  /// ingest()'s read buffer, kept across calls so a service that ingests
-  /// one frame per call reuses its records' attribute storage. Caller
-  /// thread only, like the rest of the ingestion API.
-  std::vector<SensorRecord> ingest_buf_;
 
   /// Health records, keyed like regions_. Only the caller (producer) thread
   /// reads or writes these -- workers report through their Shard and the
@@ -440,5 +432,13 @@ class FleetMonitor {
   util::Counter* m_ckpt_bytes_ = nullptr;
   util::Histogram* m_queue_depth_ = nullptr;
 };
+
+/// The per-region metrics export `fleet --metrics-json` and the service's
+/// METRICS reply share: every region's RegionState counters (records
+/// ingested and dropped, malformed lines, backpressure waits and block
+/// time, health) under "fleet.region.<name>.", and for a region that is
+/// not quarantined its pipeline's export_pipeline_metrics under the same
+/// prefix. Reads the live pipelines: at threads != 1, drain() first.
+void export_region_metrics(util::MetricsSnapshot& snap, const FleetMonitor& fleet);
 
 }  // namespace sentinel::core

@@ -311,8 +311,6 @@ ModelStateSet ModelStateSet::load(ModelStateConfig cfg, serialize::Reader& r) {
   if (n == 0) throw std::runtime_error("checkpoint: model-states empty");
   std::vector<StateId> ids;
   std::vector<AttrVec> centroids;
-  ids.reserve(n);
-  centroids.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ids.push_back(serialize::get<StateId>(r));
     centroids.push_back(serialize::get_vector<double>(r));

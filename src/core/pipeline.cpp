@@ -519,4 +519,30 @@ DiagnosisReport DetectionPipeline::diagnose() const {
   return report;
 }
 
+void export_pipeline_metrics(util::MetricsSnapshot& snap, const std::string& prefix,
+                             const DetectionPipeline& p) {
+  const PipelineCounters c = p.counters();
+  snap.add_counter(prefix + "windows_processed", c.windows_processed);
+  snap.add_counter(prefix + "windows_skipped", c.windows_skipped);
+  snap.add_counter(prefix + "state_spawns", c.state_spawns);
+  snap.add_counter(prefix + "state_merges", c.state_merges);
+  snap.add_counter(prefix + "raw_alarms", c.raw_alarms);
+  snap.add_counter(prefix + "filtered_alarms", c.filtered_alarms);
+  snap.add_counter(prefix + "track_opens", c.track_opens);
+  snap.add_counter(prefix + "track_closes", c.track_closes);
+  snap.add_counter(prefix + "hmm_updates", c.hmm_updates);
+  snap.add_counter(prefix + "late_records", c.late_records);
+  snap.add_counter(prefix + "clamped_records", c.clamped_records);
+  if (p.screens() == nullptr) return;
+  const screen::ScreenStats s = p.screen_stats();
+  snap.add_counter(prefix + "screen.sensors", s.sensors);
+  snap.add_counter(prefix + "screen.escalated", s.escalated);
+  snap.add_counter(prefix + "screen.escalations", s.escalations);
+  snap.add_counter(prefix + "screen.deescalations", s.deescalations);
+  snap.add_counter(prefix + "screen.chi2_trips", s.chi2_trips);
+  snap.add_counter(prefix + "screen.runs_trips", s.runs_trips);
+  snap.add_counter(prefix + "screen.screened_windows", s.screened_windows);
+  snap.add_counter(prefix + "screen.escalated_windows", s.escalated_windows);
+}
+
 }  // namespace sentinel::core

@@ -41,6 +41,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/alarms.h"
@@ -60,6 +61,7 @@
 
 namespace sentinel::util {
 class Histogram;
+struct MetricsSnapshot;
 }  // namespace sentinel::util
 
 namespace sentinel::core {
@@ -316,5 +318,11 @@ class DetectionPipeline {
   mutable util::CopyableMutex diag_mu_;
   mutable std::optional<DiagCache> diag_cache_;
 };
+
+/// Add `p`'s counters() under `prefix` and, when it screens, its
+/// screen_stats() under `prefix` + "screen." (`analyze --metrics-json` uses
+/// "pipeline."; export_region_metrics in core/fleet.h uses it per region).
+void export_pipeline_metrics(util::MetricsSnapshot& snap, const std::string& prefix,
+                             const DetectionPipeline& p);
 
 }  // namespace sentinel::core

@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "trace/binary_trace.h"
+
 namespace sentinel::service {
 
 namespace {
@@ -136,6 +138,16 @@ util::Status parse_ack(const std::vector<unsigned char>& payload, AckBody& body)
   body.message.assign(reinterpret_cast<const char*>(payload.data()) + kAckHeaderBytes,
                       payload.size() - kAckHeaderBytes);
   return util::Status::ok();
+}
+
+std::span<const SensorRecord> decode_records(const unsigned char* records, std::size_t count,
+                                             std::size_t dims, std::vector<SensorRecord>& buf) {
+  if (buf.size() < count) buf.resize(count);
+  const std::size_t record_bytes = binary_trace_record_bytes(dims);
+  for (std::size_t i = 0; i < count; ++i) {
+    decode_binary_record(records + i * record_bytes, dims, buf[i]);
+  }
+  return {buf.data(), count};
 }
 
 }  // namespace sentinel::service

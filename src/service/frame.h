@@ -52,9 +52,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "trace/record.h"
 #include "util/status.h"
 
 namespace sentinel::service {
@@ -144,5 +146,15 @@ struct AckBody {
 
 /// Parse a kAck / kEvent payload; non-ok on a short payload.
 util::Status parse_ack(const std::vector<unsigned char>& payload, AckBody& body);
+
+/// Decode the `count` records of `dims` attributes a kRecords payload holds
+/// after its header (`records` points at count * binary_trace_record_bytes(
+/// dims) valid bytes) into the front of `buf`, and return them. Records
+/// decode through trace/binary_trace.h's record codec, so each is
+/// bit-identical to its on-disk form. `buf` only grows: a short frame leaves
+/// the records behind it, and their attribute storage, for the next frame
+/// to decode into.
+std::span<const SensorRecord> decode_records(const unsigned char* records, std::size_t count,
+                                             std::size_t dims, std::vector<SensorRecord>& buf);
 
 }  // namespace sentinel::service

@@ -16,7 +16,8 @@
 #include <utility>
 
 #include "core/report.h"
-#include "service/frame_reader.h"
+#include "trace/binary_trace.h"
+#include "trace/trace_reader.h"
 #include "util/metrics.h"
 
 namespace sentinel::service {
@@ -36,21 +37,6 @@ void close_fd(int& fd) {
     ::close(fd);
     fd = -1;
   }
-}
-
-/// Per-region fleet state folded into the metrics document, mirroring what
-/// the batch CLI injects for --metrics-json so an operator reads the same
-/// names either way.
-void inject_region_state(util::MetricsSnapshot& snap, const std::string& name,
-                         const core::RegionState& st) {
-  const std::string prefix = "fleet.region." + name + ".";
-  snap.add_counter(prefix + "records_ingested", st.records_ingested);
-  snap.add_counter(prefix + "records_dropped", st.records_dropped);
-  snap.add_counter(prefix + "malformed_lines", st.malformed.total());
-  snap.add_counter(prefix + "backpressure_waits", st.backpressure_waits);
-  snap.add_counter(prefix + "backpressure_block_ns", st.backpressure_block_ns);
-  snap.add_counter(prefix + "health",
-                   static_cast<std::uint64_t>(st.health));
 }
 
 }  // namespace
@@ -318,15 +304,21 @@ void Server::handle_records(Conn& c, const Frame& f) {
     write_event(c.fd, util::StatusCode::kResourceExhausted, seq, "region queue full");
     return;
   }
-  FrameReader reader(c.dims);
-  reader.reset(f.payload.data() + kRecordsHeaderBytes, count);
-  const auto sum = fleet_.ingest(c.region, reader);
+  // The batch path: slices of at most kDefaultBatch records go to
+  // add_records, as a file's batches do, so a record offered to a
+  // quarantined region is counted as dropped like any other.
+  const auto recs = decode_records(f.payload.data() + kRecordsHeaderBytes, count, c.dims, records_);
+  for (std::size_t off = 0; off < recs.size(); off += TraceReader::kDefaultBatch) {
+    fleet_.add_records(c.region,
+                       recs.subspan(off, std::min(TraceReader::kDefaultBatch, recs.size() - off)));
+  }
   c.expected_seq = seq + 1;
-  if (!sum.status.is_ok() && !c.health_reported) {
+  const util::Status& status = fleet_.region_health(c.region).status;
+  if (!status.is_ok() && !c.health_reported) {
     // One unsolicited health event per connection: the tenant's feed
     // degraded or quarantined its region.
     c.health_reported = true;
-    write_event(c.fd, sum.status.code(), 0, sum.status.message());
+    write_event(c.fd, status.code(), 0, status.message());
   }
 }
 
@@ -370,7 +362,7 @@ void Server::handle_report(Conn& c, const Frame& f) {
 void Server::handle_metrics(int fd) {
   fleet_.drain();
   util::MetricsSnapshot snap = util::metrics().snapshot();
-  for (const auto& [name, st] : fleet_.health()) inject_region_state(snap, name, st);
+  core::export_region_metrics(snap, fleet_);
   write_frame(fd, FrameType::kText, snap.to_json());
 }
 

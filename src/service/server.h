@@ -128,6 +128,9 @@ class Server {
   std::vector<Conn> conns_;
   std::vector<unsigned char> rx_;  // recv buffer, reused
   Frame frame_;                    // decode target, reused
+  /// RECORDS decode target (decode_records). It only grows, so the records
+  /// of a full frame keep their attribute storage across shorter frames.
+  std::vector<SensorRecord> records_;
 
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> stopped_{false};

@@ -10,21 +10,6 @@
 
 namespace sentinel {
 
-std::size_t TraceReader::skip_records(std::size_t n) {
-  // Generic fallback: read into scratch and discard. Text formats must parse
-  // the prefix anyway (records have no fixed width), and the malformed /
-  // comment tallies stay exactly what a straight read would produce.
-  std::vector<SensorRecord> scratch;
-  std::size_t skipped = 0;
-  while (skipped < n) {
-    const std::size_t want = std::min(n - skipped, kDefaultBatch);
-    const std::size_t got = read_batch(scratch, want);
-    if (got == 0) break;
-    skipped += got;
-  }
-  return skipped;
-}
-
 /// One line-aligned slice of the input and what decoding it produced. The
 /// reader and every decode task posted for the chunk each hold a reference
 /// (`refs`), so a task that runs after the reader is gone -- it finds the

@@ -60,8 +60,8 @@ class TraceReader {
   /// discarding `n` records (malformed/comment lines crossed while skipping
   /// are tallied as usual), so skip + read sees exactly the records a
   /// straight read would. Returns the count actually skipped; < n means the
-  /// stream ended first. Binary readers seek in O(1) instead.
-  virtual std::size_t skip_records(std::size_t n);
+  /// stream ended first. Binary readers seek in O(1).
+  virtual std::size_t skip_records(std::size_t n) = 0;
 
   /// Terminal stream condition. Ok while records are flowing and after a
   /// clean end of stream; non-ok (and sticky) once the source fails

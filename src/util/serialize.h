@@ -19,7 +19,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <iomanip>
 #include <istream>
@@ -214,12 +216,14 @@ void put_vector(Writer& w, const std::vector<T>& v) {
   for (const T& x : v) put(w, x);
 }
 
+/// Sized readers (get_vector, get_matrix) grow their storage as values
+/// arrive and never size it from the count alone, so a hostile header
+/// allocates no more than the stream actually holds before it fails.
 template <typename T>
 std::vector<T> get_vector(Reader& r) {
   const auto n = get<std::size_t>(r);
   if (n > (1u << 26)) throw std::runtime_error("checkpoint: implausible vector size");
   std::vector<T> v;
-  v.reserve(n);
   for (std::size_t i = 0; i < n; ++i) v.push_back(get<T>(r));
   return v;
 }
@@ -238,9 +242,11 @@ inline Matrix get_matrix(Reader& r) {
   if (rows > (1u << 16) || cols > (1u << 16)) {
     throw std::runtime_error("checkpoint: implausible matrix size");
   }
+  std::vector<double> cells;
+  for (std::size_t i = 0; i < rows * cols; ++i) cells.push_back(get<double>(r));
   Matrix m(rows, cols);
   for (std::size_t row = 0; row < rows; ++row) {
-    for (std::size_t c = 0; c < cols; ++c) m(row, c) = get<double>(r);
+    std::copy_n(cells.begin() + static_cast<std::ptrdiff_t>(row * cols), cols, m.row(row).begin());
   }
   return m;
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <memory>
 #include <sstream>
 #include <string>
@@ -61,6 +63,26 @@ TEST(Checkpoint, OnlineHmmRejectsGarbage) {
                std::runtime_error);
   EXPECT_THROW(hmm::OnlineHmm::load({}, test::ReaderOver("online-hmm\n3 1 2 3")),
                std::runtime_error);
+}
+
+/// Peak resident set of this process so far, in MB (ru_maxrss is in KiB).
+double peak_rss_mb() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+TEST(Checkpoint, HostileMatrixHeaderAllocatesNothingBeforeItsValues) {
+  // Two empty id vectors, then a 65536 x 4096 matrix header and no values:
+  // 26 bytes that ask for 2 GiB of zero-filled cells.
+  const std::string bytes = "online-hmm\n0 0 65536 4096 ";
+  ASSERT_EQ(bytes.size(), 26u);
+  const double before = peak_rss_mb();
+  EXPECT_THROW(hmm::OnlineHmm::load({}, test::ReaderOver(bytes)), std::runtime_error);
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "AddressSanitizer's shadow memory distorts peak RSS";
+#endif
+  EXPECT_LT(peak_rss_mb() - before, 64.0);
 }
 
 /// An online-hmm record written field by field in save()'s order: six hidden

@@ -8,9 +8,9 @@
 //  - finish_region() finalizes one tenant's region while the others keep
 //    ingesting, with per-region diagnoses identical to a collective
 //    finish();
-//  - IngestSummary::backpressure_block_ns attributes producer block time to
-//    the ingest call that paid it, consistently with the per-region
-//    RegionState totals.
+//  - RegionState::backpressure_waits / backpressure_block_ns attribute
+//    producer block time to the region (the tenant) whose full queue
+//    caused it.
 
 #include <gtest/gtest.h>
 
@@ -175,9 +175,6 @@ TEST(FleetSnapshot, BackpressureBlockTimeIsAttributedPerIngest) {
   // legitimately wait (and account) once more.
   const std::uint64_t waits = fleet.region_health("r").backpressure_waits;
   const std::uint64_t block_ns = fleet.region_health("r").backpressure_block_ns;
-  // One ingest call fed the whole region, so the per-call attribution must
-  // equal the region's lifetime total exactly.
-  EXPECT_EQ(sum.backpressure_block_ns, block_ns);
   // With a 16-record bound and thousands of records on a shared pool, the
   // producer cannot avoid waiting at least once.
   EXPECT_GT(waits, 0u);
@@ -193,8 +190,7 @@ TEST(FleetSnapshot, SerialIngestReportsZeroBackpressure) {
 
   core::FleetMonitor fleet(6.0);
   fleet.add_region("r", scenario_config(screen::ScreenMode::kOff));
-  const auto sum = fleet.ingest_file("r", path);
-  EXPECT_EQ(sum.backpressure_block_ns, 0u);
+  ASSERT_TRUE(fleet.ingest_file("r", path).status.is_ok());
   const auto& st = fleet.region_health("r");
   EXPECT_EQ(st.backpressure_waits, 0u);
   EXPECT_EQ(st.backpressure_block_ns, 0u);

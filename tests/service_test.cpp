@@ -34,7 +34,6 @@
 #include "core/report.h"
 #include "service/client.h"
 #include "service/frame.h"
-#include "service/frame_reader.h"
 #include "service/server.h"
 #include "sim/simulator.h"
 #include "trace/binary_trace.h"
@@ -231,7 +230,7 @@ std::size_t open_fds() {
   return n;
 }
 
-TEST(ServiceFraming, RecordCodecRoundTripsThroughFrameReader) {
+TEST(ServiceFraming, RecordCodecRoundTripsThroughDecodeRecords) {
   std::vector<SensorRecord> records;
   for (std::uint32_t i = 0; i < 100; ++i) {
     records.push_back(SensorRecord{i, 17.5 * i, AttrVec{1.0 + i, -2.0 * i, 0.25}});
@@ -242,34 +241,42 @@ TEST(ServiceFraming, RecordCodecRoundTripsThroughFrameReader) {
     encode_binary_record(wire.data() + i * rb, records[i]);
   }
 
-  service::FrameReader reader(3);
-  reader.reset(wire.data(), records.size());
-  std::vector<SensorRecord> out;
+  // Frames of 17 records into one buffer, as the server decodes them.
+  std::vector<SensorRecord> buf;
   std::vector<SensorRecord> all;
-  while (reader.read_batch(out, 17) > 0) all.insert(all.end(), out.begin(), out.end());
+  for (std::size_t off = 0; off < records.size(); off += 17) {
+    const std::size_t n = std::min<std::size_t>(17, records.size() - off);
+    const auto recs = service::decode_records(wire.data() + off * rb, n, 3, buf);
+    ASSERT_EQ(recs.size(), n);
+    all.insert(all.end(), recs.begin(), recs.end());
+  }
   ASSERT_EQ(all.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(all[i], records[i]) << "record " << i;
   }
 }
 
-TEST(ServiceFraming, FrameReaderEndOfFrameKeepsTheBatch) {
-  // The server ingests one frame per call into one reused batch. The call
-  // that finds the frame drained must not shrink that batch: doing so frees
-  // every record's attribute storage, which the next frame decodes into.
+TEST(ServiceFraming, DecodeRecordsKeepsAttributeStorageAcrossShortFrames) {
+  // The server decodes every frame into one buffer. A short frame must not
+  // shrink it: doing so frees the attribute storage of the records behind
+  // it, which the next full frame decodes into.
   const std::size_t rb = binary_trace_record_bytes(2);
   std::vector<unsigned char> wire(8 * rb);
   for (std::uint32_t i = 0; i < 8; ++i) {
-    encode_binary_record(wire.data() + i * rb, SensorRecord{i, 1.0 * i, AttrVec{1.0, 2.0}});
+    encode_binary_record(wire.data() + i * rb, SensorRecord{i, 1.0 * i, AttrVec{1.0 * i, 2.0}});
   }
-  service::FrameReader reader(2);
-  reader.reset(wire.data(), 8);
-  std::vector<SensorRecord> out;
-  ASSERT_EQ(reader.read_batch(out, 64), 8u);
-  const double* storage = out[0].attrs.data();
-  EXPECT_EQ(reader.read_batch(out, 64), 0u);
-  ASSERT_EQ(out.size(), 8u);
-  EXPECT_EQ(out[0].attrs.data(), storage);
+  std::vector<SensorRecord> buf;
+  ASSERT_EQ(service::decode_records(wire.data(), 8, 2, buf).size(), 8u);
+  const double* storage = buf[7].attrs.data();
+  const auto short_frame = service::decode_records(wire.data(), 3, 2, buf);
+  ASSERT_EQ(short_frame.size(), 3u);
+  EXPECT_EQ(short_frame.back().sensor, 2u);
+  ASSERT_EQ(buf.size(), 8u);
+  EXPECT_EQ(buf[7].attrs.data(), storage);
+  const auto full_frame = service::decode_records(wire.data(), 8, 2, buf);
+  ASSERT_EQ(full_frame.size(), 8u);
+  EXPECT_EQ(full_frame[7].attrs.data(), storage);
+  EXPECT_EQ(full_frame[7], (SensorRecord{7, 7.0, AttrVec{7.0, 2.0}}));
 }
 
 TEST(ServiceDeterminism, SingleConnectionMatchesIngestFile) {
@@ -320,6 +327,7 @@ TEST(ServiceControlPlane, SnapshotReportMetricsAndHealthAnswerMidStream) {
   const auto metrics = client.metrics_json();
   ASSERT_TRUE(metrics.is_ok());
   EXPECT_NE(metrics->find("fleet.region.north.records_ingested"), std::string::npos);
+  EXPECT_NE(metrics->find("fleet.region.north.windows_processed"), std::string::npos);
   EXPECT_NE(metrics->find("fleet.report_snapshots"), std::string::npos);
 
   // The rest of the stream still lands and finalizes normally.
@@ -394,6 +402,52 @@ TEST(ServiceControlPlane, RegionScopeFinalReportsMatchBatchDiagnosisPerTenant) {
               std::string::npos)
         << report.status().to_string();
     server.stop();
+  }
+}
+
+TEST(ServiceAdmission, QuarantinedTenantAccountsForEveryRecord) {
+  // A tenant streams three-attribute records into two-attribute models in
+  // 64-record frames. Its pipeline fails a few frames in and the region is
+  // quarantined; every record it sends after that must still be counted as
+  // dropped, with the ingested/dropped split of an in-process fleet fed the
+  // same spans.
+  constexpr std::size_t kFrame = 64;
+  const auto& trace = golden_trace();
+  ASSERT_GE(trace.size(), 12000u);
+  std::vector<SensorRecord> bad(trace.begin(), trace.begin() + 12000);
+  for (auto& rec : bad) rec.attrs.push_back(0.0);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::FleetConfig fc;
+    fc.threads = threads;
+    core::FleetMonitor batch(fc);
+    batch.add_region("delta", golden_config());
+    for (std::size_t off = 0; off < bad.size(); off += kFrame) {
+      batch.add_records("delta", {bad.data() + off, std::min(kFrame, bad.size() - off)});
+    }
+    batch.drain();
+    const core::RegionState& want = batch.region_health("delta");
+    ASSERT_EQ(want.health, core::RegionHealth::kQuarantined);
+
+    service::ServerConfig sc;
+    sc.fleet.threads = threads;
+    sc.region = golden_config();
+    service::Server server(std::move(sc));
+    server.start();
+    service::ClientConfig cc;
+    cc.port = server.port();
+    cc.frame_records = kFrame;
+    service::Client client(cc);
+    ASSERT_TRUE(client.hello("delta", 3).is_ok());
+    ASSERT_TRUE(client.send(bad).is_ok());
+    ASSERT_TRUE(client.flush().is_ok());
+    server.stop();  // drains the fleet
+    const core::RegionState& got = server.fleet().region_health("delta");
+    EXPECT_EQ(got.health, core::RegionHealth::kQuarantined);
+    EXPECT_EQ(got.records_ingested + got.records_dropped, bad.size());
+    EXPECT_EQ(got.records_ingested, want.records_ingested);
+    EXPECT_EQ(got.records_dropped, want.records_dropped);
   }
 }
 

@@ -181,10 +181,7 @@ int cmd_analyze(const Args& args) {
   }
 
   auto snap = util::metrics().snapshot();
-  inject_pipeline_counters(snap, "pipeline.", pipeline->counters());
-  if (pipeline->screens() != nullptr) {
-    inject_screen_stats(snap, "pipeline.screen.", pipeline->screen_stats());
-  }
+  core::export_pipeline_metrics(snap, "pipeline.", *pipeline);
   return write_metrics_json(args, snap);
 }
 

@@ -80,21 +80,6 @@ std::string opt_str(const Args& a, const std::string& key, const std::string& fa
   return it == a.options.end() ? fallback : it->second;
 }
 
-void inject_pipeline_counters(util::MetricsSnapshot& snap, const std::string& prefix,
-                              const core::PipelineCounters& c) {
-  snap.add_counter(prefix + "windows_processed", c.windows_processed);
-  snap.add_counter(prefix + "windows_skipped", c.windows_skipped);
-  snap.add_counter(prefix + "state_spawns", c.state_spawns);
-  snap.add_counter(prefix + "state_merges", c.state_merges);
-  snap.add_counter(prefix + "raw_alarms", c.raw_alarms);
-  snap.add_counter(prefix + "filtered_alarms", c.filtered_alarms);
-  snap.add_counter(prefix + "track_opens", c.track_opens);
-  snap.add_counter(prefix + "track_closes", c.track_closes);
-  snap.add_counter(prefix + "hmm_updates", c.hmm_updates);
-  snap.add_counter(prefix + "late_records", c.late_records);
-  snap.add_counter(prefix + "clamped_records", c.clamped_records);
-}
-
 bool apply_screen_mode(const Args& args, core::PipelineConfig& cfg) {
   const std::string mode = opt_str(args, "--screen-mode", "off");
   if (!screen::parse_screen_mode(mode.c_str(), cfg.screen.mode)) {
@@ -102,18 +87,6 @@ bool apply_screen_mode(const Args& args, core::PipelineConfig& cfg) {
     return false;
   }
   return true;
-}
-
-void inject_screen_stats(util::MetricsSnapshot& snap, const std::string& prefix,
-                         const screen::ScreenStats& s) {
-  snap.add_counter(prefix + "sensors", s.sensors);
-  snap.add_counter(prefix + "escalated", s.escalated);
-  snap.add_counter(prefix + "escalations", s.escalations);
-  snap.add_counter(prefix + "deescalations", s.deescalations);
-  snap.add_counter(prefix + "chi2_trips", s.chi2_trips);
-  snap.add_counter(prefix + "runs_trips", s.runs_trips);
-  snap.add_counter(prefix + "screened_windows", s.screened_windows);
-  snap.add_counter(prefix + "escalated_windows", s.escalated_windows);
 }
 
 int write_metrics_json(const Args& args, const util::MetricsSnapshot& snap) {

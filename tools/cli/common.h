@@ -37,15 +37,9 @@ std::optional<Args> parse(int argc, char** argv);
 double opt_double(const Args& a, const std::string& key, double fallback);
 std::string opt_str(const Args& a, const std::string& key, const std::string& fallback);
 
-void inject_pipeline_counters(util::MetricsSnapshot& snap, const std::string& prefix,
-                              const core::PipelineCounters& c);
-
 /// Parse --screen-mode into cfg (default off, the historical path). Prints
 /// and returns false on an unknown mode.
 bool apply_screen_mode(const Args& args, core::PipelineConfig& cfg);
-
-void inject_screen_stats(util::MetricsSnapshot& snap, const std::string& prefix,
-                         const screen::ScreenStats& s);
 
 int write_metrics_json(const Args& args, const util::MetricsSnapshot& snap);
 

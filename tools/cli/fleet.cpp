@@ -69,19 +69,7 @@ int cmd_fleet(const Args& args) {
   std::printf("%s", core::to_string(report).c_str());
 
   auto snap = util::metrics().snapshot();
-  for (const auto& [name, path] : feeds) {
-    const auto& st = fleet.region_health(name);
-    if (st.health == core::RegionHealth::kQuarantined) continue;
-    const auto& rp = fleet.region(name);
-    inject_pipeline_counters(snap, "region." + name + ".", rp.counters());
-    if (rp.screens() != nullptr) {
-      inject_screen_stats(snap, "region." + name + ".screen.", rp.screen_stats());
-    }
-    // Backpressure attribution (satellite of the resident-service work): how
-    // often and how long the producer blocked on this region's full shard.
-    snap.add_counter("region." + name + ".backpressure_waits", st.backpressure_waits);
-    snap.add_counter("region." + name + ".backpressure_block_ns", st.backpressure_block_ns);
-  }
+  core::export_region_metrics(snap, fleet);
   return write_metrics_json(args, snap);
 }
 
