@@ -91,6 +91,7 @@ int main() {
 
   while (next_checkpoint <= crash_at) {
     feed_until(fleet, next_checkpoint);
+    fleet.drain();  // every record fed so far reaches its pipeline
     for (const auto& name : fleet.region_names()) {
       std::ostringstream os;
       fleet.region(name).save_checkpoint(os);

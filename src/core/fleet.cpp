@@ -145,17 +145,17 @@ std::string to_string(const FleetReport& r) {
   return os.str();
 }
 
-/// Per-region shard; every region has one, at any thread count. Each
-/// pipeline call that can throw goes through run(), which parks the
-/// exception and the dropped record count here under the lock; the
-/// producer folds them into the region's health record (absorb), so every
-/// health transition happens on the caller thread and is deterministic at
-/// any thread count. At threads = 1 the producer calls run() itself and
-/// the queue stays empty. Otherwise the producer buffers records in
-/// producer_buf, hands whole batches and windows to `queue` -- one FIFO, so
-/// they apply in the caller's order -- and only the single drain task in
-/// flight (`draining`) advances the pipeline: the single-writer invariant.
-/// Applied batches come back through `spare` for the producer to refill.
+/// Per-region shard; every region has one, and every thread count runs it
+/// the same way. The producer appends records to producer_buf and hands
+/// whole batches and windows to `queue` -- one FIFO, so they apply in the
+/// caller's order -- and only the single drain task in flight (`draining`)
+/// advances the pipeline: the single-writer invariant. At threads = 1 that
+/// task runs inline on the caller at each handoff. Each pipeline call that
+/// can throw goes through run(), which parks the first exception here and
+/// refuses every later call; the producer folds both into the region's
+/// health record where it quiesces the shard (absorb), so every health
+/// transition happens on the caller thread, at the same point at any
+/// thread count.
 struct FleetMonitor::Shard {
   Shard(std::string region_name, DetectionPipeline& p, RegionState& s)
       : name(std::move(region_name)), pipeline(&p), state(&s) {}
@@ -166,22 +166,30 @@ struct FleetMonitor::Shard {
     return batch != nullptr ? batch->size() : std::get<ObservationSet>(item).rep_sensors.size();
   }
 
-  /// Make one pipeline call (`what` names it in the status message). A
-  /// throw is parked with `weight` records counted as dropped -- the
-  /// poisoned pipeline's exact progress is unknowable, so accounting is
-  /// call-granular. Returns whether the call succeeded.
+  /// Make one pipeline call (`what` names it in the status message) unless
+  /// an earlier one failed. A throw is parked with the call's `weight`
+  /// records counted as dropped -- the poisoned pipeline's exact progress is
+  /// unknowable, so accounting is call-granular -- and every later call is
+  /// refused, its `weight` counted as dropped too. Calls are the producer's
+  /// batches and windows, which are the same at any thread count, and so is
+  /// the split.
   template <typename Call>
-  bool run(const char* what, std::size_t weight, Call&& call) {
-    try {
-      call();
-      return true;
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      error = std::current_exception();
-      failed_call = what;
-      dropped += weight;
-      return false;
+  void run(const char* what, std::size_t weight, Call&& call) {
+    // Only the pipeline's writer sets `error`, so it reads it unlocked.
+    if (!error) {
+      try {
+        call();
+        return;
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        error = std::current_exception();
+        failed_call = what;
+        dropped += weight;
+        return;
+      }
     }
+    std::lock_guard<std::mutex> lock(mu);
+    dropped += weight;
   }
 
   // Set at creation, or producer-thread-only.
@@ -189,18 +197,21 @@ struct FleetMonitor::Shard {
   DetectionPipeline* const pipeline;
   RegionState* const state;                // the region's entry in health_
   std::uint64_t ckpt_anchor = 0;  // records_ingested at the last checkpoint
-  RecordBatch producer_buf;       // threads != 1: records not yet handed off
+  RecordBatch producer_buf;       // records not yet handed off
+
+  // Drain-task-only: the FIFO swapped out for applying. Its nodes outlive
+  // each swap, so a warm drain allocates nothing.
+  std::deque<QueueItem> applying;
 
   // Guarded by mu.
   std::mutex mu;
   std::condition_variable cv;     // queue shrank or drain task finished
   std::deque<QueueItem> queue;    // batches move in whole; drained FIFO
-  std::vector<RecordBatch> spare; // applied batches, cleared with capacity kept
   std::size_t queue_records = 0;  // summed weight of `queue`, for backpressure
-  bool draining = false;          // a pool task owns this shard's pipeline
+  bool draining = false;          // a drain task owns this shard's pipeline
   std::exception_ptr error;       // first pipeline failure, folded into health
   const char* failed_call = nullptr;
-  std::size_t dropped = 0;        // records discarded by or behind the failure
+  std::size_t dropped = 0;        // records of the failed and refused calls
 };
 
 /// The checkpoint committer: a single dedicated thread that runs the
@@ -289,9 +300,6 @@ FleetMonitor::FleetMonitor(FleetConfig cfg) : cfg_(cfg) {
   if (cfg_.max_queue_records == 0) {
     throw std::invalid_argument("FleetMonitor: max_queue_records must be >= 1");
   }
-  if (cfg_.batch_records == 0) {
-    throw std::invalid_argument("FleetMonitor: batch_records must be >= 1");
-  }
   const auto& h = cfg_.health;
   if (!(h.degraded_malformed_ratio >= 0.0) || !(h.quarantine_malformed_ratio >= 0.0) ||
       h.degraded_malformed_ratio > 1.0 || h.quarantine_malformed_ratio > 1.0 ||
@@ -300,7 +308,7 @@ FleetMonitor::FleetMonitor(FleetConfig cfg) : cfg_(cfg) {
         "FleetMonitor: malformed ratios must satisfy 0 <= degraded <= quarantine <= 1");
   }
   // The shared pool has no worker thread on a 1-CPU quota, where every
-  // fleet applies its input in place.
+  // fleet drains inline.
   if (cfg_.threads != 1 && util::ThreadPool::shared().runs_inline()) cfg_.threads = 1;
   if (!cfg_.checkpoint_dir.empty()) {
     store_ = std::make_unique<CheckpointStore>(cfg_.checkpoint_dir);
@@ -337,7 +345,7 @@ FleetMonitor::FleetMonitor(double state_match_tol)
 FleetMonitor::~FleetMonitor() {
   // The shared pool outlives the fleet: wait out every drain task still
   // queued or running on it, each of which applies its shard's queue and
-  // returns its batches to the shard before it clears `draining`.
+  // returns its batches to the free list before it clears `draining`.
   for (const auto& [name, sh] : shards_) {
     std::unique_lock<std::mutex> lock(sh->mu);
     sh->cv.wait(lock, [&] { return !sh->draining; });
@@ -467,21 +475,17 @@ void FleetMonitor::add_records(const std::string& region, std::span<const Sensor
   if (recs.empty()) return;
   Shard* sh = admit(region, recs.size());
   if (sh == nullptr) return;
-  if (cfg_.threads == 1) {
-    // One fused span pass through the windower, in place: no copy, no queue.
-    if (!sh->run("pipeline", recs.size(), [&] { sh->pipeline->add_records(recs); })) absorb(*sh);
-  } else {
-    if (sh->producer_buf.empty()) {
-      // Start the next batch in one the drain task recycled, if one is back.
-      std::lock_guard<std::mutex> lock(sh->mu);
-      if (!sh->spare.empty()) {
-        sh->producer_buf = std::move(sh->spare.back());
-        sh->spare.pop_back();
-      }
+  if (sh->producer_buf.empty()) {
+    // Start the next batch in the one a drain task recycled longest ago, if
+    // one is back.
+    std::lock_guard<std::mutex> lock(free_mu_);
+    if (!free_batches_.empty()) {
+      sh->producer_buf = std::move(free_batches_.front());
+      free_batches_.pop_front();
     }
-    sh->producer_buf.append(recs);
-    if (sh->producer_buf.size() >= cfg_.batch_records) flush_shard(*sh);
   }
+  sh->producer_buf.append(recs);
+  if (sh->producer_buf.size() >= kBatchRecords) flush_shard(*sh);
   maybe_checkpoint(*sh);
 }
 
@@ -490,10 +494,11 @@ void FleetMonitor::add_window(const std::string& region, const ObservationSet& w
   Shard* sh = admit(region, weight);
   if (sh == nullptr) return;
   m_windows_->inc();
+  flush_shard(*sh);  // buffered records go ahead of the window
   if (cfg_.threads == 1) {
-    if (!sh->run("pipeline", weight, [&] { sh->pipeline->process_window(window); })) absorb(*sh);
+    // The inline drain left the queue empty: process the window uncopied.
+    sh->run("pipeline", weight, [&] { sh->pipeline->process_window(window); });
   } else {
-    flush_shard(*sh);  // buffered records go ahead of the window
     enqueue(*sh, window);
   }
   maybe_checkpoint(*sh);
@@ -677,8 +682,8 @@ FleetMonitor::IngestSummary FleetMonitor::ingest_file(const std::string& region,
 void FleetMonitor::flush_shard(Shard& sh) const {
   if (sh.producer_buf.empty()) return;
   // Whole-batch handoff: the batch's columns move into the queue, and
-  // add_records starts the next one in a spare the drain task recycled, so
-  // each record is copied into memory the shard already owns. The drain
+  // add_records starts the next one in a batch a drain task recycled, so
+  // each record is copied into memory the fleet already owns. The drain
   // side applies the batch as a single fused pass.
   enqueue(sh, std::move(sh.producer_buf));
   sh.producer_buf.clear();
@@ -687,7 +692,6 @@ void FleetMonitor::flush_shard(Shard& sh) const {
 void FleetMonitor::enqueue(Shard& sh, QueueItem item) const {
   const std::size_t weight = Shard::weight(item);
   bool start_drain = false;
-  bool failed = false;
   {
     std::unique_lock<std::mutex> lock(sh.mu);
     // Backpressure: block while the region's queue is at capacity (in
@@ -696,11 +700,11 @@ void FleetMonitor::enqueue(Shard& sh, QueueItem item) const {
     // this region by duration -- so operators can size max_queue_records
     // and a service front end can bill the stall to the tenant that caused
     // it.
-    if (!sh.error && sh.queue_records >= cfg_.max_queue_records) {
+    if (sh.queue_records >= cfg_.max_queue_records) {
       m_backpressure_->inc();
       ++sh.state->backpressure_waits;
       const auto t0 = std::chrono::steady_clock::now();
-      sh.cv.wait(lock, [&] { return sh.queue_records < cfg_.max_queue_records || sh.error; });
+      sh.cv.wait(lock, [&] { return sh.queue_records < cfg_.max_queue_records; });
       const auto blocked = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
@@ -708,67 +712,59 @@ void FleetMonitor::enqueue(Shard& sh, QueueItem item) const {
       sh.state->backpressure_block_ns += blocked;
       m_backpressure_ns_->add(blocked);
     }
-    if (sh.error) {
-      sh.dropped += weight;
-      failed = true;
-    } else {
-      sh.queue.push_back(std::move(item));
-      sh.queue_records += weight;
-      m_queue_depth_->record(sh.queue_records);
-      start_drain = !std::exchange(sh.draining, true);
-    }
+    sh.queue.push_back(std::move(item));
+    sh.queue_records += weight;
+    m_queue_depth_->record(sh.queue_records);
+    start_drain = !std::exchange(sh.draining, true);
   }
   m_handoffs_->inc();
-  if (!failed) m_enqueued_->add(weight);
-  if (start_drain) util::ThreadPool::shared().post([this, &sh] { drain_shard(sh); });
-  if (failed) absorb(sh);
+  m_enqueued_->add(weight);
+  if (!start_drain) return;
+  if (cfg_.threads == 1) {
+    drain_shard(sh);
+  } else {
+    util::ThreadPool::shared().post([this, &sh] { drain_shard(sh); });
+  }
 }
 
 void FleetMonitor::drain_shard(Shard& sh) const {
-  std::deque<QueueItem> items;
   for (;;) {
     std::size_t taken = 0;
     {
       std::lock_guard<std::mutex> lock(sh.mu);
-      // The batches just applied go back, emptied, for add_records to refill.
-      for (QueueItem& item : items) {
-        if (auto* batch = std::get_if<RecordBatch>(&item)) {
-          batch->clear();
-          sh.spare.push_back(std::move(*batch));
-        }
-      }
-      items.clear();
       if (sh.queue.empty()) {
         sh.draining = false;
         sh.cv.notify_all();
         return;
       }
-      items.swap(sh.queue);
+      sh.applying.swap(sh.queue);
       taken = std::exchange(sh.queue_records, 0);
     }
     sh.cv.notify_all();  // queue emptied; unblock backpressured producers
     // FIFO, so the pipeline sees record batches and windows in the caller's
-    // order -- the same sequence, hence the same report, as threads = 1.
-    for (auto it = items.begin(); it != items.end(); ++it) {
-      const QueueItem& item = *it;
-      const bool ok = sh.run("pipeline", Shard::weight(item), [&] {
+    // order -- the same sequence, hence the same report, at any thread
+    // count. Behind a failure run() refuses each item and counts it dropped:
+    // the pipeline's state after a throw is unknown.
+    for (const QueueItem& item : sh.applying) {
+      sh.run("pipeline", Shard::weight(item), [&] {
         if (const auto* batch = std::get_if<RecordBatch>(&item)) {
           sh.pipeline->add_batch(*batch);
         } else {
           sh.pipeline->process_window(std::get<ObservationSet>(item));
         }
       });
-      if (ok) continue;
-      // Everything behind the failure is discarded: the pipeline's state
-      // after a throw is unknown, so applying more would be worse.
-      std::lock_guard<std::mutex> lock(sh.mu);
-      for (++it; it != items.end(); ++it) sh.dropped += Shard::weight(*it);
-      sh.dropped += std::exchange(sh.queue_records, 0);
-      sh.queue.clear();
-      sh.draining = false;
-      sh.cv.notify_all();
-      return;
     }
+    {
+      // The applied batches go back, emptied, for any region to refill.
+      std::lock_guard<std::mutex> lock(free_mu_);
+      for (QueueItem& item : sh.applying) {
+        if (auto* batch = std::get_if<RecordBatch>(&item)) {
+          batch->clear();
+          free_batches_.push_back(std::move(*batch));
+        }
+      }
+    }
+    sh.applying.clear();
     m_drained_->add(taken);
     m_drain_batches_->inc();
     SENTINEL_FAULT_POINT(util::fault::kDrainBatch);
@@ -778,10 +774,8 @@ void FleetMonitor::drain_shard(Shard& sh) const {
 void FleetMonitor::quiesce(Shard& sh) const {
   flush_shard(sh);
   {
-    // A failed drain task clears the queue before it stops, so this also
-    // waits until everything the failure discarded is counted in `dropped`.
     std::unique_lock<std::mutex> lock(sh.mu);
-    sh.cv.wait(lock, [&] { return !sh.draining && sh.queue.empty(); });
+    sh.cv.wait(lock, [&] { return !sh.draining; });
   }
   absorb(sh);
 }
@@ -809,11 +803,11 @@ void FleetMonitor::finish() {
   // Flush partial windows for live regions only; a quarantined pipeline's
   // state is suspect and is left untouched so healthy-region results match
   // a fleet that never contained it.
-  std::vector<std::future<bool>> jobs;
+  std::vector<std::future<void>> jobs;
   for (const auto& [name, shard] : shards_) {
     if (shard->state->health == RegionHealth::kQuarantined) continue;
     jobs.push_back(start_job(cfg_.threads != 1, [&sh = *shard] {
-      return sh.run("finish", 0, [&] { sh.pipeline->finish(); });
+      sh.run("finish", 0, [&] { sh.pipeline->finish(); });
     }));
   }
   for (auto& job : jobs) job.wait();
@@ -839,8 +833,8 @@ FleetMonitor::FleetSnapshot FleetMonitor::report_snapshot() {
 void FleetMonitor::finish_region(const std::string& name) {
   Shard& sh = shard_of(name);  // throws on unknown region
   quiesce(sh);
-  if (sh.state->health != RegionHealth::kQuarantined &&
-      !sh.run("finish", 0, [&] { sh.pipeline->finish(); })) {
+  if (sh.state->health != RegionHealth::kQuarantined) {
+    sh.run("finish", 0, [&] { sh.pipeline->finish(); });
     absorb(sh);
   }
   flag_if_silent(name, *sh.state);

@@ -10,13 +10,13 @@
 //
 // Regions are independent until the cross-region structural vote, so the
 // fleet parallelizes across them (FleetConfig::threads), on one code path
-// at every thread count: each region owns a shard, every pipeline call that
-// can throw runs through it, and finish()/diagnose() fan per-region jobs
-// out. Only where the work runs depends on the thread count. At threads = 1
-// every job runs on the caller thread and a record span or window is
-// applied in place; otherwise records are batched into the region's bounded
-// FIFO and drained, and the jobs run, on util::ThreadPool::shared() -- the
-// pool the CSV reader decodes ahead on. The fleet owns no pool.
+// at every thread count: each region owns a shard, records are batched into
+// its bounded FIFO and drained through it, every pipeline call that can
+// throw runs through it, and finish()/diagnose() fan per-region jobs out.
+// Only where the drain, finish and diagnose jobs run depends on the thread
+// count: on the caller thread at threads = 1, otherwise on
+// util::ThreadPool::shared() -- the pool the CSV reader decodes ahead on.
+// The fleet owns no pool.
 // Each region's pipeline is only ever touched by one thread at a time (the
 // single-writer invariant; see docs/CONCURRENCY.md) and sees its input in
 // the caller's order, so the FleetReport is bit-identical at any thread
@@ -28,16 +28,22 @@
 // breach quarantines that region -- its remaining input is dropped and
 // counted, its captured error rides along in the FleetReport, and every
 // other region ingests, finishes, and diagnoses exactly as if the sick
-// region had never been added. ingest/drain/finish therefore never throw
-// for data-dependent failures; caller misuse (unknown region, bad config)
-// still throws. See docs/OBSERVABILITY.md for the health-state machine.
+// region had never been added. A pipeline exception turns into that
+// transition only where the producer quiesces the region's shard (drain,
+// finish, finish_region, diagnose/report_snapshot, checkpoint), so the
+// report, health section included, is the same at any thread count.
+// ingest/drain/finish therefore never throw for data-dependent failures;
+// caller misuse (unknown region, bad config) still throws. See
+// docs/OBSERVABILITY.md for the health-state machine.
 
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <variant>
@@ -93,22 +99,24 @@ struct RegionState {
   /// region name; rethrowable for callers that want the original type.
   std::exception_ptr error;
   /// Record accounting; a window counts at its sensor count. A record is
-  /// ingested when handed to the region and moves to dropped if a pipeline
-  /// failure discards it before it is applied, so once drained, ingested +
-  /// dropped equals the records offered, at any thread count.
+  /// ingested when handed to the region and moves to dropped, at the next
+  /// quiesce, if a pipeline failure discarded it before it was applied, so
+  /// once drained, ingested + dropped equals the records offered, at any
+  /// thread count.
   std::size_t records_ingested = 0;  // accepted and not dropped
   std::size_t records_dropped = 0;   // offered to a quarantined region, or
-                                     // in (or queued behind) a failed call
+                                     // in (or handed over after) a failed call
   /// Malformed-line causes accumulated from this region's readers.
   MalformedCounts malformed;
   std::size_t comment_lines = 0;
-  /// Backpressure attribution (always 0 at threads = 1, which applies
-  /// input in place and never queues): how many producer handoffs found
-  /// this region's queue at capacity, and the total wall-clock the producer
-  /// spent blocked in those waits. Purely observational -- timing-dependent,
-  /// so never rendered into reports -- but it is what lets an admission
-  /// controller (src/service) or an operator reading --metrics-json tell
-  /// *which* tenant is saturating its shard and by how much.
+  /// Backpressure attribution (always 0 at threads = 1, whose drain runs
+  /// inline at each handoff and leaves the queue empty): how many producer
+  /// handoffs found this region's queue at capacity, and the total
+  /// wall-clock the producer spent blocked in those waits. Purely
+  /// observational -- timing-dependent, so never rendered into reports --
+  /// but it is what lets an admission controller (src/service) or an
+  /// operator reading --metrics-json tell *which* tenant is saturating its
+  /// shard and by how much.
   std::uint64_t backpressure_waits = 0;
   std::uint64_t backpressure_block_ns = 0;
 };
@@ -151,32 +159,25 @@ struct FleetConfig {
   /// Attribute distance within which two regions' model states count as the
   /// same physical state during the cross-region structural check.
   double state_match_tol = 6.0;
-  /// Where ingestion and diagnosis run. 1: inline on the caller thread,
-  /// every record span or window applied in place. 0 or any N > 1: records
-  /// are handed off in batches to per-region queues drained on
-  /// util::ThreadPool::shared(), which also runs finish() and diagnose()
-  /// jobs; N sizes nothing (the shared pool is sized by the CPU quota, and
-  /// on a 1-CPU quota the fleet runs inline, as at 1). Any value produces
-  /// bit-identical FleetReports -- threads only changes wall-clock.
+  /// Where the drain, finish and diagnose jobs run. Records reach every
+  /// region's pipeline in FleetMonitor::kBatchRecords batches through the
+  /// region's queue at any value. 1: the jobs run inline on the caller
+  /// thread (and a window is applied in place). 0 or any N > 1: they run on
+  /// util::ThreadPool::shared(); N sizes nothing (the shared pool is sized
+  /// by the CPU quota, and on a 1-CPU quota the fleet runs inline, as at
+  /// 1). Any value produces bit-identical FleetReports -- threads only
+  /// changes wall-clock.
   std::size_t threads = 1;
-  /// Per-region ingest queue bound (records; threads != 1). add_record and
-  /// add_window block once a region's queue is this deep -- backpressure
-  /// instead of unbounded memory when producers outrun the pipelines.
-  /// Deeper queues cost memory (a queued record takes 16 B plus 8 B per
-  /// attribute in its flat batch: 32 B at two attributes) but reduce
-  /// producer stalls on oversubscribed machines.
+  /// Per-region ingest queue bound (records). add_record and add_window
+  /// block once a region's queue is this deep (never at threads = 1, whose
+  /// drain empties the queue at each handoff) -- backpressure instead of
+  /// unbounded memory when producers outrun the pipelines. Deeper queues
+  /// cost memory (a queued record takes 16 B plus 8 B per attribute in its
+  /// flat batch: 32 B at two attributes) but reduce producer stalls on
+  /// oversubscribed machines.
   /// Backpressure is a documented-healthy state: the wait is counted
   /// (fleet.backpressure_waits), not a health transition.
   std::size_t max_queue_records = 16384;
-  /// Producer-side batch (threads != 1): add_record copies records into the
-  /// region's flat RecordBatch without the shard lock and hands the batch
-  /// over once it holds `batch_records` records. The drain task clears each
-  /// applied batch and returns it to the region, which starts its next
-  /// batch in it, so a warm handoff allocates nothing. Per-record pipeline
-  /// cost is tiny (real work happens once per closed window), so unbatched
-  /// handoff would spend more on locking and worker wakeups than on
-  /// detection. 1 = hand off every record immediately.
-  std::size_t batch_records = 256;
   /// Health-transition thresholds (see RegionHealthConfig).
   RegionHealthConfig health;
   /// Directory for crash-consistent region checkpoints ("" = checkpointing
@@ -196,6 +197,16 @@ struct FleetConfig {
 
 class FleetMonitor {
  public:
+  /// Producer batch size: add_records copies records into the region's flat
+  /// RecordBatch without the shard lock and hands the batch over once it
+  /// holds this many (a caller's span is never split, so a batch may hold
+  /// more). The drain task clears each applied batch onto a fleet-wide free
+  /// list, where the next batch of any region starts, so a warm handoff
+  /// allocates no record storage. Per-record pipeline cost is tiny (real
+  /// work happens once per closed window), so unbatched handoff would spend
+  /// more on locking and worker wakeups than on detection.
+  static constexpr std::size_t kBatchRecords = 256;
+
   explicit FleetMonitor(FleetConfig cfg);
 
   /// Default-config monitor (threads = 1); tol as in
@@ -228,16 +239,20 @@ class FleetMonitor {
 
   /// Route a record to its region's pipeline. Throws on unknown region
   /// (caller misuse); a record for a quarantined region is dropped and
-  /// counted, never an error. A pipeline exception raised by this or
-  /// earlier records quarantines the region instead of propagating. The
-  /// ingestion API (add_record/ingest/drain/finish) is meant for one
-  /// producer thread; the parallelism is the fleet's, across regions.
+  /// counted, never an error. A pipeline exception never propagates: the
+  /// failed batch and everything handed over after it are refused and
+  /// counted as dropped, and the region turns Quarantined where the producer
+  /// next quiesces its shard (drain, finish, finish_region,
+  /// diagnose/report_snapshot, checkpoint). The ingestion API
+  /// (add_record/ingest/drain/finish) is meant for one producer thread; the
+  /// parallelism is the fleet's, across regions.
   void add_record(const std::string& region, const SensorRecord& rec);
 
-  /// Bulk variant: one region lookup for the whole span. Prefer this when
-  /// records arrive in per-region bursts (a cluster head uploading its
-  /// backlog) -- per-record name resolution, not detection, dominates
-  /// ingest cost at fleet scale.
+  /// Bulk variant: one region lookup for the whole span, appended to the
+  /// region's producer batch (see kBatchRecords). Prefer this when records
+  /// arrive in per-region bursts (a cluster head uploading its backlog) --
+  /// per-record name resolution, not detection, dominates ingest cost at
+  /// fleet scale.
   void add_records(const std::string& region, std::span<const SensorRecord> recs);
 
   /// Window-granular ingest for pre-aggregated feeds: a cluster head that
@@ -252,8 +267,9 @@ class FleetMonitor {
   /// backpressure / checkpoint cadence at weight rep_sensors.size(). Within
   /// a region, record spans and windows are applied in the order the caller
   /// hands them over, at any thread count. Quarantine/error semantics match
-  /// add_record. One worker processes the window in place (no copy); more
-  /// copy it into the region's queue.
+  /// add_record. The producer batch is handed over first; then threads = 1
+  /// processes the window in place (no copy), and other values copy it into
+  /// the region's queue.
   void add_window(const std::string& region, const ObservationSet& window);
 
   /// What ingest()/ingest_file() report back: how much arrived and the
@@ -275,7 +291,11 @@ class FleetMonitor {
   /// (truncation, mid-stream loss) transitions the region's health instead
   /// of throwing. The rate is checked after every batch against the
   /// reader's tallies, which equal a serial read's after every call, so a
-  /// hostile feed is cut off at the same line at any thread count.
+  /// hostile feed is cut off at the same line at any thread count. A
+  /// pipeline failure does not stop the read where it happens: the feed is
+  /// read to its end, or to the next checkpoint, which quarantines the
+  /// region, and every record from the failed batch on is counted as
+  /// dropped.
   /// `skip_records` fast-forwards the reader past records a restored
   /// checkpoint already covers (see add_region_resumed) before ingesting the
   /// tail; a trace shorter than the skip quarantines the region (its
@@ -289,11 +309,10 @@ class FleetMonitor {
   IngestSummary ingest_file(const std::string& region, const std::string& path,
                             std::size_t expected_dims = 0, std::size_t skip_records = 0);
 
-  /// Block until every record and window handed to the fleet has been
-  /// applied to its pipeline (already true at threads = 1, which applies
-  /// input in place), and fold pipeline failures into the health records:
-  /// a failure quarantines its region (error captured) rather than
-  /// rethrowing.
+  /// Hand over every region's producer batch, block until every record and
+  /// window handed to the fleet has been applied to its pipeline, and fold
+  /// pipeline failures into the health records: a failure quarantines its
+  /// region (error captured) rather than rethrowing.
   void drain() const;
 
   /// Flush all regions' partial windows, one pool job per region. Implies
@@ -301,8 +320,9 @@ class FleetMonitor {
   /// silent regions are flagged per RegionHealthConfig::flag_silent_regions.
   void finish();
 
-  /// Direct pipeline access. At threads != 1, call drain() first unless
-  /// ingestion is quiescent -- a worker may still be applying records.
+  /// Direct pipeline access. Call drain() first unless ingestion is
+  /// quiescent, at any thread count: records may still wait in the producer
+  /// batch, and at threads != 1 a worker may still be applying records.
   DetectionPipeline& region(const std::string& name);
   const DetectionPipeline& region(const std::string& name) const;
   std::vector<std::string> region_names() const;
@@ -354,12 +374,13 @@ class FleetMonitor {
   /// pipeline exception quarantines the region, as in finish().
   void finish_region(const std::string& name);
 
-  /// Records currently queued for `region` (its shard queue plus the
-  /// producer-side buffer); always 0 at threads = 1, which applies input
-  /// in place. Producer-thread only, like the ingestion API: this is
-  /// the admission-control probe -- a service front end rejects a tenant's
-  /// frame (instead of blocking inside add_records) when the shard is
-  /// already at FleetConfig::max_queue_records. Throws on unknown region.
+  /// Records currently queued for `region`: its shard queue plus the
+  /// producer batch not yet handed over (fewer than kBatchRecords after any
+  /// add_records returns), at any thread count. Producer-thread only, like
+  /// the ingestion API: this is the admission-control probe -- a service
+  /// front end rejects a tenant's frame (instead of blocking inside
+  /// add_records) when the shard is already at
+  /// FleetConfig::max_queue_records. Throws on unknown region.
   std::size_t queue_depth(const std::string& region) const;
 
   const FleetConfig& config() const { return cfg_; }
@@ -368,7 +389,7 @@ class FleetMonitor {
   struct Shard;      // per-region ingest shard (defined in fleet.cpp)
   struct Committer;  // checkpoint fsync/rename thread (defined in fleet.cpp)
   /// One unit of a shard's queue: a producer batch of records (flat, and
-  /// recycled once applied), or a window.
+  /// recycled through free_batches_ once applied), or a window.
   using QueueItem = std::variant<RecordBatch, ObservationSet>;
 
   void register_region(const std::string& name, DetectionPipeline& pipeline);
@@ -377,14 +398,15 @@ class FleetMonitor {
   /// Account `weight` records offered to `region`: dropped when it is
   /// quarantined (returns null), else counted as ingested.
   Shard* admit(const std::string& region, std::size_t weight);
-  /// threads != 1 handoff: hand the producer buffer / `item` to the shard's
-  /// FIFO (blocking while it is full) and make sure a drain task is running.
-  /// Behind a parked failure the input is dropped instead.
+  /// Hand the producer batch / `item` to the shard's FIFO (blocking while
+  /// it is full) and make sure a drain task runs: inline at threads = 1,
+  /// else posted to the shared pool.
   void flush_shard(Shard& shard) const;
   void enqueue(Shard& shard, QueueItem item) const;
   void drain_shard(Shard& shard) const;
-  /// Hand off `shard`'s buffer, wait until no drain task runs and its queue
-  /// is empty, then absorb().
+  /// Hand off `shard`'s batch, wait until no drain task runs and its queue
+  /// is empty, then absorb(): the point where a parked pipeline failure
+  /// becomes a health transition.
   void quiesce(Shard& shard) const;
   /// Fold the shard's parked failure and dropped count into its health
   /// record (caller thread only).
@@ -409,6 +431,16 @@ class FleetMonitor {
   std::unique_ptr<Committer> committer_;
   /// report_snapshot() sequence number. Caller thread only.
   std::uint64_t snapshot_epoch_ = 0;
+
+  /// Applied record batches, cleared with their capacity kept, for any
+  /// region's next producer batch. Fleet-wide, so a fleet holds no more
+  /// batches than were ever in flight together, however many regions it
+  /// has served. Drain tasks push at the back, the producer pops the front,
+  /// both under free_mu_. Oldest first: refilling the newest batch, whose
+  /// lines a worker core has just read, measured about 4% slower on
+  /// fleet-csv-t4.
+  mutable std::mutex free_mu_;
+  mutable std::deque<RecordBatch> free_batches_;
 
   /// Health records, keyed like regions_. Only the caller (producer) thread
   /// reads or writes these -- workers report through their Shard and the
@@ -438,7 +470,7 @@ class FleetMonitor {
 /// ingested and dropped, malformed lines, backpressure waits and block
 /// time, health) under "fleet.region.<name>.", and for a region that is
 /// not quarantined its pipeline's export_pipeline_metrics under the same
-/// prefix. Reads the live pipelines: at threads != 1, drain() first.
+/// prefix. Reads the live pipelines: drain() first.
 void export_region_metrics(util::MetricsSnapshot& snap, const FleetMonitor& fleet);
 
 }  // namespace sentinel::core

@@ -316,7 +316,9 @@ void Server::handle_records(Conn& c, const Frame& f) {
   const util::Status& status = fleet_.region_health(c.region).status;
   if (!status.is_ok() && !c.health_reported) {
     // One unsolicited health event per connection: the tenant's feed
-    // degraded or quarantined its region.
+    // degraded or quarantined its region. A pipeline failure shows here
+    // once the fleet quiesced the region: a checkpoint, a REPORT, METRICS
+    // or HEALTH request.
     c.health_reported = true;
     write_event(c.fd, status.code(), 0, status.message());
   }
@@ -367,6 +369,9 @@ void Server::handle_metrics(int fd) {
 }
 
 void Server::handle_health(int fd) {
+  // Drain first, as METRICS and REPORT do: a parked pipeline failure shows
+  // as Quarantined only once the fleet quiesces the region.
+  fleet_.drain();
   std::string text;
   for (const auto& [name, st] : fleet_.health()) {
     text += "region ";

@@ -348,7 +348,6 @@ TEST(FleetHealth, BackpressureIsHealthyAndDeterministic) {
     FleetConfig fc;
     fc.threads = threads;
     fc.max_queue_records = queue;
-    fc.batch_records = 16;
     FleetMonitor fleet(fc);
     fleet.add_region("a", region_config());
     fleet.add_region("b", region_config());

@@ -206,10 +206,9 @@ TEST(FleetParallel, WorkerExceptionQuarantinesRegionWithAttribution) {
 constexpr std::size_t kPoisonSteps = 5000;
 constexpr std::size_t kPoisonOffered = kPoisonSteps * 6;  // records per region
 
-FleetReport run_poisoned_fleet(std::size_t threads, std::size_t batch_records) {
+FleetReport run_poisoned_fleet(std::size_t threads) {
   FleetConfig fc;
   fc.threads = threads;
-  fc.batch_records = batch_records;
   FleetMonitor fleet(fc);
   fleet.add_region("ok", region_config());
   fleet.add_region("bad", region_config());
@@ -225,26 +224,21 @@ FleetReport run_poisoned_fleet(std::size_t threads, std::size_t batch_records) {
 }
 
 TEST(FleetParallel, QuarantineAccountingIsThreadCountInvariant) {
-  // Handing off every record on its own pins the failing call to the same
-  // record at any thread count, so the whole report -- the health section
-  // with its ingested/dropped split included -- must match threads=1.
-  const std::string want = to_string(run_poisoned_fleet(1, 1));
+  // The failing batch, and with it the ingested/dropped split, is the same
+  // at any thread count, and the failure turns into the quarantine at the
+  // same quiesce, so the whole report -- health section included -- must
+  // match threads=1, and every offered record is counted exactly once.
+  const FleetReport serial = run_poisoned_fleet(1);
+  const std::string want = to_string(serial);
   ASSERT_NE(want.find("[region bad] quarantined"), std::string::npos) << want;
-  for (int run = 0; run < 10; ++run) {
-    EXPECT_EQ(to_string(run_poisoned_fleet(4, 1)), want) << "threads=4 run " << run;
+  ASSERT_EQ(serial.health.size(), 2u);
+  for (const auto& [name, st] : serial.health) {
+    EXPECT_EQ(st.records_ingested + st.records_dropped, kPoisonOffered) << name;
   }
-  // At the default batch size the failing batch is dropped whole, so the
-  // split may move with the thread count, but every offered record is
-  // counted exactly once: ingested (applied) or dropped.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const FleetReport report = run_poisoned_fleet(threads, FleetConfig{}.batch_records);
-    ASSERT_EQ(report.health.size(), 2u);
-    for (const auto& [name, st] : report.health) {
-      EXPECT_EQ(st.records_ingested + st.records_dropped, kPoisonOffered)
-          << name << " threads=" << threads;
-    }
-    EXPECT_EQ(report.health.at("ok").records_dropped, 0u);
-    EXPECT_GT(report.health.at("bad").records_dropped, 0u);
+  EXPECT_EQ(serial.health.at("ok").records_dropped, 0u);
+  EXPECT_GT(serial.health.at("bad").records_dropped, 0u);
+  for (int run = 0; run < 10; ++run) {
+    EXPECT_EQ(to_string(run_poisoned_fleet(4)), want) << "threads=4 run " << run;
   }
 }
 
@@ -336,9 +330,9 @@ TEST(FleetParallel, MalformedHandBuiltWindowQuarantinesOnlyItsRegion) {
 TEST(FleetParallel, MixedWidthBatchesKeepTheirArenaOffsets) {
   // Late 3-dim records ride in a 2-dim region's spans. The windower drops a
   // late record before it would accumulate it, so they must change nothing
-  // but the late count. With 16-record batches every queued batch at
-  // threads=4 mixes both widths in its attribute arena; a batch that does
-  // not step past a dropped record's attributes feeds shifted values on.
+  // but the late count. Every producer batch mixes both widths in its
+  // attribute arena; a batch that does not step past a dropped record's
+  // attributes feeds shifted values on.
   const CycleEnvironment env;
   const auto trace = simulate_region(env, 2.0 * kSecondsPerDay, 31);
   std::vector<SensorRecord> mixed;
@@ -359,7 +353,6 @@ TEST(FleetParallel, MixedWidthBatchesKeepTheirArenaOffsets) {
   const auto run = [](const std::vector<SensorRecord>& feed, std::size_t threads) {
     FleetConfig fc;
     fc.threads = threads;
-    fc.batch_records = 16;
     FleetMonitor fleet(fc);
     fleet.add_region("r", region_config());
     for (std::size_t off = 0; off < feed.size(); off += 7) {
@@ -536,6 +529,52 @@ TEST(FleetParallel, HostileCsvHealthIsThreadCountInvariant) {
   std::remove(clean_path.c_str());
   std::remove(degraded_path.c_str());
   std::remove(quarantined_path.c_str());
+}
+
+TEST(FleetParallel, WideCsvQuarantineIsThreadCountInvariant) {
+  // A clean CSV next to the same kind of trace with a third column: the
+  // wide region's pipeline fails on its first batch. The feed is read to
+  // its end at any thread count, so the quarantined region's
+  // ingested/dropped split, and the whole report with it, must not move
+  // with the thread count or the workers' timing.
+  const CycleEnvironment env;
+  const auto clean = simulate_region(env, 10.0 * kSecondsPerDay, 34);
+  const auto wide = simulate_region(env, 10.0 * kSecondsPerDay, 35);
+  ASSERT_GT(wide.size(), 3 * TraceReader::kDefaultBatch);
+  const std::string clean_path = temp_path("fleet_wide_clean.csv");
+  const std::string wide_path = temp_path("fleet_wide.csv");
+  write_hostile_csv(clean_path, clean, clean.size(), clean.size(), 0);
+  {
+    std::ofstream out(wide_path, std::ios::binary | std::ios::trunc);
+    for (const SensorRecord& r : wide) {
+      out << r.sensor << ',' << r.time << ',' << r.attrs[0] << ',' << r.attrs[1] << ",1.5\n";
+    }
+  }
+
+  const auto run = [&](std::size_t threads) {
+    FleetConfig fc;
+    fc.threads = threads;
+    FleetMonitor fleet(fc);
+    fleet.add_region("clean", region_config());
+    fleet.add_region("wide", region_config());
+    fleet.ingest_file("clean", clean_path);
+    fleet.ingest_file("wide", wide_path);
+    fleet.finish();
+    return fleet.diagnose();
+  };
+  const FleetReport serial = run(1);
+  const RegionState& st = serial.health.at("wide");
+  ASSERT_EQ(st.health, RegionHealth::kQuarantined);
+  EXPECT_EQ(st.records_ingested + st.records_dropped, wide.size());
+  EXPECT_EQ(serial.health.at("clean").records_ingested, clean.size());
+  const std::string want = to_string(serial);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(to_string(run(threads)), want) << "threads=" << threads << " run " << i;
+    }
+  }
+  std::remove(clean_path.c_str());
+  std::remove(wide_path.c_str());
 }
 
 TEST(FleetParallel, CsvCheckpointResumeReproducesTheUninterruptedRun) {

@@ -143,12 +143,23 @@ TEST(FleetSnapshot, FinishRegionFinalizesOneTenantAtATime) {
   EXPECT_EQ(staggered.region_health("north").health, core::RegionHealth::kHealthy);
 }
 
-TEST(FleetSnapshot, QueueDepthIsZeroForSerialFleets) {
+TEST(FleetSnapshot, QueueDepthCountsTheProducerBatch) {
+  // threads = 1 batches like any fleet: a record waits in the producer
+  // batch until the batch fills (then the inline drain applies it) or a
+  // drain hands it over.
   core::FleetMonitor fleet(6.0);
   fleet.add_region("r", scenario_config(screen::ScreenMode::kOff));
   EXPECT_EQ(fleet.queue_depth("r"), 0u);
-  fleet.add_record("r", SensorRecord{1, 10.0, AttrVec{20.0, 50.0}});
-  EXPECT_EQ(fleet.queue_depth("r"), 0u);  // records apply inline
+  const SensorRecord rec{1, 10.0, AttrVec{20.0, 50.0}};
+  fleet.add_record("r", rec);
+  EXPECT_EQ(fleet.queue_depth("r"), 1u);
+  fleet.drain();
+  EXPECT_EQ(fleet.queue_depth("r"), 0u);
+  const std::vector<SensorRecord> batch(core::FleetMonitor::kBatchRecords - 1, rec);
+  fleet.add_records("r", batch);
+  EXPECT_EQ(fleet.queue_depth("r"), batch.size());
+  fleet.add_record("r", rec);
+  EXPECT_EQ(fleet.queue_depth("r"), 0u);  // full: handed over and applied
   EXPECT_THROW((void)fleet.queue_depth("nope"), std::exception);
 }
 
@@ -159,19 +170,19 @@ TEST(FleetSnapshot, BackpressureBlockTimeIsAttributedPerIngest) {
 
   core::FleetConfig fc;
   fc.threads = 4;
-  fc.max_queue_records = 16;  // absurdly tight: every flush collides
-  fc.batch_records = 8;
+  fc.max_queue_records = 16;  // below one batch: any queued batch blocks the next
   core::FleetMonitor fleet(fc);
   fleet.add_region("r", scenario_config(screen::ScreenMode::kOff));
 
   // Small read batches so the producer hands off (and collides with the
-  // 16-record queue bound) many times rather than once per default batch.
+  // 16-record queue bound) at every producer batch, not once per default
+  // read.
   const auto reader = open_trace_reader(path);
   const auto sum = fleet.ingest("r", *reader, /*batch_records=*/64);
   ASSERT_TRUE(sum.status.is_ok());
   ASSERT_EQ(sum.records, trace.size());
 
-  // Capture before finish(): finishing flushes the producer buffer and may
+  // Capture before finish(): finishing flushes the producer batch and may
   // legitimately wait (and account) once more.
   const std::uint64_t waits = fleet.region_health("r").backpressure_waits;
   const std::uint64_t block_ns = fleet.region_health("r").backpressure_block_ns;

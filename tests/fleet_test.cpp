@@ -146,6 +146,7 @@ TEST(Fleet, RegionRestoredFromCheckpointContinues) {
   for (const auto& rec : trace) {
     if (rec.time < kSecondsPerDay) before.add_record("r", rec);
   }
+  before.drain();  // the producer batch reaches the pipeline
   std::stringstream ckpt;
   before.region("r").save_checkpoint(ckpt);
 

@@ -410,13 +410,15 @@ TEST(ServiceAdmission, QuarantinedTenantAccountsForEveryRecord) {
   // 64-record frames. Its pipeline fails a few frames in and the region is
   // quarantined; every record it sends after that must still be counted as
   // dropped, with the ingested/dropped split of an in-process fleet fed the
-  // same spans.
+  // same spans, and the same split at threads 1 and 4.
   constexpr std::size_t kFrame = 64;
   const auto& trace = golden_trace();
   ASSERT_GE(trace.size(), 12000u);
   std::vector<SensorRecord> bad(trace.begin(), trace.begin() + 12000);
   for (auto& rec : bad) rec.attrs.push_back(0.0);
 
+  // ingested/dropped per thread count: the split must not move with it.
+  std::vector<std::pair<std::size_t, std::size_t>> splits;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     core::FleetConfig fc;
@@ -448,7 +450,12 @@ TEST(ServiceAdmission, QuarantinedTenantAccountsForEveryRecord) {
     EXPECT_EQ(got.records_ingested + got.records_dropped, bad.size());
     EXPECT_EQ(got.records_ingested, want.records_ingested);
     EXPECT_EQ(got.records_dropped, want.records_dropped);
+    splits.emplace_back(got.records_ingested, got.records_dropped);
   }
+  ASSERT_EQ(splits.size(), 2u);
+  EXPECT_EQ(splits[0], splits[1]) << "threads=1 split " << splits[0].first << '/'
+                                  << splits[0].second << ", threads=4 split "
+                                  << splits[1].first << '/' << splits[1].second;
 }
 
 TEST(ServiceAdmission, OutOfOrderFrameIsBouncedWithExpectedSeq) {

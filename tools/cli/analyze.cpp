@@ -36,7 +36,7 @@ int cmd_analyze(const Args& args) {
   cfg.window_seconds = opt_double(args, "--window", cfg.window_seconds);
   cfg.stage_timers = args.options.count("--timers") > 0;
   if (!apply_screen_mode(args, cfg)) return 2;
-  const auto k = static_cast<std::size_t>(opt_double(args, "--states", 6.0));
+  const auto k = opt_unsigned<std::size_t>(args, "--states", 6);
 
   Rng rng(7, "cli-kmeans");
   if (args.options.count("--auto")) {

@@ -7,10 +7,15 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,8 +39,34 @@ struct Args {
 
 std::optional<Args> parse(int argc, char** argv);
 
+/// A bad option value: main prints it and exits with the usage code (2).
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 double opt_double(const Args& a, const std::string& key, double fallback);
 std::string opt_str(const Args& a, const std::string& key, const std::string& fallback);
+
+/// The value of an unsigned integer option (a count, a port, a seed), or
+/// `fallback` when it is absent. Throws UsageError naming the flag unless
+/// the value is a finite integral number in T's range.
+template <typename T>
+T opt_unsigned(const Args& a, const std::string& key, T fallback) {
+  static_assert(std::is_unsigned_v<T>);
+  const auto it = a.options.find(key);
+  if (it == a.options.end()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  // Below 2^digits, so the conversion is exact and defined.
+  if (end == text || *end != '\0' || !(v >= 0.0) || v != std::floor(v) ||
+      !(v < std::ldexp(1.0, std::numeric_limits<T>::digits))) {
+    throw UsageError(key + " wants an integer in [0, " +
+                     std::to_string(std::numeric_limits<T>::max()) + "], got '" + it->second +
+                     "'");
+  }
+  return static_cast<T>(v);
+}
 
 /// Parse --screen-mode into cfg (default off, the historical path). Prints
 /// and returns false on an unknown mode.

@@ -14,18 +14,18 @@ namespace sentinel::cli {
 
 int cmd_fleet(const Args& args) {
   core::FleetConfig fc;
-  fc.threads = static_cast<std::size_t>(opt_double(args, "--threads", 1.0));
+  fc.threads = opt_unsigned<std::size_t>(args, "--threads", 1);
   const std::string resume_dir = opt_str(args, "--resume", "");
   fc.checkpoint_dir = resume_dir;
-  fc.checkpoint_every_records = static_cast<std::size_t>(opt_double(
-      args, "--checkpoint-every", static_cast<double>(core::FleetConfig{}.checkpoint_every_records)));
+  fc.checkpoint_every_records =
+      opt_unsigned(args, "--checkpoint-every", core::FleetConfig{}.checkpoint_every_records);
   core::FleetMonitor fleet(fc);
 
   core::PipelineConfig cfg;
   cfg.window_seconds = opt_double(args, "--window", cfg.window_seconds);
   cfg.stage_timers = args.options.count("--timers") > 0;
   if (!apply_screen_mode(args, cfg)) return 2;
-  const auto k = static_cast<std::size_t>(opt_double(args, "--states", 6.0));
+  const auto k = opt_unsigned<std::size_t>(args, "--states", 6);
 
   // Bootstrap the shared initial model states from the first trace that
   // parses (offline clustering over per-window means, paper section 4.1).

@@ -40,19 +40,19 @@ void handle_signal(int) {
 
 int cmd_serve(const Args& args) {
   service::ServerConfig sc;
-  sc.port = static_cast<std::uint16_t>(opt_double(args, "--port", 0.0));
-  sc.fleet.threads = static_cast<std::size_t>(opt_double(args, "--threads", 1.0));
+  sc.port = opt_unsigned<std::uint16_t>(args, "--port", 0);
+  sc.fleet.threads = opt_unsigned<std::size_t>(args, "--threads", 1);
   const std::string resume_dir = opt_str(args, "--resume", "");
   sc.fleet.checkpoint_dir = opt_str(args, "--checkpoint-dir", resume_dir);
   sc.resume = !resume_dir.empty();
-  sc.fleet.checkpoint_every_records = static_cast<std::size_t>(opt_double(
-      args, "--checkpoint-every", static_cast<double>(core::FleetConfig{}.checkpoint_every_records)));
+  sc.fleet.checkpoint_every_records =
+      opt_unsigned(args, "--checkpoint-every", core::FleetConfig{}.checkpoint_every_records);
   sc.checkpoint_interval_seconds = opt_double(args, "--checkpoint-interval", 0.0);
 
   sc.region.window_seconds = opt_double(args, "--window", sc.region.window_seconds);
   sc.region.stage_timers = args.options.count("--timers") > 0;
   if (!apply_screen_mode(args, sc.region)) return 2;
-  const auto k = static_cast<std::size_t>(opt_double(args, "--states", 6.0));
+  const auto k = opt_unsigned<std::size_t>(args, "--states", 6);
 
   // The resident fleet serves every tenant from one region config, so the
   // initial model states must come from a bootstrap trace named up front --
@@ -100,14 +100,14 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_stream(const Args& args) {
-  const auto port = static_cast<std::uint16_t>(opt_double(args, "--port", 0.0));
+  const auto port = opt_unsigned<std::uint16_t>(args, "--port", 0);
   if (port == 0) {
     std::fprintf(stderr, "stream requires --port <server port>\n");
     return 2;
   }
   service::ClientConfig cc;
   cc.port = port;
-  cc.frame_records = static_cast<std::size_t>(opt_double(args, "--frame-records", 4096.0));
+  cc.frame_records = opt_unsigned<std::size_t>(args, "--frame-records", 4096);
 
   // One connection (and region) per trace, named exactly as `fleet` names
   // its regions from the same paths.

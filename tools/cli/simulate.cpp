@@ -23,7 +23,7 @@ int cmd_scenarios(const Args&) {
 
 int cmd_simulate(const Args& args) {
   const double days = opt_double(args, "--days", 14.0);
-  const auto seed = static_cast<std::uint64_t>(opt_double(args, "--seed", 42.0));
+  const auto seed = opt_unsigned<std::uint64_t>(args, "--seed", 42);
   const std::string scenario = opt_str(args, "--scenario", "clean");
   const auto kind = kind_by_name(scenario);
   if (!kind) {
@@ -69,7 +69,7 @@ int cmd_inject(const Args& args) {
     std::fprintf(stderr, "unknown or empty scenario '%s'\n", scenario.c_str());
     return 2;
   }
-  const auto seed = static_cast<std::uint64_t>(opt_double(args, "--seed", 42.0));
+  const auto seed = opt_unsigned<std::uint64_t>(args, "--seed", 42);
 
   // Ground truth reconstructed from the recording itself (paper 4.2 on real
   // data); the injection starts one-seventh into the recording.

@@ -162,3 +162,43 @@ execute_process(COMMAND ${CLI} fleet ${trace} --resume ${store}
 if(rc EQUAL 0 OR NOT err MATCHES "data-loss")
   message(FATAL_ERROR "corrupt manifest not rejected (rc=${rc}):\n${err}")
 endif()
+
+# A region whose pipeline fails reports the same bytes at any thread count.
+# The wide trace is the clean one with a third column: its first batch
+# fails, the trace is read to its end, and every record from that batch on
+# is counted as dropped, whichever thread applied it and whenever.
+set(wide ${WORK}/cli_smoke_wide.csv)
+file(READ ${clean} body)
+string(REGEX REPLACE "([0-9])\n" "\\1,1.5\n" body "${body}")
+file(WRITE ${wide} "${body}")
+execute_process(COMMAND ${CLI} fleet ${clean} ${wide} --threads 1
+                RESULT_VARIABLE rc OUTPUT_VARIABLE want ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT want MATCHES "cli_smoke_wide\\] quarantined")
+  message(FATAL_ERROR "fleet did not quarantine the wide trace (rc=${rc}):\n${want}\n${err}")
+endif()
+foreach(threads 4 4 4 4 4 0)
+  execute_process(COMMAND ${CLI} fleet ${clean} ${wide} --threads ${threads}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out STREQUAL want)
+    message(FATAL_ERROR "fleet --threads ${threads} differs from --threads 1 (rc=${rc}):\n"
+                        "${out}\nwant:\n${want}\n${err}")
+  endif()
+endforeach()
+
+# A count, port or seed option takes only a finite integral value in its
+# type's range; anything else is a usage error (exit 2) that names the flag.
+foreach(case
+    "fleet;${trace};--states;-1"
+    "fleet;${trace};--threads;nan"
+    "fleet;${trace};--threads;four"
+    "fleet;${trace};--checkpoint-every;1.5"
+    "serve;--bootstrap;${trace};--port;70000"
+    "stream;--port;70000"
+    "simulate;${WORK}/cli_smoke_unwritten.csv;--seed;-3")
+  list(GET case -2 flag)
+  execute_process(COMMAND ${CLI} ${case} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err TIMEOUT 30)
+  if(NOT rc STREQUAL "2" OR NOT err MATCHES "${flag}")
+    message(FATAL_ERROR "bad ${flag} value not refused as a usage error (rc=${rc}): ${case}\n${err}")
+  endif()
+endforeach()

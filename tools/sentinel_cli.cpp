@@ -107,6 +107,9 @@ int main(int argc, char** argv) {
     for (const Entry& e : kCommands) {
       if (args->command == e.name) return e.run(*args);
     }
+  } catch (const sentinel::cli::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
