@@ -36,18 +36,6 @@ std::vector<double> random_vec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// `count` random row offsets into an arena of `rows` rows at `stride`
-/// (repeats allowed, like a real scatter).
-std::vector<std::size_t> random_offs(std::size_t count, std::size_t rows, std::size_t stride,
-                                     std::uint64_t seed) {
-  Rng rng(seed, "perf-kernels-offs");
-  std::vector<std::size_t> offs(count);
-  for (auto& o : offs) {
-    o = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(rows) - 1)) * stride;
-  }
-  return offs;
-}
-
 void set_items(benchmark::State& state, std::size_t per_iteration) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(per_iteration));
@@ -140,22 +128,6 @@ void BM_MatVec(benchmark::State& state, const kern::Kernels& k) {
   set_items(state, m * m);
 }
 
-// The slab's post-repack check: two moment vectors against every row of an
-// arena of `rows` padded rows.
-void BM_MatVecBlock(benchmark::State& state, const kern::Kernels& k) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto stride = static_cast<std::size_t>(state.range(1));
-  const auto arena = random_vec(rows * stride, 18);
-  const auto xs = random_vec(2 * stride, 19);
-  std::vector<double> out(2 * rows, 0.0);
-  for (auto _ : state) {
-    k.mat_vec_block(arena.data(), xs.data(), 2, stride, rows, stride, stride, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  set_items(state, 2 * rows * stride);
-}
-
 // Scaling by -1 flips signs exactly, so repeated in-place runs never drift
 // into denormals.
 void BM_Scale(benchmark::State& state, const kern::Kernels& k) {
@@ -178,23 +150,6 @@ void BM_DivScale(benchmark::State& state, const kern::Kernels& k) {
     benchmark::ClobberMemory();
   }
   set_items(state, n);
-}
-
-// The slab flush: one EMA decay-and-bump per pending row, scattered over an
-// arena of padded rows (n is the padded stride, as the slab passes it).
-void BM_EmaScaleBumpRows(benchmark::State& state, const kern::Kernels& k) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto count = static_cast<std::size_t>(state.range(1));
-  auto arena = random_vec(count * n, 22);
-  const auto offs = random_offs(count, count, n, 23);
-  std::vector<std::uint32_t> cols(count);
-  for (std::size_t r = 0; r < count; ++r) cols[r] = static_cast<std::uint32_t>(r % n);
-  for (auto _ : state) {
-    k.ema_scale_bump_rows(arena.data(), offs.data(), cols.data(), count, n, 0.1, 0.9);
-    benchmark::DoNotOptimize(arena.data());
-    benchmark::ClobberMemory();
-  }
-  set_items(state, count * n);
 }
 
 void BM_Axpy(benchmark::State& state, const kern::Kernels& k) {
@@ -288,12 +243,9 @@ void register_for_level(kern::Level level) {
     reg("BM_MaxPlus", BM_MaxPlus)->Arg(n);
   }
   for (const long w : {16L, 64L}) reg("BM_SumSumsq", BM_SumSumsq)->Arg(w);
-  // scale: M_CO's padded EMA rows (4, 8) and the backward pass's 40 states.
+  // scale: the padded EMA rows of M_CO and the track slab (4, 8) and the
+  // backward pass's 40 states.
   for (const long n : {4L, 8L, 40L}) reg("BM_Scale", BM_Scale)->Arg(n);
-  for (const long stride : {4L, 8L}) {
-    reg("BM_EmaScaleBumpRows", BM_EmaScaleBumpRows)->Args({stride, 64});
-    reg("BM_MatVecBlock", BM_MatVecBlock)->Args({256, stride});
-  }
 }
 
 }  // namespace

@@ -38,8 +38,9 @@
 // windows run before counting, so one-time growth (state spawns, slab
 // capacity, scratch vectors) is excluded. BM_ScreenedSteadyWindows pins the
 // strongest claim: with a persistent fault bloc and a single regime --
-// no track churn, no state spawns, no repacks after warm-up -- the batched
-// per-sensor path must be allocation-free at steady state (0 allocs/window).
+// no track churn, no state spawns, no repacks after warm-up -- the
+// per-sensor alarm/track loop must be allocation-free at steady state (0
+// allocs/window).
 
 #include <benchmark/benchmark.h>
 
@@ -256,9 +257,9 @@ void BM_ScreenedFleetWindows(benchmark::State& state) {
 /// After warm-up the tier reaches a fixed point -- the fault bloc's tracks
 /// stay open (no churn), the regime never switches (no spawns, no screen
 /// trips from healthy sensors), and the slab stops repacking -- so the
-/// timed span isolates the batched per-sensor loop. Its allocs_per_window
-/// counter is the bench-enforced claim that the batched path does not touch
-/// the allocator at steady state.
+/// timed span isolates the per-sensor alarm/track loop. Its
+/// allocs_per_window counter is the bench-enforced claim that the loop does
+/// not touch the allocator at steady state.
 ScreenWorkload make_steady_workload(std::size_t suspicious_pct) {
   ScreenWorkload w;
 

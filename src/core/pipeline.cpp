@@ -326,55 +326,28 @@ std::size_t DetectionPipeline::screen_window(const ObservationSet& window) {
 
 void DetectionPipeline::run_alarm_track_stage(const ObservationSet& window) {
   util::ScopedTimerNs t(t_alarms_);
-  WindowStates& ws = window_states_;
-  // Block size: one block's alarm rows, mapping slice, and update scratch
-  // stay L1-resident across the four passes.
-  constexpr std::size_t kBlock = 256;
-  const std::size_t n = ws.mapping.size();
-  blk_updates_.resize(std::min(kBlock, n));
-  tracks_.begin_window();
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t m = std::min(kBlock, n - base);
-    // Pass 1: alarm filter updates.
-    for (std::size_t k = 0; k < m; ++k) {
-      const auto& [sensor, l] = ws.mapping[base + k];
-      const bool raw = l != ws.correct;
-      blk_updates_[k] = alarms_.update(sensor, raw);
-      if (raw) ++raw_alarms_;
-      if (blk_updates_[k].filtered) ++filtered_alarms_;
+  const WindowStates& ws = window_states_;
+  for (const auto& [sensor, l] : ws.mapping) {
+    const bool raw = l != ws.correct;
+    const AlarmUpdate u = alarms_.update(sensor, raw);
+    if (raw) ++raw_alarms_;
+    if (u.filtered) ++filtered_alarms_;
+    if (u.raised_edge) {
+      tracks_.open(sensor, window.window_index);
+      ++track_opens_;
     }
-    // Pass 2: track edges.
-    for (std::size_t k = 0; k < m; ++k) {
-      const AlarmUpdate& u = blk_updates_[k];
-      if (u.raised_edge) {
-        tracks_.open(ws.mapping[base + k].first, window.window_index);
-        ++track_opens_;
-      }
-      if (u.cleared_edge) {
-        tracks_.close(ws.mapping[base + k].first, window.window_index);
-        ++track_closes_;
-      }
+    if (u.cleared_edge) {
+      tracks_.close(sensor, window.window_index);
+      ++track_closes_;
     }
-    // Pass 3: M_CE observes, enqueued into the track slab (applied in two
-    // batched kernel calls by the flush below).
-    for (std::size_t k = 0; k < m; ++k) {
-      const auto& [sensor, l] = ws.mapping[base + k];
-      if (!tracks_.has_active_track(sensor)) continue;
-      const bool raw = l != ws.correct;
+    const bool tracking = tracks_.has_active_track(sensor);
+    if (tracking) {
       tracks_.observe(sensor, ws.correct, raw ? l : hmm::kBottomSymbol);
       ++hmm_updates_;
     }
-    // Pass 4: screen hysteresis resolution and last_'s rows.
-    for (std::size_t k = 0; k < m; ++k) {
-      const auto& [sensor, l] = ws.mapping[base + k];
-      const bool raw = l != ws.correct;
-      if (screens_ != nullptr) {
-        screens_->resolve(sensor, !raw && !tracks_.has_active_track(sensor));
-      }
-      last_.sensors.append(sensor, {l, raw, blk_updates_[k].filtered});
-    }
+    if (screens_ != nullptr) screens_->resolve(sensor, !raw && !tracking);
+    last_.sensors.append(sensor, {l, raw, u.filtered});
   }
-  tracks_.flush_window();
 }
 
 screen::ScreenStats DetectionPipeline::screen_stats() const {

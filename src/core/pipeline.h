@@ -249,12 +249,9 @@ class DetectionPipeline {
   /// number of screened sensors.
   std::size_t screen_window(const ObservationSet& window);
 
-  /// Stage (3): alarms and tracks over window_states_.mapping, iterated in
-  /// cache-sized sensor blocks as four passes (alarm updates, track edges,
-  /// batched M_CE observes, screen resolution + last_'s rows). Every pass
-  /// is per-sensor independent, so the results are bit-identical to the old
-  /// interleaved loop -- but the M_CE row updates enqueue into the track
-  /// slab and coalesce into two kernel calls at the window flush.
+  /// Stage (3): one loop over window_states_.mapping that takes, per
+  /// sensor, its alarm update, its track edges, its M_CE observe (both slab
+  /// lanes stepped in place), its screen resolution and its last_ row.
   void run_alarm_track_stage(const ObservationSet& window);
 
   /// Inputs diagnose_*() would otherwise recompute per tracked sensor,
@@ -313,7 +310,6 @@ class DetectionPipeline {
   std::vector<SensorId> esc_sensors_;
   std::vector<double> resid_;
   std::vector<screen::ScreenDecision> screen_dec_;
-  std::vector<AlarmUpdate> blk_updates_;  // per-block alarm-stage scratch
 
   mutable util::CopyableMutex diag_mu_;
   mutable std::optional<DiagCache> diag_cache_;

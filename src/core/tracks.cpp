@@ -22,10 +22,6 @@ void TrackManager::close(SensorId sensor, std::size_t window) {
   Track& last = s->tracks.back();
   last.closed_window = window;
   if (last.lane != hmm::OnlineHmmSlab::kNoLane) {
-    // A closing lane normally has nothing pending (the cleared edge
-    // precedes this window's observes), but flush defensively so the
-    // materialized M_CE is never behind.
-    if (slab_.lane_has_pending(last.lane)) slab_.flush();
     last.m_ce = slab_.materialize(last.lane);
     slab_.free_lane(last.lane);
     last.lane = hmm::OnlineHmmSlab::kNoLane;
@@ -35,13 +31,6 @@ void TrackManager::close(SensorId sensor, std::size_t window) {
 bool TrackManager::has_active_track(SensorId sensor) const {
   const Sensor* s = sensors_.find(sensor);
   return s != nullptr && s->tracking();
-}
-
-void TrackManager::begin_window() { in_window_ = true; }
-
-void TrackManager::flush_window() {
-  slab_.flush();
-  in_window_ = false;
 }
 
 void TrackManager::observe(SensorId sensor, hmm::StateId correct, hmm::StateId error_state) {
@@ -58,7 +47,6 @@ void TrackManager::observe(SensorId sensor, hmm::StateId correct, hmm::StateId e
     ++track.anomalous_observations;
     ++agg.anomalous;
   }
-  if (!in_window_) slab_.flush();
 }
 
 const std::vector<Track>* TrackManager::tracks(SensorId sensor) const {
@@ -69,9 +57,6 @@ const std::vector<Track>* TrackManager::tracks(SensorId sensor) const {
 const hmm::OnlineHmm& TrackManager::refreshed_view(const Aggregate& agg) const {
   std::lock_guard<std::mutex> lock(agg.view_mu);
   if (agg.view_dirty) {
-    if (slab_.lane_has_pending(agg.lane)) {
-      throw std::logic_error("TrackManager: combined M_CE read inside an open window batch");
-    }
     agg.view = slab_.materialize(agg.lane);
     agg.view_dirty = false;
   }
@@ -103,9 +88,6 @@ std::size_t TrackManager::total_tracks() const {
 }
 
 void TrackManager::save(serialize::Writer& w) const {
-  if (slab_.has_pending()) {
-    throw std::logic_error("TrackManager::save inside an open window batch");
-  }
   serialize::tag(w, "tracks");
   std::size_t tracked = 0;
   std::size_t pooled = 0;

@@ -10,14 +10,12 @@
 //
 // Storage: while a track is active its M_CE (and the sensor's pooled
 // aggregate M_CE) live in an OnlineHmmSlab lane -- contiguous
-// struct-of-arrays storage shared by every tracked sensor, updated in
-// batched kernel calls once per window (begin_window / flush_window
-// bracket the batch; observe() outside a bracket flushes immediately, so
-// standalone use keeps the one-call-one-update semantics). Closing a track
-// materializes the lane into the Track's `m_ce`, which from then on is the
-// authoritative copy; an ACTIVE track's `m_ce` member is empty -- readers
-// of live per-sensor evidence go through combined_m_ce(), which
-// materializes the aggregate lane on demand behind a dirty flag.
+// struct-of-arrays storage shared by every tracked sensor; observe() steps
+// both lanes in place. Closing a track materializes the lane into the
+// Track's `m_ce`, which from then on is the authoritative copy; an ACTIVE
+// track's `m_ce` member is empty -- readers of live per-sensor evidence go
+// through combined_m_ce(), which materializes the aggregate lane on demand
+// behind a dirty flag.
 
 #pragma once
 
@@ -69,13 +67,6 @@ class TrackManager {
 
   bool has_active_track(SensorId sensor) const;
 
-  /// Bracket one observation window: observes inside the bracket batch
-  /// their EMA row updates into single kernel calls at flush_window().
-  /// Observes outside a bracket flush immediately (same results, one row
-  /// at a time) -- begin/flush is purely a batching hint.
-  void begin_window();
-  void flush_window();
-
   /// Feed one window's (c_i, e_i) to the sensor's active track.
   /// e = hmm::kBottomSymbol when the sensor agrees with the correct state.
   void observe(SensorId sensor, hmm::StateId correct, hmm::StateId error_state);
@@ -98,7 +89,8 @@ class TrackManager {
 
   std::size_t total_tracks() const;
 
-  /// Batched-storage observability (see OnlineHmmSlab).
+  /// The lane storage of every active track and pooled aggregate, for its
+  /// repack count (see OnlineHmmSlab).
   const hmm::OnlineHmmSlab& slab() const { return slab_; }
 
   /// Checkpointing: every track (with its M_CE) and per-sensor aggregates.
@@ -136,7 +128,6 @@ class TrackManager {
   hmm::OnlineHmmConfig hmm_cfg_;
   hmm::OnlineHmmSlab slab_;
   SensorTable<Sensor> sensors_;
-  bool in_window_ = false;
 };
 
 }  // namespace sentinel::core

@@ -46,7 +46,6 @@ void OnlineHmmSlab::grow_lanes(std::size_t need) {
   has_last_.resize(lane_cap_, 0);
   in_use_.resize(lane_cap_, 0);
   steps_.resize(lane_cap_, 0);
-  pending_in_lane_.resize(lane_cap_, 0);
   // Descending push so lanes are claimed in ascending order.
   for (std::size_t l = lane_cap_; l > old; --l) {
     free_lanes_.push_back(static_cast<std::uint32_t>(l - 1));
@@ -58,7 +57,6 @@ std::uint32_t OnlineHmmSlab::open_lane() {
   const std::uint32_t lane = free_lanes_.back();
   free_lanes_.pop_back();
   in_use_[lane] = 1;
-  ++lanes_in_use_;
   return lane;
 }
 
@@ -87,12 +85,8 @@ void OnlineHmmSlab::free_lane(std::uint32_t lane) {
   if (lane >= lane_cap_ || in_use_[lane] == 0) {
     throw std::logic_error("OnlineHmmSlab::free_lane: lane not in use");
   }
-  if (pending_in_lane_[lane] != 0) {
-    throw std::logic_error("OnlineHmmSlab::free_lane: lane has pending updates");
-  }
   clear_lane(lane);
   in_use_[lane] = 0;
-  --lanes_in_use_;
   free_lanes_.push_back(lane);
 }
 
@@ -152,16 +146,21 @@ void OnlineHmmSlab::observe(std::uint32_t lane, StateId hidden, StateId symbol) 
   const std::size_t j = intern_hidden(lane, hidden, symbol);
   const std::size_t l = intern_symbol(lane, symbol);
 
+  // Row pointers are taken after interning, which may have repacked.
+  // Scaling the full padded stride is exact: slack cells hold +0.0.
+  const auto& kk = kern::k();
   if (has_last_[lane] != 0 && last_hidden_[lane] != hidden) {
     const std::size_t i = index_of_hidden(lane, last_hidden_[lane]);
-    pending_a_.push_back({lane, static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)});
-    ++pending_in_lane_[lane];
+    double* row = a_row(lane, i);
+    kk.scale(row, hs_, 1.0 - cfg_.beta);
+    row[j] += cfg_.beta;
     a_avg_[lane * a_tile() + i * hs_ + j] += 1.0;
     a_row_counts_[lane * h_cap_ + i] += 1.0;
   }
 
-  pending_b_.push_back({lane, static_cast<std::uint32_t>(j), static_cast<std::uint32_t>(l)});
-  ++pending_in_lane_[lane];
+  double* brow = b_row(lane, j);
+  kk.scale(brow, ss_, 1.0 - cfg_.gamma);
+  brow[l] += cfg_.gamma;
   b_avg_[lane * b_tile() + j * ss_ + l] += 1.0;
   b_row_counts_[lane * h_cap_ + j] += 1.0;
   symbol_totals_[lane * s_cap_ + l] += 1.0;
@@ -169,35 +168,6 @@ void OnlineHmmSlab::observe(std::uint32_t lane, StateId hidden, StateId symbol) 
   last_hidden_[lane] = hidden;
   has_last_[lane] = 1;
   ++steps_[lane];
-}
-
-void OnlineHmmSlab::flush() {
-  const auto& kk = kern::k();
-  if (!pending_a_.empty()) {
-    flush_offs_.clear();
-    flush_cols_.clear();
-    for (const PendingRow& p : pending_a_) {
-      flush_offs_.push_back(p.lane * a_tile() + p.row * hs_);
-      flush_cols_.push_back(p.col);
-      pending_in_lane_[p.lane] = 0;
-    }
-    // Scaling the full padded stride is exact: slack cells hold +0.0.
-    kk.ema_scale_bump_rows(a_.data(), flush_offs_.data(), flush_cols_.data(),
-                           pending_a_.size(), hs_, 1.0 - cfg_.beta, cfg_.beta);
-    pending_a_.clear();
-  }
-  if (!pending_b_.empty()) {
-    flush_offs_.clear();
-    flush_cols_.clear();
-    for (const PendingRow& p : pending_b_) {
-      flush_offs_.push_back(p.lane * b_tile() + p.row * ss_);
-      flush_cols_.push_back(p.col);
-      pending_in_lane_[p.lane] = 0;
-    }
-    kk.ema_scale_bump_rows(b_.data(), flush_offs_.data(), flush_cols_.data(),
-                           pending_b_.size(), ss_, 1.0 - cfg_.gamma, cfg_.gamma);
-    pending_b_.clear();
-  }
 }
 
 void OnlineHmmSlab::grow_caps(std::size_t h_need, std::size_t s_need) {
@@ -264,12 +234,12 @@ void OnlineHmmSlab::grow_caps(std::size_t h_need, std::size_t s_need) {
 
 void OnlineHmmSlab::validate_after_repack() const {
   if (lane_cap_ == 0) return;
-  // Two batched moment sweeps per arena through mat_vec_block: RHS 0 is the
-  // all-ones vector (row sums), RHS 1 the column-index ramp (index-weighted
-  // mass). A logical row of a_/b_ is a probability distribution, so its sum
-  // must be ~1 and its weighted mass at most (logical cols - 1); a row the
-  // repack mis-copied -- shifted cells, or mass leaked into capacity slack
-  // -- breaks one of the two. Rows past the logical shape must sum to zero.
+  // Two moment sweeps per arena, one mat_vec each: the all-ones vector
+  // (row sums) and the column-index ramp (index-weighted mass). A logical
+  // row of a_/b_ is a probability distribution, so its sum must be ~1 and
+  // its weighted mass at most (logical cols - 1); a row the repack
+  // mis-copied -- shifted cells, or mass leaked into capacity slack --
+  // breaks one of the two. Rows past the logical shape must sum to zero.
   const auto& kk = kern::k();
   const std::size_t max_stride = std::max(hs_, ss_);
   std::vector<double> xs(2 * max_stride, 0.0);
@@ -282,8 +252,8 @@ void OnlineHmmSlab::validate_after_repack() const {
 
   const auto check = [&](const std::vector<double>& arena, std::size_t stride,
                          const std::uint32_t* logical_cols, const char* what) {
-    kk.mat_vec_block(arena.data(), xs.data(), 2, max_stride, rows, stride, stride,
-                     moments.data());
+    kk.mat_vec(arena.data(), xs.data(), rows, stride, stride, moments.data());
+    kk.mat_vec(arena.data(), xs.data() + max_stride, rows, stride, stride, moments.data() + rows);
     for (std::size_t lane = 0; lane < lane_cap_; ++lane) {
       const std::size_t h = in_use_[lane] != 0 ? n_hidden_[lane] : 0;
       const std::size_t cols = in_use_[lane] != 0 ? logical_cols[lane] : 0;
@@ -311,9 +281,6 @@ void OnlineHmmSlab::validate_after_repack() const {
 OnlineHmm OnlineHmmSlab::materialize(std::uint32_t lane) const {
   if (lane >= lane_cap_ || in_use_[lane] == 0) {
     throw std::logic_error("OnlineHmmSlab::materialize: lane not in use");
-  }
-  if (pending_in_lane_[lane] != 0) {
-    throw std::logic_error("OnlineHmmSlab::materialize: lane has pending updates");
   }
   OnlineHmm m(cfg_);
   const std::size_t h = n_hidden_[lane];

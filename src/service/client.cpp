@@ -61,8 +61,8 @@ void Client::process_event(const AckBody& body) {
       body.code == util::StatusCode::kFailedPrecondition) {
     // Stream control: rewind to the sequence number the server names (the
     // earliest one wins when several rejects pile up).
-    if (!rewind_pending_ || body.value < rewind_seq_) rewind_seq_ = body.value;
-    rewind_pending_ = true;
+    if (!rewind_requested_ || body.value < rewind_seq_) rewind_seq_ = body.value;
+    rewind_requested_ = true;
     return;
   }
   health_events_.push_back(body);
@@ -124,22 +124,22 @@ util::Result<std::uint64_t> Client::hello(const std::string& region, std::size_t
   if (body.code != util::StatusCode::kOk) return util::Status(body.code, body.message);
   dims_ = dims;
   record_bytes_ = binary_trace_record_bytes(dims);
-  pending_base_ = 0;
+  unacked_base_ = 0;
   return body.value;
 }
 
 void Client::seal_current() {
   if (cur_records_ == 0) return;
-  put_u64le(cur_.data(), pending_base_ + pending_.size());
+  put_u64le(cur_.data(), unacked_base_ + unacked_.size());
   put_u32le(cur_.data() + 8, static_cast<std::uint32_t>(cur_records_));
-  pending_.push_back(std::move(cur_));
+  unacked_.push_back(std::move(cur_));
   cur_.clear();
   cur_records_ = 0;
   ++frames_since_flush_;
 }
 
 util::Status Client::transmit(std::size_t index) {
-  const auto& frame = pending_[index];
+  const auto& frame = unacked_[index];
   return write_frame(fd_, FrameType::kRecords, frame.data(), frame.size());
 }
 
@@ -153,10 +153,10 @@ util::Status Client::send(std::span<const SensorRecord> recs) {
       seal_current();
       // Transmit eagerly so the server overlaps ingest with our encoding;
       // acceptance is settled at the next barrier.
-      if (const auto st = transmit(pending_.size() - 1); !st.is_ok()) return st;
+      if (const auto st = transmit(unacked_.size() - 1); !st.is_ok()) return st;
       ++send_cursor_;
       if (const auto st = drain_events(); !st.is_ok()) return st;
-      if (!rewind_pending_ && frames_since_flush_ < cfg_.flush_every_frames) continue;
+      if (!rewind_requested_ && frames_since_flush_ < cfg_.flush_every_frames) continue;
       if (const auto st = sync(); !st.is_ok()) return st;
     }
   }
@@ -172,14 +172,14 @@ util::Status Client::sync() {
   seal_current();
   double backoff = cfg_.retry_backoff_seconds;
   for (;;) {
-    if (rewind_pending_) {
+    if (rewind_requested_) {
       // The server names the sequence to resend from; everything below it
       // was accepted and can be dropped.
-      rewind_pending_ = false;
+      rewind_requested_ = false;
       ++rejected_frames_;
-      while (!pending_.empty() && pending_base_ < rewind_seq_) {
-        pending_.pop_front();
-        ++pending_base_;
+      while (!unacked_.empty() && unacked_base_ < rewind_seq_) {
+        unacked_.pop_front();
+        ++unacked_base_;
       }
       send_cursor_ = 0;  // retransmit every still-pending frame
       if (backoff > 0) {
@@ -187,12 +187,12 @@ util::Status Client::sync() {
         backoff = std::min(backoff * 2, 0.05);
       }
     }
-    for (; send_cursor_ < pending_.size(); ++send_cursor_) {
+    for (; send_cursor_ < unacked_.size(); ++send_cursor_) {
       if (const auto st = transmit(send_cursor_); !st.is_ok()) return st;
       if (const auto st = drain_events(); !st.is_ok()) return st;
-      if (rewind_pending_) break;
+      if (rewind_requested_) break;
     }
-    if (rewind_pending_) continue;
+    if (rewind_requested_) continue;
 
     // Barrier: the ack arrives after the server classified every earlier
     // frame (TCP preserves our send order), so a clean ack means everything
@@ -203,10 +203,10 @@ util::Status Client::sync() {
     AckBody body;
     if (const auto st = parse_ack(f.payload, body); !st.is_ok()) return st;
     if (body.code != util::StatusCode::kOk) return util::Status(body.code, body.message);
-    if (rewind_pending_) continue;  // a reject raced ahead of the ack
+    if (rewind_requested_) continue;  // a reject raced ahead of the ack
 
-    pending_base_ += pending_.size();  // sequence numbers keep counting up
-    pending_.clear();
+    unacked_base_ += unacked_.size();  // sequence numbers keep counting up
+    unacked_.clear();
     send_cursor_ = 0;
     frames_since_flush_ = 0;
     return util::Status::ok();

@@ -101,9 +101,9 @@ class Client {
   std::uint64_t rejected_frames() const { return rejected_frames_; }
 
  private:
-  /// Seal the partial frame (if any) into the pending queue.
+  /// Seal the partial frame (if any) into the unacknowledged queue.
   void seal_current();
-  /// Transmit pending frames from the send cursor, then run the kFlush
+  /// Transmit unacknowledged frames from the send cursor, then run the kFlush
   /// barrier, rewinding and resending until the stream is clean.
   util::Status sync();
   /// Fold one kEvent into rewind/health state.
@@ -122,17 +122,17 @@ class Client {
   std::size_t record_bytes_ = 0;
 
   /// Sealed, not-yet-barrier-acknowledged frames; frame i carries sequence
-  /// number pending_base_ + i.
-  std::deque<std::vector<unsigned char>> pending_;
-  std::uint64_t pending_base_ = 0;
-  std::size_t send_cursor_ = 0;  // next pending_ index to transmit
+  /// number unacked_base_ + i.
+  std::deque<std::vector<unsigned char>> unacked_;
+  std::uint64_t unacked_base_ = 0;
+  std::size_t send_cursor_ = 0;  // next unacked_ index to transmit
   std::size_t frames_since_flush_ = 0;
 
   /// Partial frame under construction (12-byte header + records so far).
   std::vector<unsigned char> cur_;
   std::size_t cur_records_ = 0;
 
-  bool rewind_pending_ = false;
+  bool rewind_requested_ = false;
   std::uint64_t rewind_seq_ = 0;
   std::uint64_t rejected_frames_ = 0;
   std::vector<AckBody> health_events_;

@@ -32,6 +32,17 @@ constexpr std::size_t kRecvChunk = 256u << 10;
 /// of descriptors, unless a connection ends first.
 constexpr std::chrono::milliseconds kAcceptPause{100};
 
+/// run() converts the checkpoint interval to a steady_clock duration and
+/// adds it to now(), which is undefined for NaN, an infinity or a value near
+/// 2^63 ns.
+ServerConfig checked(ServerConfig cfg) {
+  const double s = cfg.checkpoint_interval_seconds;
+  if (!(s >= 0.0 && s <= 1e9)) {
+    throw std::invalid_argument("service: checkpoint_interval_seconds must be in [0, 1e9]");
+  }
+  return cfg;
+}
+
 void close_fd(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -42,7 +53,7 @@ void close_fd(int& fd) {
 }  // namespace
 
 Server::Server(ServerConfig cfg)
-    : cfg_(std::move(cfg)), fleet_(cfg_.fleet), rx_(kRecvChunk) {
+    : cfg_(checked(std::move(cfg))), fleet_(cfg_.fleet), rx_(kRecvChunk) {
   int pipefd[2];
   if (::pipe(pipefd) != 0) {
     throw std::runtime_error("service: pipe() failed: " + std::string(std::strerror(errno)));

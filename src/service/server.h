@@ -55,7 +55,7 @@ struct ServerConfig {
   bool resume = false;
   /// Commit incremental checkpoints this often; the loop wakes for it as a
   /// poll deadline (0 = record-cadence only via
-  /// FleetConfig::checkpoint_every_records).
+  /// FleetConfig::checkpoint_every_records). Must be in [0, 1e9].
   double checkpoint_interval_seconds = 0.0;
   /// Upper bound on records per kRecords frame (admission sanity check).
   std::size_t max_frame_records = 1u << 16;
@@ -64,7 +64,8 @@ struct ServerConfig {
 class Server {
  public:
   /// Binds and listens; throws std::runtime_error when the socket cannot be
-  /// set up (port in use, no loopback).
+  /// set up (port in use, no loopback), and std::invalid_argument when
+  /// checkpoint_interval_seconds is not in [0, 1e9].
   explicit Server(ServerConfig cfg);
   ~Server();
 

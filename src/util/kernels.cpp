@@ -134,26 +134,8 @@ void mat_vec_scalar(const double* m, const double* x, std::size_t rows, std::siz
   for (std::size_t r = 0; r < rows; ++r) out[r] = dot_scalar(m + r * stride, x, cols);
 }
 
-void mat_vec_block_scalar(const double* m, const double* xs, std::size_t count,
-                          std::size_t xstride, std::size_t rows, std::size_t cols,
-                          std::size_t stride, double* out) {
-  for (std::size_t k = 0; k < count; ++k) {
-    mat_vec_scalar(m, xs + k * xstride, rows, cols, stride, out + k * rows);
-  }
-}
-
 void scale_scalar(double* v, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) v[i] *= s;
-}
-
-void ema_scale_bump_rows_scalar(double* base, const std::size_t* offs,
-                                const std::uint32_t* cols, std::size_t count,
-                                std::size_t n, double s, double bump) {
-  for (std::size_t r = 0; r < count; ++r) {
-    double* v = base + offs[r];
-    scale_scalar(v, n, s);
-    v[cols[r]] += bump;
-  }
 }
 
 void axpy_scalar(double* y, const double* x, std::size_t n, double a) {
@@ -179,9 +161,8 @@ double normalize_scalar(double* v, std::size_t n) {
 constexpr Kernels kScalarKernels{
     "scalar",        dist2_block_scalar, dist2_scalar, dot_scalar,       sum_scalar,
     sum_sumsq_scalar,
-    vec_mat_scalar,  mat_vec_scalar,     mat_vec_block_scalar,
+    vec_mat_scalar,  mat_vec_scalar,
     scale_scalar,    div_scale_scalar,
-    ema_scale_bump_rows_scalar,
     axpy_scalar,     mul_scalar,         mul_axpy_scalar,
     normalize_scalar, max_plus_scalar,
 };

@@ -82,27 +82,12 @@ struct Kernels {
   /// out[i] = striped dot of row i of m (stride apart) with x, over cols.
   void (*mat_vec)(const double* m, const double* x, std::size_t rows, std::size_t cols,
                   std::size_t stride, double* out);
-  /// Multi-RHS mat_vec over one matrix: for each k in [0, count),
-  /// out[k*rows + r] = striped dot of row r of m with xs + k*xstride.
-  /// Bit-identical to `count` independent mat_vec calls at every level.
-  void (*mat_vec_block)(const double* m, const double* xs, std::size_t count,
-                        std::size_t xstride, std::size_t rows, std::size_t cols,
-                        std::size_t stride, double* out);
 
   /// v[i] *= s.
   void (*scale)(double* v, std::size_t n, double s);
   /// v[i] /= d. Kept as an IEEE division per element (not a reciprocal
   /// multiply) so it matches pre-kernel scalar code bit-for-bit.
   void (*div_scale)(double* v, std::size_t n, double d);
-  /// Batched online-EMA row update over scattered rows: for each r in
-  /// [0, count), with v = base + offs[r]: v[i] *= s over [0, n), then
-  /// v[cols[r]] += bump. Rows are processed in batch order with the scale
-  /// strictly before the bump per row, so a batch is bit-identical to the
-  /// same sequence of per-row scale() calls and scalar bumps. Callers may
-  /// pass n as the padded stride: slack cells hold +0.0 and 0.0*s == +0.0.
-  void (*ema_scale_bump_rows)(double* base, const std::size_t* offs,
-                              const std::uint32_t* cols, std::size_t count,
-                              std::size_t n, double s, double bump);
   /// y[i] += a * x[i]; multiply then add, each rounded (no FMA).
   void (*axpy)(double* y, const double* x, std::size_t n, double a);
   /// out[i] = a[i] * b[i]. out may alias a or b.

@@ -165,31 +165,11 @@ void mat_vec_avx2(const double* m, const double* x, std::size_t rows, std::size_
   for (std::size_t r = 0; r < rows; ++r) out[r] = dot_avx2(m + r * stride, x, cols);
 }
 
-void mat_vec_block_avx2(const double* m, const double* xs, std::size_t count,
-                        std::size_t xstride, std::size_t rows, std::size_t cols,
-                        std::size_t stride, double* out) {
-  for (std::size_t k = 0; k < count; ++k) {
-    mat_vec_avx2(m, xs + k * xstride, rows, cols, stride, out + k * rows);
-  }
-}
-
 void scale_avx2(double* v, std::size_t n, double s) {
   const __m256d k = _mm256_set1_pd(s);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) _mm256_storeu_pd(v + i, _mm256_mul_pd(_mm256_loadu_pd(v + i), k));
   for (; i < n; ++i) v[i] *= s;
-}
-
-void ema_scale_bump_rows_avx2(double* base, const std::size_t* offs, const std::uint32_t* cols,
-                              std::size_t count, std::size_t n, double s, double bump) {
-  const __m256d k = _mm256_set1_pd(s);
-  for (std::size_t r = 0; r < count; ++r) {
-    double* v = base + offs[r];
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) _mm256_storeu_pd(v + i, _mm256_mul_pd(_mm256_loadu_pd(v + i), k));
-    for (; i < n; ++i) v[i] *= s;
-    v[cols[r]] += bump;
-  }
 }
 
 void axpy_avx2(double* y, const double* x, std::size_t n, double a) {
@@ -232,9 +212,8 @@ double normalize_avx2(double* v, std::size_t n) {
 constexpr Kernels kAvx2Kernels{
     "avx2",        dist2_block_avx2, dist2_avx2, dot_avx2,       sum_avx2,
     sum_sumsq_avx2,
-    vec_mat_avx2,  mat_vec_avx2,     mat_vec_block_avx2,
+    vec_mat_avx2,  mat_vec_avx2,
     scale_avx2,    div_scale_scalar,
-    ema_scale_bump_rows_avx2,
     axpy_avx2,     mul_avx2,         mul_axpy_avx2,
     normalize_avx2, max_plus_scalar,
 };

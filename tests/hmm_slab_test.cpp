@@ -1,13 +1,12 @@
 // Tests: hmm::OnlineHmmSlab -- the struct-of-arrays lane storage behind the
-// diagnosis tier's batched per-sensor stage. The slab's contract is
-// BIT-IDENTITY with per-object OnlineHmm estimators: feed the same
-// observations through a lane (batched observe + flush) and through a
-// standalone OnlineHmm, and materialize() must reproduce the standalone
-// object exactly, checkpoint bytes included -- across lane counts that
-// straddle the pipeline's 256-sensor block size, across whole-slab repacks,
-// and across free/reopen recycling. TrackManager-level tests pin the same
-// property for the window bracket (begin_window/flush_window vs standalone
-// observes) and for checkpoint round-trips out of slab storage.
+// diagnosis tier's per-sensor stage. The slab's contract is BIT-IDENTITY
+// with per-object OnlineHmm estimators: feed the same observations through
+// a lane and through a standalone OnlineHmm, and materialize() must
+// reproduce the standalone object exactly, checkpoint bytes included --
+// after every observe, across lane counts that straddle a lane-capacity
+// doubling, across whole-slab repacks, and across free/reopen recycling.
+// TrackManager-level tests pin that the order lanes open in changes no
+// byte, and that checkpoints round-trip out of slab storage.
 
 #include "hmm/hmm_slab.h"
 
@@ -37,11 +36,11 @@ struct Stream {
   }
 };
 
-// The pipeline batches one observation per tracked sensor per window. Lane
-// counts straddle its 256-sensor block: 1, block-1, block, block+1.
+// The pipeline observes each tracked sensor once per window. Lane counts
+// straddle the slab's lane-capacity doubling at 256.
 const std::vector<std::size_t> kLaneCounts = {1, 255, 256, 257};
 
-TEST(HmmSlab, BatchedLanesMatchShadowOnlineHmmsBitExactly) {
+TEST(HmmSlab, LanesMatchShadowOnlineHmmsAfterEveryObserve) {
   const OnlineHmmConfig cfg;
   for (const std::size_t n_lanes : kLaneCounts) {
     OnlineHmmSlab slab(cfg);
@@ -54,15 +53,18 @@ TEST(HmmSlab, BatchedLanesMatchShadowOnlineHmmsBitExactly) {
     }
     const std::size_t windows = n_lanes == 1 ? 200 : 12;
     for (std::size_t w = 0; w < windows; ++w) {
-      // One window: every lane observed once, all EMA updates batched into
-      // a single flush -- the pipeline's begin/flush bracket.
+      // One window: every lane observed once, in lane order, and each
+      // materialized right after its own step.
       for (std::size_t l = 0; l < n_lanes; ++l) {
         const auto [h, sym] = streams[l].next();
         slab.observe(lanes[l], h, sym);
         shadows[l].observe(h, sym);
+        ASSERT_EQ(test::text_bytes(slab.materialize(lanes[l])), test::text_bytes(shadows[l]))
+            << "lanes=" << n_lanes << " window " << w << " lane " << l;
       }
-      slab.flush();
     }
+    // Later lanes' steps (and the repacks they caused) left earlier lanes
+    // alone.
     for (std::size_t l = 0; l < n_lanes; ++l) {
       ASSERT_EQ(test::text_bytes(slab.materialize(lanes[l])), test::text_bytes(shadows[l]))
           << "lanes=" << n_lanes << " lane " << l;
@@ -82,7 +84,6 @@ TEST(HmmSlab, RepackPreservesEveryLaneBitExactly) {
 
   slab.observe(bystander, 1, 7);
   shadow_by.observe(1, 7);
-  slab.flush();
   EXPECT_EQ(slab.repacks(), 0u);
 
   // 20 hidden states and 40 symbols blow through the initial capacity of 4
@@ -90,20 +91,17 @@ TEST(HmmSlab, RepackPreservesEveryLaneBitExactly) {
   for (StateId h = 0; h < 20; ++h) {
     slab.observe(grower, h, h);
     shadow_gr.observe(h, h);
-    slab.flush();
     slab.observe(grower, h, h + 100);
     shadow_gr.observe(h, h + 100);
-    slab.flush();
   }
   EXPECT_GT(slab.repacks(), 0u);
   EXPECT_EQ(test::text_bytes(slab.materialize(grower)), test::text_bytes(shadow_gr));
   EXPECT_EQ(test::text_bytes(slab.materialize(bystander)), test::text_bytes(shadow_by));
 }
 
-TEST(HmmSlab, RepackBetweenObserveAndFlushIsSafe) {
-  // A lane opening mid-window can repack the slab while other lanes hold
-  // pending batched updates; flush offsets are computed at flush time, so
-  // the pending rows land in the repacked tiles correctly.
+TEST(HmmSlab, RepackMidWindowKeepsEarlierLanes) {
+  // A lane opening mid-window can repack the slab after other lanes took
+  // this window's step; the repack must carry those steps over intact.
   const OnlineHmmConfig cfg;
   OnlineHmmSlab slab(cfg);
   const std::uint32_t steady = slab.open_lane();
@@ -112,22 +110,20 @@ TEST(HmmSlab, RepackBetweenObserveAndFlushIsSafe) {
   for (int i = 0; i < 5; ++i) {
     slab.observe(steady, static_cast<StateId>(i % 3), 7);
     shadow_st.observe(static_cast<StateId>(i % 3), 7);
-    slab.flush();
   }
 
   const std::uint32_t spawned = slab.open_lane();
   OnlineHmm shadow_sp(cfg);
-  // One window: steady observes first (pending), THEN the spawned lane
-  // grows capacity before the flush.
+  // One window: steady observes first, THEN the spawned lane grows
+  // capacity.
   slab.observe(steady, 1, 7);
   shadow_st.observe(1, 7);
   const std::size_t repacks_before = slab.repacks();
-  for (StateId h = 0; h < 6; ++h) {  // > h_cap: forces grow_caps pre-flush
+  for (StateId h = 0; h < 6; ++h) {  // > h_cap: forces grow_caps
     slab.observe(spawned, h, static_cast<StateId>(h + 50));
     shadow_sp.observe(h, static_cast<StateId>(h + 50));
   }
   EXPECT_GT(slab.repacks(), repacks_before);
-  slab.flush();
 
   EXPECT_EQ(test::text_bytes(slab.materialize(steady)), test::text_bytes(shadow_st));
   EXPECT_EQ(test::text_bytes(slab.materialize(spawned)), test::text_bytes(shadow_sp));
@@ -139,13 +135,11 @@ TEST(HmmSlab, FreedLanesRecycleClean) {
   const std::uint32_t a = slab.open_lane();
   slab.observe(a, 3, 9);
   slab.observe(a, 4, 9);
-  slab.flush();
   slab.free_lane(a);
   const std::uint32_t b = slab.open_lane();
   EXPECT_EQ(a, b);  // freelist recycles
   EXPECT_EQ(test::text_bytes(slab.materialize(b)), test::text_bytes(OnlineHmm(cfg)));
   slab.observe(b, 1, 2);
-  slab.flush();
   OnlineHmm shadow(cfg);
   shadow.observe(1, 2);
   EXPECT_EQ(test::text_bytes(slab.materialize(b)), test::text_bytes(shadow));
@@ -153,87 +147,45 @@ TEST(HmmSlab, FreedLanesRecycleClean) {
 
 // --- TrackManager over slab storage -----------------------------------------
 
-TEST(HmmSlabTracks, WindowBracketMatchesStandaloneObserves) {
-  // Same opens/observes/closes through (a) the pipeline's batched
-  // begin_window/flush_window bracket and (b) standalone observes that
-  // flush one at a time. Checkpoints must be byte-identical at every
-  // block-straddling sensor count.
-  for (const std::size_t n_sensors : kLaneCounts) {
-    core::TrackManager batched{OnlineHmmConfig{}};
-    core::TrackManager unbatched{OnlineHmmConfig{}};
-    for (std::size_t s = 0; s < n_sensors; ++s) {
-      batched.open(static_cast<SensorId>(s), 0);
-      unbatched.open(static_cast<SensorId>(s), 0);
-    }
-    std::vector<Stream> streams;
-    std::vector<Stream> streams2;
-    for (std::size_t s = 0; s < n_sensors; ++s) {
-      streams.emplace_back(s + 7);
-      streams2.emplace_back(s + 7);
-    }
-    const std::size_t windows = n_sensors == 1 ? 64 : 6;
-    for (std::size_t w = 1; w <= windows; ++w) {
-      batched.begin_window();
-      for (std::size_t s = 0; s < n_sensors; ++s) {
-        const auto [h, sym] = streams[s].next();
-        batched.observe(static_cast<SensorId>(s), h, sym);
-      }
-      batched.flush_window();
-      for (std::size_t s = 0; s < n_sensors; ++s) {
-        const auto [h, sym] = streams2[s].next();
-        unbatched.observe(static_cast<SensorId>(s), h, sym);
-      }
-    }
-    // Close every other sensor's track so both storage paths (materialized
-    // m_ce and live lane) appear in the checkpoint.
-    for (std::size_t s = 0; s < n_sensors; s += 2) {
-      batched.close(static_cast<SensorId>(s), windows + 1);
-      unbatched.close(static_cast<SensorId>(s), windows + 1);
-    }
-    ASSERT_EQ(test::text_bytes(batched), test::text_bytes(unbatched)) << "sensors=" << n_sensors;
-  }
-}
-
-TEST(HmmSlabTracks, SpawnMidWindowRepacksAndStaysIdentical) {
-  // Tracks opening mid-window (fresh sensors escalating) grow the slab --
-  // lanes AND capacities -- while earlier observes of the same window are
-  // still pending. The repack must be visible in the metric and the result
-  // still byte-identical to the unbatched run.
-  core::TrackManager batched{OnlineHmmConfig{}};
-  core::TrackManager unbatched{OnlineHmmConfig{}};
-  auto feed = [](core::TrackManager& tm, SensorId s, std::size_t i) {
+TEST(HmmSlabTracks, LaneOpenOrderDoesNotChangeBytes) {
+  // The pipeline takes each sensor's track edges and its observe together,
+  // so a fresh sensor's track lane and its pooled-aggregate lane open
+  // between other sensors' steps. Taking every edge of a window first and
+  // its observes after (track lanes open together, aggregate lanes at the
+  // observes) hands out other lane ids, and must write the same checkpoint.
+  // A sensor spawns every window, growing lanes and capacities mid-window,
+  // and sensor 1's track closes and reopens.
+  core::TrackManager interleaved{OnlineHmmConfig{}};
+  core::TrackManager edges_first{OnlineHmmConfig{}};
+  const auto opens = [](SensorId s, std::size_t w) { return s == w || (s == 1 && w == 7); };
+  const auto closes = [](SensorId s, std::size_t w) { return s == 1 && w == 5; };
+  const auto feed = [](core::TrackManager& tm, SensorId s, std::size_t w) {
     // Distinct states per step so capacities must grow past the initial 4.
-    tm.observe(s, static_cast<StateId>(i % 7), static_cast<StateId>(20 + i % 9));
+    tm.observe(s, static_cast<StateId>((w + s) % 7), static_cast<StateId>(20 + (w + s) % 9));
   };
-  batched.open(0, 0);
-  unbatched.open(0, 0);
-
   const std::size_t windows = 12;
   for (std::size_t w = 0; w < windows; ++w) {
-    // Batched run: the new sensor of the window spawns (and observes) AFTER
-    // earlier sensors queued their pending updates.
-    batched.begin_window();
     for (SensorId s = 0; s <= w; ++s) {
-      if (s == w && w > 0) batched.open(s, w);  // spawn mid-window
-      feed(batched, s, w + s);
+      if (opens(s, w)) interleaved.open(s, w);
+      if (closes(s, w)) interleaved.close(s, w);
+      feed(interleaved, s, w);
     }
-    batched.flush_window();
-
     for (SensorId s = 0; s <= w; ++s) {
-      if (s == w && w > 0) unbatched.open(s, w);
-      feed(unbatched, s, w + s);
+      if (opens(s, w)) edges_first.open(s, w);
+      if (closes(s, w)) edges_first.close(s, w);
     }
+    for (SensorId s = 0; s <= w; ++s) feed(edges_first, s, w);
   }
 
-  EXPECT_GT(batched.slab().repacks(), 0u);
-  EXPECT_EQ(test::text_bytes(batched), test::text_bytes(unbatched));
+  EXPECT_GT(interleaved.slab().repacks(), 0u);
+  EXPECT_EQ(test::text_bytes(interleaved), test::text_bytes(edges_first));
 }
 
 TEST(HmmSlabTracks, CheckpointRoundTripsByteStableFromSlabStorage) {
   // Active tracks live in slab lanes; save() materializes them on the way
   // out and load() adopts them back in. A second save must reproduce the
   // first byte-for-byte, and the reloaded manager must keep accepting
-  // batched windows identically to the original.
+  // windows identically to the original.
   core::TrackManager tm{OnlineHmmConfig{}};
   std::vector<Stream> streams;
   for (SensorId s = 0; s < 9; ++s) {
@@ -241,12 +193,10 @@ TEST(HmmSlabTracks, CheckpointRoundTripsByteStableFromSlabStorage) {
     streams.emplace_back(s + 3);
   }
   for (int w = 0; w < 20; ++w) {
-    tm.begin_window();
     for (SensorId s = 0; s < 9; ++s) {
       const auto [h, sym] = streams[s].next();
       tm.observe(s, h, sym);
     }
-    tm.flush_window();
   }
   tm.close(2, 21);  // mix of closed (materialized) and active (slab) tracks
 
@@ -256,16 +206,12 @@ TEST(HmmSlabTracks, CheckpointRoundTripsByteStableFromSlabStorage) {
 
   // Both managers keep evolving in lockstep after the round trip.
   for (int w = 0; w < 5; ++w) {
-    tm.begin_window();
-    loaded.begin_window();
     for (SensorId s = 0; s < 9; ++s) {
       if (!tm.has_active_track(s)) continue;
       const auto [h, sym] = streams[s].next();
       tm.observe(s, h, sym);
       loaded.observe(s, h, sym);
     }
-    tm.flush_window();
-    loaded.flush_window();
   }
   EXPECT_EQ(test::text_bytes(loaded), test::text_bytes(tm));
 }

@@ -181,73 +181,6 @@ TEST(KernelsTest, MatrixProductsBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(KernelsTest, MatVecBlockMatchesRepeatedMatVec) {
-  const Kernels& ref = table(Level::scalar);
-  for (const Level level : testable_levels()) {
-    const Kernels& k = table(level);
-    for (const std::size_t rows : {1ul, 2ul, 5ul, 9ul}) {
-      for (const std::size_t cols : {1ul, 3ul, 4ul, 7ul}) {
-        for (const std::size_t count : {0ul, 1ul, 2ul, 3ul, 8ul}) {
-          const std::size_t stride = padded(cols);
-          const std::size_t xstride = stride + 4;  // xs packed wider than the matrix
-          const auto m = hostile(rows * stride, 40 + rows);
-          const auto xs = hostile(count * xstride, 41 + cols);
-          const std::string tag = std::string(level_name(level)) + " " + std::to_string(rows) +
-                                  "x" + std::to_string(cols) + " count=" + std::to_string(count);
-
-          std::vector<double> got(count * rows, 0.0);
-          k.mat_vec_block(m.data(), xs.data(), count, xstride, rows, cols, stride, got.data());
-
-          // Contract: bit-identical to `count` independent mat_vec calls.
-          std::vector<double> want(count * rows, 0.0);
-          for (std::size_t c = 0; c < count; ++c) {
-            ref.mat_vec(m.data(), xs.data() + c * xstride, rows, cols, stride,
-                        want.data() + c * rows);
-          }
-          expect_same_bits(got, want, "mat_vec_block " + tag);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, EmaScaleBumpRowsMatchesPerRowScaleThenBump) {
-  const Kernels& ref = table(Level::scalar);
-  for (const Level level : testable_levels()) {
-    const Kernels& k = table(level);
-    for (const std::size_t n : {4ul, 8ul, 12ul}) {
-      for (const std::size_t count : {0ul, 1ul, 2ul, 5ul, 17ul}) {
-        // Scattered rows inside one arena, including repeated offsets: the
-        // same row updated twice in one batch must see both updates in batch
-        // order, exactly like sequential per-row calls.
-        const std::size_t arena_rows = 8;
-        auto arena = hostile(arena_rows * n, 50 + n);
-        std::vector<std::size_t> offs(count);
-        std::vector<std::uint32_t> cols(count);
-        std::mt19937_64 rng(77 + count);
-        for (std::size_t r = 0; r < count; ++r) {
-          offs[r] = (rng() % arena_rows) * n;
-          cols[r] = static_cast<std::uint32_t>(rng() % n);
-        }
-        const double s = 0.97;
-        const double bump = 0.03;
-        const std::string tag = std::string(level_name(level)) + " n=" + std::to_string(n) +
-                                " count=" + std::to_string(count);
-
-        auto got = arena;
-        k.ema_scale_bump_rows(got.data(), offs.data(), cols.data(), count, n, s, bump);
-
-        auto want = arena;
-        for (std::size_t r = 0; r < count; ++r) {
-          ref.scale(want.data() + offs[r], n, s);
-          want[offs[r] + cols[r]] += bump;
-        }
-        expect_same_bits(got, want, "ema_scale_bump_rows " + tag);
-      }
-    }
-  }
-}
-
 TEST(KernelsTest, ElementwiseOpsBitIdenticalAcrossLevels) {
   const Kernels& ref = table(Level::scalar);
   for (const Level level : testable_levels()) {

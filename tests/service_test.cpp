@@ -21,8 +21,10 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -781,6 +783,21 @@ TEST(ServiceLoop, CheckpointIntervalCommitsWhileTheLoopIsIdle) {
   EXPECT_GE(commits.total() - before, 2u);
   server.stop();
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceLoop, CheckpointIntervalMustBeFiniteAndInRange) {
+  // run() turns the interval into a steady_clock duration and adds it to
+  // now(), which NaN, an infinity or a value near 2^63 ns makes undefined.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0, 1e300}) {
+    service::ServerConfig sc;
+    sc.checkpoint_interval_seconds = bad;
+    EXPECT_THROW({ service::Server server(std::move(sc)); }, std::invalid_argument) << bad;
+  }
+  for (const double good : {0.0, 30.0}) {
+    service::ServerConfig sc;
+    sc.checkpoint_interval_seconds = good;
+    EXPECT_NO_THROW({ service::Server server(std::move(sc)); }) << good;
+  }
 }
 
 TEST(ServiceLoop, OutOfDescriptorsDoesNotSpin) {

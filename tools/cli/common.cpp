@@ -72,7 +72,14 @@ std::optional<Args> parse(int argc, char** argv) {
 
 double opt_double(const Args& a, const std::string& key, double fallback) {
   const auto it = a.options.find(key);
-  return it == a.options.end() ? fallback : std::stod(it->second);
+  if (it == a.options.end()) return fallback;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) {
+    throw UsageError(key + " wants a finite number, got '" + it->second + "'");
+  }
+  return v;
 }
 
 std::string opt_str(const Args& a, const std::string& key, const std::string& fallback) {

@@ -44,6 +44,9 @@ struct UsageError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+/// The value of a floating-point option (a window, a duration, an interval),
+/// or `fallback` when it is absent. Throws UsageError naming the flag unless
+/// the whole value parses to a finite number.
 double opt_double(const Args& a, const std::string& key, double fallback);
 std::string opt_str(const Args& a, const std::string& key, const std::string& fallback);
 

@@ -186,7 +186,9 @@ foreach(threads 4 4 4 4 4 0)
 endforeach()
 
 # A count, port or seed option takes only a finite integral value in its
-# type's range; anything else is a usage error (exit 2) that names the flag.
+# type's range, and a window, duration or interval option only a whole
+# value that parses to a finite number; anything else is a usage error
+# (exit 2) that names the flag.
 foreach(case
     "fleet;${trace};--states;-1"
     "fleet;${trace};--threads;nan"
@@ -194,7 +196,12 @@ foreach(case
     "fleet;${trace};--checkpoint-every;1.5"
     "serve;--bootstrap;${trace};--port;70000"
     "stream;--port;70000"
-    "simulate;${WORK}/cli_smoke_unwritten.csv;--seed;-3")
+    "simulate;${WORK}/cli_smoke_unwritten.csv;--seed;-3"
+    "analyze;${trace};--window;abc"
+    "analyze;${trace};--window;3600abc"
+    "simulate;${WORK}/cli_smoke_unwritten.csv;--days;inf"
+    "health;${trace};--period;nan"
+    "serve;--bootstrap;${trace};--checkpoint-interval;nan")
   list(GET case -2 flag)
   execute_process(COMMAND ${CLI} ${case} RESULT_VARIABLE rc OUTPUT_VARIABLE out
                   ERROR_VARIABLE err TIMEOUT 30)
