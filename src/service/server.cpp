@@ -37,7 +37,7 @@ constexpr std::chrono::milliseconds kAcceptPause{100};
 /// 2^63 ns.
 ServerConfig checked(ServerConfig cfg) {
   const double s = cfg.checkpoint_interval_seconds;
-  if (!(s >= 0.0 && s <= 1e9)) {
+  if (!(s >= 0.0 && s <= kMaxCheckpointIntervalSeconds)) {
     throw std::invalid_argument("service: checkpoint_interval_seconds must be in [0, 1e9]");
   }
   return cfg;

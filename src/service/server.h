@@ -39,6 +39,9 @@ namespace sentinel::service {
 /// connection is dropped (SO_SNDTIMEO on accepted sockets).
 inline constexpr int kReplyTimeoutSeconds = 2;
 
+/// The longest ServerConfig::checkpoint_interval_seconds the server takes.
+inline constexpr double kMaxCheckpointIntervalSeconds = 1e9;
+
 struct ServerConfig {
   /// Port to bind on 127.0.0.1; 0 = ephemeral (read the choice via port()).
   std::uint16_t port = 0;
@@ -55,7 +58,8 @@ struct ServerConfig {
   bool resume = false;
   /// Commit incremental checkpoints this often; the loop wakes for it as a
   /// poll deadline (0 = record-cadence only via
-  /// FleetConfig::checkpoint_every_records). Must be in [0, 1e9].
+  /// FleetConfig::checkpoint_every_records). Must be in
+  /// [0, kMaxCheckpointIntervalSeconds].
   double checkpoint_interval_seconds = 0.0;
   /// Upper bound on records per kRecords frame (admission sanity check).
   std::size_t max_frame_records = 1u << 16;
@@ -65,7 +69,7 @@ class Server {
  public:
   /// Binds and listens; throws std::runtime_error when the socket cannot be
   /// set up (port in use, no loopback), and std::invalid_argument when
-  /// checkpoint_interval_seconds is not in [0, 1e9].
+  /// checkpoint_interval_seconds is not in [0, kMaxCheckpointIntervalSeconds].
   explicit Server(ServerConfig cfg);
   ~Server();
 

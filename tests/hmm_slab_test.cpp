@@ -153,11 +153,13 @@ TEST(HmmSlabTracks, LaneOpenOrderDoesNotChangeBytes) {
   // between other sensors' steps. Taking every edge of a window first and
   // its observes after (track lanes open together, aggregate lanes at the
   // observes) hands out other lane ids, and must write the same checkpoint.
-  // A sensor spawns every window, growing lanes and capacities mid-window,
-  // and sensor 1's track closes and reopens.
+  // Sensor s joins at window first(s), so a sensor spawns every window and
+  // sensors 4 and 5 spawn together, growing lanes and capacities
+  // mid-window; sensor 1's track closes and reopens.
   core::TrackManager interleaved{OnlineHmmConfig{}};
   core::TrackManager edges_first{OnlineHmmConfig{}};
-  const auto opens = [](SensorId s, std::size_t w) { return s == w || (s == 1 && w == 7); };
+  const auto first = [](SensorId s) { return s < 5 ? std::size_t{s} : std::size_t{s} - 1; };
+  const auto opens = [&](SensorId s, std::size_t w) { return first(s) == w || (s == 1 && w == 7); };
   const auto closes = [](SensorId s, std::size_t w) { return s == 1 && w == 5; };
   const auto feed = [](core::TrackManager& tm, SensorId s, std::size_t w) {
     // Distinct states per step so capacities must grow past the initial 4.
@@ -165,18 +167,21 @@ TEST(HmmSlabTracks, LaneOpenOrderDoesNotChangeBytes) {
   };
   const std::size_t windows = 12;
   for (std::size_t w = 0; w < windows; ++w) {
-    for (SensorId s = 0; s <= w; ++s) {
+    for (SensorId s = 0; first(s) <= w; ++s) {
       if (opens(s, w)) interleaved.open(s, w);
       if (closes(s, w)) interleaved.close(s, w);
       feed(interleaved, s, w);
     }
-    for (SensorId s = 0; s <= w; ++s) {
+    for (SensorId s = 0; first(s) <= w; ++s) {
       if (opens(s, w)) edges_first.open(s, w);
       if (closes(s, w)) edges_first.close(s, w);
     }
-    for (SensorId s = 0; s <= w; ++s) feed(edges_first, s, w);
+    for (SensorId s = 0; first(s) <= w; ++s) feed(edges_first, s, w);
   }
 
+  // Sensor 4's aggregate lane opens before sensor 5's track lane in one
+  // order and after it in the other.
+  EXPECT_NE(interleaved.tracks(5)->back().lane, edges_first.tracks(5)->back().lane);
   EXPECT_GT(interleaved.slab().repacks(), 0u);
   EXPECT_EQ(test::text_bytes(interleaved), test::text_bytes(edges_first));
 }

@@ -20,6 +20,12 @@
 namespace sentinel::cli {
 
 int cmd_analyze(const Args& args) {
+  core::PipelineConfig cfg;
+  cfg.window_seconds = opt_double(args, "--window", cfg.window_seconds);
+  cfg.stage_timers = args.options.count("--timers") > 0;
+  if (!apply_screen_mode(args, cfg)) return 2;
+  const auto k = opt_unsigned<std::size_t>(args, "--states", 6);
+
   const auto read = read_trace_file(args.path);
   if (read.records.empty()) {
     std::fprintf(stderr, "no parseable records in %s (%s)\n", args.path.c_str(),
@@ -31,12 +37,6 @@ int cmd_analyze(const Args& args) {
   if (!read.status.is_ok()) {
     std::fprintf(stderr, "warning: source ended early: %s\n", read.status.to_string().c_str());
   }
-
-  core::PipelineConfig cfg;
-  cfg.window_seconds = opt_double(args, "--window", cfg.window_seconds);
-  cfg.stage_timers = args.options.count("--timers") > 0;
-  if (!apply_screen_mode(args, cfg)) return 2;
-  const auto k = opt_unsigned<std::size_t>(args, "--states", 6);
 
   Rng rng(7, "cli-kmeans");
   if (args.options.count("--auto")) {

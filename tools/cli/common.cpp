@@ -1,7 +1,9 @@
 #include "cli/common.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "core/offline_kmeans.h"

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
@@ -56,17 +55,14 @@ std::string opt_str(const Args& a, const std::string& key, const std::string& fa
 template <typename T>
 T opt_unsigned(const Args& a, const std::string& key, T fallback) {
   static_assert(std::is_unsigned_v<T>);
-  const auto it = a.options.find(key);
-  if (it == a.options.end()) return fallback;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
+  if (a.options.count(key) == 0) return fallback;
+  const double v = opt_double(a, key, 0.0);
   // Below 2^digits, so the conversion is exact and defined.
-  if (end == text || *end != '\0' || !(v >= 0.0) || v != std::floor(v) ||
+  if (!(v >= 0.0) || v != std::floor(v) ||
       !(v < std::ldexp(1.0, std::numeric_limits<T>::digits))) {
     throw UsageError(key + " wants an integer in [0, " +
-                     std::to_string(std::numeric_limits<T>::max()) + "], got '" + it->second +
-                     "'");
+                     std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+                     a.options.at(key) + "'");
   }
   return static_cast<T>(v);
 }

@@ -48,6 +48,11 @@ int cmd_serve(const Args& args) {
   sc.fleet.checkpoint_every_records =
       opt_unsigned(args, "--checkpoint-every", core::FleetConfig{}.checkpoint_every_records);
   sc.checkpoint_interval_seconds = opt_double(args, "--checkpoint-interval", 0.0);
+  if (!(sc.checkpoint_interval_seconds >= 0.0 &&
+        sc.checkpoint_interval_seconds <= service::kMaxCheckpointIntervalSeconds)) {
+    throw UsageError("--checkpoint-interval wants seconds in [0, 1e9], got '" +
+                     args.options.at("--checkpoint-interval") + "'");
+  }
 
   sc.region.window_seconds = opt_double(args, "--window", sc.region.window_seconds);
   sc.region.stage_timers = args.options.count("--timers") > 0;

@@ -58,11 +58,6 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_inject(const Args& args) {
-  const auto read = read_trace_file(args.path);
-  if (read.records.empty()) {
-    std::fprintf(stderr, "no parseable records in %s\n", args.path.c_str());
-    return 1;
-  }
   const std::string scenario = opt_str(args, "--scenario", "stuck-at");
   const auto kind = kind_by_name(scenario);
   if (!kind || *kind == bench::InjectionKind::kClean) {
@@ -70,6 +65,11 @@ int cmd_inject(const Args& args) {
     return 2;
   }
   const auto seed = opt_unsigned<std::uint64_t>(args, "--seed", 42);
+  const auto read = read_trace_file(args.path);
+  if (read.records.empty()) {
+    std::fprintf(stderr, "no parseable records in %s\n", args.path.c_str());
+    return 1;
+  }
 
   // Ground truth reconstructed from the recording itself (paper 4.2 on real
   // data); the injection starts one-seventh into the recording.
@@ -89,12 +89,12 @@ int cmd_inject(const Args& args) {
 }
 
 int cmd_health(const Args& args) {
+  const double period = opt_double(args, "--period", 5.0 * kSecondsPerMinute);
   const auto read = read_trace_file(args.path);
   if (read.records.empty()) {
     std::fprintf(stderr, "no parseable records in %s\n", args.path.c_str());
     return 1;
   }
-  const double period = opt_double(args, "--period", 5.0 * kSecondsPerMinute);
   for (const auto& h : analyze_health(read.records, period)) {
     std::printf("%s\n", to_string(h).c_str());
   }

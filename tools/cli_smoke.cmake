@@ -201,7 +201,9 @@ foreach(case
     "analyze;${trace};--window;3600abc"
     "simulate;${WORK}/cli_smoke_unwritten.csv;--days;inf"
     "health;${trace};--period;nan"
-    "serve;--bootstrap;${trace};--checkpoint-interval;nan")
+    "serve;--bootstrap;${trace};--checkpoint-interval;nan"
+    "serve;--bootstrap;${trace};--checkpoint-interval;-1"
+    "serve;--bootstrap;${trace};--checkpoint-interval;2e9")
   list(GET case -2 flag)
   execute_process(COMMAND ${CLI} ${case} RESULT_VARIABLE rc OUTPUT_VARIABLE out
                   ERROR_VARIABLE err TIMEOUT 30)
